@@ -16,7 +16,6 @@ from .bands import (
 from .bootstrap import (
     BootstrapConfig,
     BootstrapResult,
-    ResidualSeries,
     auto_block_length,
     bootstrap_segment_mean,
     center_residuals,
@@ -28,8 +27,12 @@ from .core import (
     Grid,
     InternalInvariantError,
     InvalidInputError,
+    ResidualSeries,
     Segment,
+    SegmentFit,
+    fit_segments,
     segment_mean,
+    segments_from_indices,
     segments_from_locations,
     sup_norm,
 )

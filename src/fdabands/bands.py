@@ -11,7 +11,8 @@ from .core import (
     FunctionalTimeSeries,
     InvalidInputError,
     Segment,
-    segment_mean,
+    SegmentFit,
+    fit_segments,
 )
 from .lrv import LrvEstimate
 
@@ -27,8 +28,18 @@ class SegmentEstimate:
             raise InvalidInputError("n_hat must equal the segment length")
 
 
+def fit_estimates(fit: SegmentFit, indices) -> list:
+    """Estimates of the fitted segments at `indices`, in that order."""
+    return [
+        SegmentEstimate(fit.segments[i], fit.segments[i].length, Curve(fit.means[i], fit.grid))
+        for i in indices
+    ]
+
+
 def segment_estimates(x: FunctionalTimeSeries, segments) -> list:
-    return [SegmentEstimate(seg, seg.length, segment_mean(x, seg)) for seg in segments]
+    """Estimates of every segment of a partition of [0, n), in order."""
+    fit = fit_segments(x, segments)
+    return fit_estimates(fit, range(len(fit.segments)))
 
 
 @dataclass(frozen=True)

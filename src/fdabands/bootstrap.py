@@ -17,10 +17,10 @@ import numpy as np
 from .core import (
     Curve,
     FunctionalTimeSeries,
-    InternalInvariantError,
     InvalidInputError,
+    ResidualSeries,
     Segment,
-    segment_mean,
+    fit_segments,
 )
 from .lrv import LrvEstimate
 
@@ -41,18 +41,6 @@ class BootstrapConfig:
             raise InvalidInputError("block length must be a positive integer or 'auto'")
 
 
-@dataclass(frozen=True, eq=False)
-class ResidualSeries:
-    """Y_j = X_j - mu_hat^(j): observations minus their segment mean."""
-
-    values: np.ndarray
-    grid: object
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
 @dataclass(frozen=True)
 class BootstrapResult:
     statistics: np.ndarray = field(repr=False)
@@ -65,27 +53,10 @@ class BootstrapResult:
     segment_diagnostics: dict = field(default_factory=dict)
 
 
-def center_residuals(
-    x: FunctionalTimeSeries, segments, means=None
-) -> ResidualSeries:
-    """Subtract from each curve the mean of the segment containing it.
-
-    `segments` must partition [0, n); `means` optionally supplies the
-    per-segment mean curves (recomputed when omitted).
-    """
-    segments = list(segments)
-    if means is None:
-        means = [segment_mean(x, seg) for seg in segments]
-    y = np.array(x.values)
-    covered = np.zeros(x.n, dtype=bool)
-    for seg, mu in zip(segments, means):
-        vals = mu.values if isinstance(mu, Curve) else np.asarray(mu, dtype=float)
-        y[seg.start : seg.end] -= vals
-        covered[seg.start : seg.end] = True
-    if not covered.all():
-        raise InternalInvariantError("some indices have no assigned segment")
-    y.setflags(write=False)
-    return ResidualSeries(values=y, grid=x.grid)
+def center_residuals(x: FunctionalTimeSeries, segments) -> ResidualSeries:
+    """Subtract from each curve the mean of the segment containing it;
+    `segments` must partition [0, n) in order."""
+    return fit_segments(x, segments).residuals(x)
 
 
 def auto_block_length(n_min: int) -> int:

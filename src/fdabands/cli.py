@@ -81,8 +81,11 @@ def _ingest_long(rows, header, grid: Grid) -> FunctionalTimeSeries:
         raise InvalidInputError(
             "long layout needs columns cycle_id, phase, value"
         ) from None
+    width = max(ci, pi, vi) + 1
     cycles: dict = {}
     for r, row in enumerate(rows[1:], start=2):
+        if len(row) < width:
+            raise InvalidInputError(f"row {r} has {len(row)} values, expected {width}")
         cid = row[ci].strip()
         phase = _parse_cell(row[pi], r, pi + 1)
         value = _parse_cell(row[vi], r, vi + 1)
@@ -133,7 +136,6 @@ class RunConfig:
     output_dir: str
     grid_size: int = 100
     alpha: float = 0.1
-    beta: float = 0.05
     delta: float | str = "auto"
     block_length: int | str = "auto"
     replications: int = 2000
@@ -153,7 +155,7 @@ class RunConfig:
                 min_segment_length=self.min_segment_length,
                 max_changes=self.max_changes,
             ),
-            relevant=RelevantChangeConfig(delta=self.delta, beta=self.beta),
+            relevant=RelevantChangeConfig(delta=self.delta),
             lrv=LrvConfig(bandwidth=self.bandwidth, kernel=get_kernel(self.kernel)),
             block_length=self.block_length,
             replications=self.replications,
@@ -249,13 +251,11 @@ def _auto_or(type_):
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-size", type=int, default=None, help="grid size T (default 100)")
+    """Flags named after the RunConfig field they set (dashes for underscores)."""
     p.add_argument("--alpha", type=float, default=None, help="band level (default 0.1)")
-    p.add_argument("--beta", type=float, default=None, help="relevant-change level (default 0.05)")
     p.add_argument("--delta", type=_auto_or(float), default=None, help="jump threshold or 'auto'")
     p.add_argument("--block-length", type=_auto_or(int), default=None, help="bootstrap block length or 'auto'")
     p.add_argument("--replications", type=int, default=None, help="bootstrap replications (default 2000)")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     p.add_argument("--kernel", default=None, help="lag-window kernel: bartlett, parzen, flat_top")
     p.add_argument("--bandwidth", type=_auto_or(int), default=None, help="lag-window bandwidth or 'auto'")
     p.add_argument("--xi", type=_auto_or(float), default=None, help="segmentation threshold or 'auto'")
@@ -272,6 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--input", default=None, help="cycle data (matrix or long layout)")
     p_an.add_argument("--output-dir", default=None)
     p_an.add_argument("--config", default=None, help="JSON file presetting any flag; flags override")
+    p_an.add_argument("--grid-size", type=int, default=None, help="grid size T (default 100)")
+    p_an.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     _add_pipeline_flags(p_an)
 
     p_sim = sub.add_parser("simulate", help="draw a synthetic dataset with known truth")
@@ -298,32 +300,18 @@ def _load_json(path) -> dict:
         raise InvalidInputError(f"cannot parse {path}: {exc}") from None
 
 
-def _merge_run_config(args) -> RunConfig:
-    settings = {}
-    if args.config:
+def _run_config(args, **settings) -> RunConfig:
+    """`settings`, then the --config file (analyze only), then every flag
+    given, each overriding the last; flags are read off `args` by RunConfig
+    field name."""
+    fields = RunConfig.__dataclass_fields__
+    if getattr(args, "config", None):
         file_settings = _load_json(args.config)
-        unknown = set(file_settings) - set(RunConfig.__dataclass_fields__)
+        unknown = set(file_settings) - set(fields)
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
         settings.update(file_settings)
-    flag_map = {
-        "input": args.input,
-        "output_dir": args.output_dir,
-        "grid_size": args.grid_size,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "delta": args.delta,
-        "block_length": args.block_length,
-        "replications": args.replications,
-        "seed": args.seed,
-        "kernel": args.kernel,
-        "bandwidth": args.bandwidth,
-        "xi": args.xi,
-        "min_segment_length": args.min_segment_length,
-        "max_changes": args.max_changes,
-        "band_quantile_mode": args.band_quantile_mode,
-    }
-    settings.update({k: v for k, v in flag_map.items() if v is not None})
+    settings.update({k: v for k, v in vars(args).items() if k in fields and v is not None})
     if not settings.get("input"):
         raise InvalidInputError("no input file given (flag --input or config key 'input')")
     if not settings.get("output_dir"):
@@ -331,21 +319,8 @@ def _merge_run_config(args) -> RunConfig:
     return RunConfig(**settings)
 
 
-def _pipeline_config_from_args(args) -> PipelineConfig:
-    defaults = RunConfig(input="-", output_dir="-")
-    kwargs = {}
-    for field_name in (
-        "alpha", "beta", "delta", "block_length", "replications", "seed",
-        "kernel", "bandwidth", "xi", "min_segment_length", "max_changes",
-        "band_quantile_mode",
-    ):
-        value = getattr(args, field_name)
-        kwargs[field_name] = getattr(defaults, field_name) if value is None else value
-    return RunConfig(input="-", output_dir="-", **kwargs).pipeline_config()
-
-
 def _cmd_analyze(args) -> int:
-    cfg = _merge_run_config(args)
+    cfg = _run_config(args)
     result = run_pipeline(cfg)
     print(
         f"n={result.bands.metadata['n']} changes={result.change_points.m} "
@@ -381,7 +356,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_coverage(args) -> int:
     spec = ScenarioSpec.from_dict(_load_json(args.spec))
-    cfg = _pipeline_config_from_args(args)
+    # coverage reads no input file and writes no analysis tables
+    cfg = _run_config(args, input="-", output_dir="-").pipeline_config()
     report = run_coverage_study(spec, cfg, replications=args.study_replications)
     rows = report.summary_rows()
     for key, value in rows:

@@ -129,11 +129,10 @@ class FunctionalTimeSeries:
 
 @dataclass(frozen=True)
 class Segment:
-    """Half-open index range [start, end) with optional rescaled bounds."""
+    """Half-open index range [start, end)."""
 
     start: int
     end: int
-    bounds: tuple | None = None  # (s_i, s_{i+1}) in [0, 1]
 
     def __post_init__(self):
         if self.start < 0 or self.end <= self.start:
@@ -144,8 +143,6 @@ class Segment:
         return self.end - self.start
 
     def rescaled(self, n: int) -> tuple:
-        if self.bounds is not None:
-            return self.bounds
         return (self.start / n, self.end / n)
 
 
@@ -164,18 +161,68 @@ def segment_mean(x: FunctionalTimeSeries, seg: Segment) -> Curve:
     return Curve(x.values[seg.start : seg.end].mean(axis=0), x.grid)
 
 
-def segments_from_locations(n: int, locations) -> list:
-    """Partition [0, n) at indices floor(n * s) for each rescaled location s.
+def segments_from_indices(n: int, cuts) -> list:
+    """Partition [0, n) at the integer change indices `cuts` (ascending):
+    segments [cut_i, cut_{i+1}) with cut_0 = 0 and a final cut at n."""
+    bounds = [0, *cuts, n]
+    if any(b <= a for a, b in zip(bounds, bounds[1:])):
+        raise InvalidInputError(f"change indices {list(cuts)} induce an empty segment for n={n}")
+    return [Segment(a, b) for a, b in zip(bounds, bounds[1:])]
 
-    Boundaries follow the half-open convention [floor(n*s_i), floor(n*s_{i+1})).
-    """
-    locations = list(locations)
+
+def segments_from_locations(n: int, locations) -> list:
+    """Partition [0, n) at indices floor(n * s) for each rescaled location s."""
     # the epsilon keeps floor(n * (j/n)) == j despite float rounding
-    cuts = [0] + [int(np.floor(n * s + 1e-9)) for s in locations] + [n]
-    bounds = [0.0] + [float(s) for s in locations] + [1.0]
-    if any(b <= a for a, b in zip(cuts, cuts[1:])):
-        raise InvalidInputError(f"locations {locations} induce an empty segment for n={n}")
-    return [
-        Segment(a, b, bounds=(sa, sb))
-        for a, b, sa, sb in zip(cuts, cuts[1:], bounds, bounds[1:])
-    ]
+    return segments_from_indices(n, [int(np.floor(n * s + 1e-9)) for s in locations])
+
+
+@dataclass(frozen=True, eq=False)
+class ResidualSeries:
+    """Y_j = X_j - mu_hat^(j): observations minus their segment mean."""
+
+    values: np.ndarray
+    grid: object
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class SegmentFit:
+    """Mean curves of a series over a partition of [0, n).
+
+    Only the k mean curves are stored.  The (n, T) fitted and residual
+    matrices are built on request, so a fit kept in a result (as
+    RelevantSet.fit) holds no (n, T) matrix.
+    """
+
+    segments: tuple  # partition of [0, n), in order
+    means: np.ndarray  # (k, T): row i is the mean curve of segments[i]
+    grid: Grid
+
+    def fitted(self) -> np.ndarray:
+        """(n, T) matrix whose row j is the mean of the segment holding j."""
+        return np.repeat(self.means, [seg.length for seg in self.segments], axis=0)
+
+    def residuals(self, x: FunctionalTimeSeries) -> ResidualSeries:
+        """`x`, the series the fit was built from, minus the fitted matrix."""
+        y = x.values - self.fitted()
+        y.setflags(write=False)
+        return ResidualSeries(y, x.grid)
+
+
+def fit_segments(x: FunctionalTimeSeries, segments) -> SegmentFit:
+    """Segment mean curves of `x` over `segments`, which must partition
+    [0, n) in order."""
+    segments = tuple(segments)
+    if (
+        not segments
+        or segments[0].start != 0
+        or segments[-1].end != x.n
+        or any(a.end != b.start for a, b in zip(segments, segments[1:]))
+    ):
+        raise InternalInvariantError("segments do not partition the series in order")
+    means = np.stack([x.values[seg.start : seg.end].mean(axis=0) for seg in segments])
+    means.setflags(write=False)
+    return SegmentFit(segments, means, x.grid)

@@ -9,18 +9,12 @@ is a kernel with K(0)=1, K(1)=0, K symmetric and vanishing outside [-1, 1].
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import (
-    Curve,
-    FunctionalTimeSeries,
-    InvalidInputError,
-    Segment,
-    segment_mean,
-)
+from .core import Curve, FunctionalTimeSeries, InvalidInputError, fit_segments
 
 
 @dataclass(frozen=True)
@@ -81,10 +75,9 @@ class LrvConfig:
 
 @dataclass(frozen=True)
 class LrvEstimate:
-    """Floored pointwise long-run variance plus the ingredients that built it."""
+    """Floored pointwise long-run variance plus the settings that built it."""
 
     sigma2: Curve
-    lag_covs: dict = field(repr=False)  # lag -> Curve, for l = -c..c
     config: LrvConfig
     bandwidth: int
     floor: float
@@ -96,14 +89,7 @@ class LrvEstimate:
 
 def segment_mean_assignment(x: FunctionalTimeSeries, segments) -> np.ndarray:
     """(n, T) matrix assigning to each index j the mean of its segment."""
-    mu = np.empty_like(x.values)
-    covered = np.zeros(x.n, dtype=bool)
-    for seg in segments:
-        mu[seg.start : seg.end] = segment_mean(x, seg).values
-        covered[seg.start : seg.end] = True
-    if not covered.all():
-        raise InvalidInputError("segments do not cover every index of the series")
-    return mu
+    return fit_segments(x, segments).fitted()
 
 
 def lag_covariance(x: FunctionalTimeSeries, seg_means: np.ndarray, l: int) -> Curve:
@@ -154,14 +140,11 @@ def estimate_lrv(
             f"bandwidth c = {c} violates c^3/n < 1 (n = {n}); estimate may be unstable",
             stacklevel=2,
         )
-    lag_covs = {}
     total = np.zeros(len(x.grid))
     for l in range(-c, c + 1):
-        cov = lag_covariance(x, seg_means, l)
-        lag_covs[l] = cov
-        total = total + float(cfg.kernel(l / c)) * cov.values
+        total = total + float(cfg.kernel(l / c)) * lag_covariance(x, seg_means, l).values
     floor = 1e-8 * max(float(total.max()), 0.0)
     if floor <= 0.0:
         floor = float(np.finfo(float).tiny)
     sigma2 = Curve(np.maximum(total, floor), x.grid)
-    return LrvEstimate(sigma2=sigma2, lag_covs=lag_covs, config=cfg, bandwidth=c, floor=floor)
+    return LrvEstimate(sigma2=sigma2, config=cfg, bandwidth=c, floor=floor)

@@ -3,18 +3,17 @@ long-run variance, bootstrap the quantile, and build the bands."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .bands import ConfidenceBandSet, build_bands, segment_estimates
-from .bootstrap import BootstrapConfig, BootstrapResult, center_residuals, run_bootstrap
-from .core import FunctionalTimeSeries, InvalidInputError, segments_from_locations
-from .lrv import LrvConfig, LrvEstimate, estimate_lrv, segment_mean_assignment
+from .bands import ConfidenceBandSet, build_bands, fit_estimates
+from .bootstrap import BootstrapConfig, BootstrapResult, run_bootstrap
+from .core import FunctionalTimeSeries, InvalidInputError
+from .lrv import LrvConfig, LrvEstimate, estimate_lrv
 from .segmentation import (
     ChangePointSet,
     RelevantChangeConfig,
     RelevantSet,
     SegmentationConfig,
-    auto_delta,
     detect_change_points,
     relevant_set,
 )
@@ -60,26 +59,10 @@ def analyze(x: FunctionalTimeSeries, cfg: PipelineConfig | None = None) -> Analy
     cfg = cfg or PipelineConfig()
 
     cps = detect_change_points(x, cfg.segmentation)
-
-    if cfg.relevant.delta == "auto":
-        delta = auto_delta(x, cfg.relevant)
-        if delta <= 0.0:
-            raise InvalidInputError(
-                "auto delta is zero (identical end windows); supply an explicit delta"
-            )
-        rcfg = replace(cfg.relevant, delta=delta)
-    else:
-        rcfg = cfg.relevant
-        delta = float(rcfg.delta)
-    rel = relevant_set(x, cps, rcfg)
-
-    segments = segments_from_locations(x.n, cps.locations)
-    mu = segment_mean_assignment(x, segments)
-    residuals = center_residuals(x, segments)
-    lrv_est = estimate_lrv(x, mu, cfg.lrv)
-
-    relevant_segments = [segments[i] for i in rel.indices]
-    estimates = segment_estimates(x, relevant_segments)
+    rel = relevant_set(x, cps, cfg.relevant)
+    fit = rel.fit
+    lrv_est = estimate_lrv(x, fit.fitted(), cfg.lrv)
+    estimates = fit_estimates(fit, rel.indices)
 
     boot = None
     if cfg.quantile_override is not None:
@@ -87,8 +70,8 @@ def analyze(x: FunctionalTimeSeries, cfg: PipelineConfig | None = None) -> Analy
     else:
         level_alpha = cfg.alpha if cfg.band_quantile_mode == "alpha" else cfg.alpha / 2.0
         boot = run_bootstrap(
-            residuals,
-            relevant_segments,
+            fit.residuals(x),
+            [est.segment for est in estimates],
             lrv_est,
             BootstrapConfig(
                 block_length=cfg.block_length,
@@ -103,8 +86,8 @@ def analyze(x: FunctionalTimeSeries, cfg: PipelineConfig | None = None) -> Analy
         "n": x.n,
         "grid_size": len(x.grid),
         "alpha": cfg.alpha,
-        "beta": rcfg.beta,
-        "delta": delta,
+        "beta": cfg.relevant.beta,
+        "delta": rel.delta,
         "band_quantile_mode": cfg.band_quantile_mode,
         "block_length": boot.block_length if boot else None,
         "replications": cfg.replications,
@@ -120,11 +103,11 @@ def analyze(x: FunctionalTimeSeries, cfg: PipelineConfig | None = None) -> Analy
     return AnalysisResult(
         change_points=cps,
         relevant=rel,
-        segments=segments,
+        segments=list(fit.segments),
         estimates=estimates,
         lrv=lrv_est,
         bootstrap=boot,
         bands=bands,
-        delta=delta,
+        delta=rel.delta,
         config=cfg,
     )

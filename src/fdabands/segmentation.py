@@ -14,7 +14,7 @@ A change i is relevant when the plug-in jump estimate
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,11 +22,12 @@ from .bootstrap import _block_averages, _empirical_quantile, auto_block_length
 from .core import (
     FunctionalTimeSeries,
     InvalidInputError,
-    segment_mean,
-    segments_from_locations,
+    SegmentFit,
+    fit_segments,
+    segments_from_indices,
     sup_norm,
 )
-from .lrv import estimate_lrv, segment_mean_assignment
+from .lrv import estimate_lrv
 
 # Gaussian-maximum scaling constant in the auto threshold
 XI_SCALE = 1.5
@@ -63,6 +64,10 @@ class ChangePointSet:
     def m(self) -> int:
         return len(self.indices)
 
+    @property
+    def segments(self) -> list:
+        return segments_from_indices(self.n, self.indices)
+
 
 @dataclass(frozen=True)
 class RelevantChangeConfig:
@@ -95,6 +100,7 @@ class RelevantSet:
     jump_sizes: dict  # i >= 1 in the set -> ||mu_i - mu_{i-1}||_inf
     delta: float
     all_jumps: tuple  # jump size at every detected change, in order
+    fit: SegmentFit = field(repr=False, compare=False)  # over all detected segments
 
 
 def _best_split(values: np.ndarray, lo: int, hi: int, msl: int):
@@ -158,8 +164,7 @@ def _auto_threshold(x: FunctionalTimeSeries, msl: int, max_changes: int) -> floa
     pilot_xi = max(XI_SCALE * float(np.median(np.sqrt(proxy))) * scale, floor)
     pilot = _binseg(x.values, pilot_xi, msl, max_changes)
 
-    segments = segments_from_locations(n, [j / n for j in pilot])
-    lrv = estimate_lrv(x, segment_mean_assignment(x, segments))
+    lrv = estimate_lrv(x, fit_segments(x, segments_from_indices(n, pilot)).fitted())
     sigma_bar = float(np.median(np.sqrt(lrv.sigma2.values)))
     return max(XI_SCALE * sigma_bar * scale, floor)
 
@@ -196,7 +201,7 @@ def auto_delta(x: FunctionalTimeSeries, cfg: RelevantChangeConfig | None = None)
 
 
 def _bootstrap_margin(
-    x: FunctionalTimeSeries, left, right, beta: float, replications: int, seed
+    residuals: np.ndarray, left, right, beta: float, replications: int, seed
 ) -> float:
     """(1 - beta)-quantile of the bootstrapped jump-estimate fluctuation.
 
@@ -204,9 +209,7 @@ def _bootstrap_margin(
     adjacent to a change to calibrate how far a jump estimate can stray from
     its target under the null.
     """
-    resid = np.array(x.values[left.start : right.end])
-    resid[: left.length] -= resid[: left.length].mean(axis=0)
-    resid[left.length :] -= resid[left.length :].mean(axis=0)
+    resid = residuals[left.start : right.end]
     L = auto_block_length(min(left.length, right.length))
     B = _block_averages(resid, L)
     seeds = np.random.SeedSequence(seed).spawn(replications)
@@ -237,23 +240,27 @@ def relevant_set(
         raise InvalidInputError(
             "auto delta is zero (identical end windows); supply an explicit delta"
         )
-    segments = segments_from_locations(x.n, cps.locations)
-    means = [segment_mean(x, seg).values for seg in segments]
-    jumps = [sup_norm(means[i] - means[i - 1]) for i in range(1, len(means))]
+    fit = fit_segments(x, cps.segments)
+    jumps = [sup_norm(fit.means[i] - fit.means[i - 1]) for i in range(1, len(fit.means))]
 
-    indices = [0]
-    jump_sizes = {}
-    for i, jump in enumerate(jumps, start=1):
-        margin = 0.0
-        if cfg.method == "bootstrap":
-            margin = _bootstrap_margin(
-                x,
-                segments[i - 1],
-                segments[i],
+    margins = [0.0] * len(jumps)
+    if cfg.method == "bootstrap":
+        resid = fit.residuals(x).values
+        margins = [
+            _bootstrap_margin(
+                resid,
+                fit.segments[i - 1],
+                fit.segments[i],
                 cfg.beta,
                 cfg.calibration_replications,
                 (cfg.rng_seed, i),
             )
+            for i in range(1, len(fit.segments))
+        ]
+
+    indices = [0]
+    jump_sizes = {}
+    for i, (jump, margin) in enumerate(zip(jumps, margins), start=1):
         if jump > delta + margin:
             indices.append(i)
             jump_sizes[i] = jump
@@ -262,4 +269,5 @@ def relevant_set(
         jump_sizes=jump_sizes,
         delta=delta,
         all_jumps=tuple(jumps),
+        fit=fit,
     )

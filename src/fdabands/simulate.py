@@ -25,7 +25,7 @@ from .core import (
     segments_from_locations,
     sup_norm,
 )
-from .pipeline import AnalysisResult, PipelineConfig, analyze
+from .pipeline import PipelineConfig, analyze
 
 N_BASIS = 20
 
@@ -111,6 +111,9 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
+        unknown = set(d) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise InvalidInputError(f"unknown scenario keys: {sorted(unknown)}")
         return cls(**d)
 
 
@@ -242,7 +245,7 @@ def run_coverage_study(
         try:
             x, truth = generate(spec_r)
             res = analyze(x, cfg_r)
-        except Exception as exc:  # recorded, not fatal (unless > 5% fail)
+        except InvalidInputError as exc:  # recorded, not fatal (unless > 5% fail)
             failures.append(f"replication {rep}: {exc}")
             continue
 

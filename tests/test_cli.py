@@ -201,9 +201,12 @@ class TestAnalyzeCommand:
         assert "typo_key" in capsys.readouterr().err
 
     def test_missing_input_is_exit_2(self, tmp_path, capsys):
-        rc = main(["analyze", "--input", str(tmp_path / "nope.csv"), "--output-dir", str(tmp_path)])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        short_row = tmp_path / "long.csv"
+        short_row.write_text("cycle_id,phase,value\n1,0.0,0.5\n1,0.5\n")
+        for data, message in ((tmp_path / "nope.csv", "error:"), (short_row, "row 3")):
+            rc = main(["analyze", "--input", str(data), "--output-dir", str(tmp_path)])
+            assert rc == 2
+            assert message in capsys.readouterr().err
 
     def test_bad_alpha_is_exit_2(self, tmp_path):
         data = jump_dataset(tmp_path)
@@ -235,9 +238,13 @@ class TestSimulateCommand:
 
     def test_bad_spec_is_exit_2(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"
-        spec_file.write_text(json.dumps({"n": 10, "means": [0.0, 1.0], "change_locations": []}))
-        assert main(["simulate", "--spec", str(spec_file), "--output-dir", str(tmp_path / "o")]) == 2
-        assert "error:" in capsys.readouterr().err
+        for spec, message in (
+            ({"n": 10, "means": [0.0, 1.0], "change_locations": []}, "error:"),
+            ({"n": 100, "bogus": 1}, "bogus"),
+        ):
+            spec_file.write_text(json.dumps(spec))
+            assert main(["simulate", "--spec", str(spec_file), "--output-dir", str(tmp_path / "o")]) == 2
+            assert message in capsys.readouterr().err
 
 
 class TestCoverageCommand:

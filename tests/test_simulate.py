@@ -15,6 +15,7 @@ from fdabands import (
     generate,
     run_coverage_study,
 )
+from fdabands import simulate
 
 
 class TestCurveValues:
@@ -213,6 +214,30 @@ class TestRunCoverageStudy:
                 small_pipeline(relevant=RelevantChangeConfig(delta="auto")),
                 replications=5,
             )
+
+    def test_only_invalid_input_is_recorded(self, monkeypatch):
+        real_analyze = simulate.analyze
+
+        def fail_first_with(exc):
+            pending = [exc]
+
+            def analyze(x, cfg):
+                if pending:
+                    raise pending.pop()
+                return real_analyze(x, cfg)
+
+            return analyze
+
+        cfg = small_pipeline(quantile_override=1e6)
+        # a bug propagates instead of being counted as a failed replication
+        monkeypatch.setattr(simulate, "analyze", fail_first_with(RuntimeError("bug")))
+        with pytest.raises(RuntimeError, match="bug"):
+            run_coverage_study(small_study_spec(), cfg, replications=20)
+
+        monkeypatch.setattr(simulate, "analyze", fail_first_with(InvalidInputError("bad replication")))
+        report = run_coverage_study(small_study_spec(), cfg, replications=20)
+        assert report.failures == ("replication 0: bad replication",)
+        assert len(report.contained) == 19
 
     def test_replication_validation(self):
         with pytest.raises(InvalidInputError):
