@@ -1,10 +1,12 @@
 """Multiplier block bootstrap for the sup-norm statistic of segment means.
 
-Each replicate multiplies L-length block averages of the segment-centered
-residuals by iid standard normal weights (one weight per time index, shared
-across grid points and segments), forms bootstrap segment means, and records
-T* = max_i sqrt(n_i) * sup_t |mu_i*(t) / sigma_hat(t)|.  The empirical
-(1 - alpha)-quantile of the replicates calibrates the confidence bands.
+A replicate weights L-length block averages of the segment-centered residuals
+by iid standard normal multipliers, one per time index.  Given the data,
+segment i's sqrt(n_i) * mu_i* / sigma_hat is then exactly N(0, M_i^T M_i) for
+its scaled block matrix M_i, independently across segments, and is drawn as
+z @ r with z ~ N(0, I) and r the QR factor of M_i: no (R, n) multiplier
+matrix.  The empirical (1 - alpha)-quantile of the replicates of
+T* = max_i sqrt(n_i) * sup_t |mu_i*(t) / sigma_hat(t)| calibrates the bands.
 """
 
 from __future__ import annotations
@@ -103,6 +105,14 @@ def bootstrap_segment_mean(
     return Curve(nu @ B / seg.length, y.grid)
 
 
+def _gaussian_draws(mat: np.ndarray, replications: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows drawn from N(0, mat^T mat), the law of nu @ mat for standard normal
+    nu: with mat = Q r, z @ r has covariance r^T r, also when mat is
+    rank-deficient or zero."""
+    r = np.linalg.qr(mat, mode="r")
+    return rng.standard_normal((replications, r.shape[0])) @ r
+
+
 def _empirical_quantile(values: np.ndarray, level: float) -> float:
     """Smallest value whose ascending rank is >= ceil(level * R)."""
     r = values.size
@@ -119,9 +129,8 @@ def run_bootstrap(
 ) -> BootstrapResult:
     """R replicate statistics T* and their empirical (1 - alpha)-quantile.
 
-    Replicates draw multipliers from per-replicate substreams spawned off
-    cfg.rng_seed, so results are independent of any parallel scheduling and
-    bit-identical for a fixed seed.
+    Segments draw their replicates in order from one Philox stream seeded
+    with cfg.rng_seed, so results are bit-identical for a fixed seed.
     """
     segments = list(segments)
     if not segments:
@@ -143,19 +152,12 @@ def run_bootstrap(
     sigma = np.sqrt(sigma2_vals)
 
     B = _block_averages(y.values, L)
-    # per segment: scaled block matrix so that nu @ M gives sqrt(n_i)*mu_i*/sigma
-    mats = [
-        B[seg.start : seg.end] / (np.sqrt(seg.length) * sigma) for seg in segments
-    ]
-
-    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(R)
-    nu = np.empty((R, y.n))
-    for r, s in enumerate(seeds):
-        nu[r] = np.random.Generator(np.random.Philox(s)).standard_normal(y.n)
-
+    rng = np.random.Generator(np.random.Philox(cfg.rng_seed))
     per_segment = np.empty((R, len(segments)))
-    for k, (seg, mat) in enumerate(zip(segments, mats)):
-        per_segment[:, k] = np.abs(nu[:, seg.start : seg.end] @ mat).max(axis=1)
+    for k, seg in enumerate(segments):
+        # scaled block matrix: nu @ mat is sqrt(n_i) * mu_i* / sigma
+        mat = B[seg.start : seg.end] / (np.sqrt(seg.length) * sigma)
+        per_segment[:, k] = np.abs(_gaussian_draws(mat, R, rng)).max(axis=1)
     stats = per_segment.max(axis=1)
     q = _empirical_quantile(stats, 1.0 - cfg.alpha)
 

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -300,6 +301,22 @@ def _load_json(path) -> dict:
         raise InvalidInputError(f"cannot parse {path}: {exc}") from None
 
 
+def _check_config_value(key: str, value) -> None:
+    """A --config value must fit its RunConfig field's type, where an integer
+    may stand for a float and a numeric field takes a string only as "auto"."""
+    hint = typing.get_type_hints(RunConfig)[key]
+    allowed = set(typing.get_args(hint) or (hint,))
+    numeric = bool(allowed & {int, float})
+    if float in allowed:
+        allowed.add(int)
+    if isinstance(value, bool) or not isinstance(value, tuple(allowed)) or (
+        numeric and isinstance(value, str) and value != "auto"
+    ):
+        expected = str(RunConfig.__dataclass_fields__[key].type)
+        expected = expected.replace("str", "'auto'") if numeric else expected
+        raise InvalidInputError(f"config key {key!r} must be {expected}, got {value!r}")
+
+
 def _run_config(args, **settings) -> RunConfig:
     """`settings`, then the --config file (analyze only), then every flag
     given, each overriding the last; flags are read off `args` by RunConfig
@@ -310,6 +327,8 @@ def _run_config(args, **settings) -> RunConfig:
         unknown = set(file_settings) - set(fields)
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_settings.items():
+            _check_config_value(key, value)
         settings.update(file_settings)
     settings.update({k: v for k, v in vars(args).items() if k in fields and v is not None})
     if not settings.get("input"):

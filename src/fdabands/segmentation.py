@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import _block_averages, _empirical_quantile, auto_block_length
+from .bootstrap import _block_averages, _empirical_quantile, _gaussian_draws, auto_block_length
 from .core import (
     FunctionalTimeSeries,
     InvalidInputError,
@@ -207,18 +207,15 @@ def _bootstrap_margin(
 
     Reuses the multiplier block bootstrap on the residuals of the two segments
     adjacent to a change to calibrate how far a jump estimate can stray from
-    its target under the null.
+    its target under the null; the jump difference nu @ [-B_left / n_left;
+    B_right / n_right] is Gaussian given the data and is drawn exactly.
     """
     resid = residuals[left.start : right.end]
     L = auto_block_length(min(left.length, right.length))
     B = _block_averages(resid, L)
-    seeds = np.random.SeedSequence(seed).spawn(replications)
-    draws = np.empty(replications)
-    for r, s in enumerate(seeds):
-        nu = np.random.Generator(np.random.Philox(s)).standard_normal(resid.shape[0])
-        boot_left = nu[: left.length] @ B[: left.length] / left.length
-        boot_right = nu[left.length :] @ B[left.length :] / right.length
-        draws[r] = np.abs(boot_right - boot_left).max()
+    diff = np.vstack([-B[: left.length] / left.length, B[left.length :] / right.length])
+    rng = np.random.Generator(np.random.Philox(seed))  # seed: an int or (rng_seed, i)
+    draws = np.abs(_gaussian_draws(diff, replications, rng)).max(axis=1)
     return _empirical_quantile(draws, 1.0 - beta)
 
 

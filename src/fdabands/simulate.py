@@ -11,7 +11,7 @@ uniform across t, so the pointwise long-run variance has a closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, replace
 
 import numpy as np
 
@@ -111,9 +111,11 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise InvalidInputError(f"unknown scenario keys: {sorted(unknown)}")
+        fields = cls.__dataclass_fields__
+        required = {k for k, f in fields.items() if f.default is f.default_factory is MISSING}
+        for problem, keys in (("unknown", set(d) - set(fields)), ("missing", required - set(d))):
+            if keys:
+                raise InvalidInputError(f"{problem} scenario keys: {sorted(keys)}")
         return cls(**d)
 
 

@@ -187,6 +187,8 @@ class TestAnalyzeCommand:
             "replications": 300,
             "delta": 0.5,
             "alpha": 0.2,
+            "bandwidth": "auto",
+            "min_segment_length": None,
         }))
         rc = main(["analyze", "--config", str(cfg), "--delta", "2.0"])
         assert rc == 0
@@ -199,6 +201,15 @@ class TestAnalyzeCommand:
         cfg.write_text(json.dumps({"input": "x.csv", "output_dir": "o", "typo_key": 1}))
         assert main(["analyze", "--config", str(cfg)]) == 2
         assert "typo_key" in capsys.readouterr().err
+
+    def test_mistyped_config_value_is_exit_2(self, tmp_path, capsys):
+        data = jump_dataset(tmp_path)
+        cfg = tmp_path / "run.json"
+        for key, value in (("alpha", "0.1"), ("replications", 300.5), ("delta", "big"),
+                           ("seed", True), ("kernel", 3), ("min_segment_length", [20])):
+            cfg.write_text(json.dumps({"input": str(data), "output_dir": str(tmp_path / "o"), key: value}))
+            assert main(["analyze", "--config", str(cfg)]) == 2
+            assert f"config key {key!r}" in capsys.readouterr().err
 
     def test_missing_input_is_exit_2(self, tmp_path, capsys):
         short_row = tmp_path / "long.csv"
@@ -241,10 +252,15 @@ class TestSimulateCommand:
         for spec, message in (
             ({"n": 10, "means": [0.0, 1.0], "change_locations": []}, "error:"),
             ({"n": 100, "bogus": 1}, "bogus"),
+            ({"grid_size": 5}, "missing scenario keys: ['n']"),
         ):
             spec_file.write_text(json.dumps(spec))
-            assert main(["simulate", "--spec", str(spec_file), "--output-dir", str(tmp_path / "o")]) == 2
-            assert message in capsys.readouterr().err
+            for args in (
+                ["simulate", "--spec", str(spec_file), "--output-dir", str(tmp_path / "o")],
+                ["coverage", "--spec", str(spec_file)],
+            ):
+                assert main(args) == 2
+                assert message in capsys.readouterr().err
 
 
 class TestCoverageCommand:
