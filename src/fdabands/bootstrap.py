@@ -3,9 +3,10 @@
 A replicate weights L-length block averages of the segment-centered residuals
 by iid standard normal multipliers, one per time index.  Given the data,
 segment i's sqrt(n_i) * mu_i* / sigma_hat is then exactly N(0, M_i^T M_i) for
-its scaled block matrix M_i, independently across segments, and is drawn as
-z @ r with z ~ N(0, I) and r the QR factor of M_i: no (R, n) multiplier
-matrix.  The empirical (1 - alpha)-quantile of the replicates of
+its scaled block matrix M_i = B_i / (sqrt(n_i) * sigma_hat), independently
+across segments, and is drawn as z @ r with z ~ N(0, I) and r the QR factor
+of B_i with its columns divided by sqrt(n_i) * sigma_hat: no (R, n)
+multiplier matrix.  The empirical (1 - alpha)-quantile of the replicates of
 T* = max_i sqrt(n_i) * sup_t |mu_i*(t) / sigma_hat(t)| calibrates the bands.
 """
 
@@ -105,11 +106,19 @@ def bootstrap_segment_mean(
     return Curve(nu @ B / seg.length, y.grid)
 
 
-def _gaussian_draws(mat: np.ndarray, replications: int, rng: np.random.Generator) -> np.ndarray:
-    """Rows drawn from N(0, mat^T mat), the law of nu @ mat for standard normal
-    nu: with mat = Q r, z @ r has covariance r^T r, also when mat is
-    rank-deficient or zero."""
-    r = np.linalg.qr(mat, mode="r")
+def _gaussian_draws(
+    mat: np.ndarray, replications: int, rng: np.random.Generator, scale=1.0
+) -> np.ndarray:
+    """Rows drawn from N(0, M^T M) with M = mat / scale (columns divided by a
+    positive `scale`), the law of nu @ M for standard normal nu: with mat = Q r,
+    M = Q (r / scale) and z @ (r / scale) has covariance M^T M, also when mat
+    is rank-deficient or zero.
+
+    The columns of r are scaled rather than those of mat: when mat is nearly
+    rank-deficient, its r turns by far more than a last-bit change in `scale`,
+    so factoring mat / scale would make the draws jump with sigma_hat.
+    """
+    r = np.linalg.qr(mat, mode="r") / scale
     return rng.standard_normal((replications, r.shape[0])) @ r
 
 
@@ -155,9 +164,10 @@ def run_bootstrap(
     rng = np.random.Generator(np.random.Philox(cfg.rng_seed))
     per_segment = np.empty((R, len(segments)))
     for k, seg in enumerate(segments):
-        # scaled block matrix: nu @ mat is sqrt(n_i) * mu_i* / sigma
-        mat = B[seg.start : seg.end] / (np.sqrt(seg.length) * sigma)
-        per_segment[:, k] = np.abs(_gaussian_draws(mat, R, rng)).max(axis=1)
+        # nu @ block / (sqrt(n_i) * sigma) is sqrt(n_i) * mu_i* / sigma
+        block = B[seg.start : seg.end]
+        draws = _gaussian_draws(block, R, rng, np.sqrt(seg.length) * sigma)
+        per_segment[:, k] = np.abs(draws).max(axis=1)
     stats = per_segment.max(axis=1)
     q = _empirical_quantile(stats, 1.0 - cfg.alpha)
 

@@ -13,14 +13,19 @@ import argparse
 import csv
 import json
 import sys
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .core import FunctionalTimeSeries, Grid, InternalInvariantError, InvalidInputError
+from .core import (
+    FunctionalTimeSeries,
+    Grid,
+    InternalInvariantError,
+    InvalidInputError,
+    check_field_value,
+)
 from .lrv import LrvConfig, get_kernel
 from .pipeline import AnalysisResult, PipelineConfig, analyze
 from .segmentation import RelevantChangeConfig, SegmentationConfig
@@ -58,21 +63,42 @@ def ingest(path, grid_size: int = 100) -> FunctionalTimeSeries:
 
     Two layouts are accepted: matrix (one row per cycle, columns are equally
     spaced phases) and long (columns cycle_id, phase, value; arbitrary
-    per-cycle sampling).  Cycle order is preserved.
+    per-cycle sampling).  Cycle order is preserved.  Lines whose cells are all
+    blank are skipped, and rows are numbered among the rest.
+
+    The matrix layout is parsed in one `np.loadtxt` call (C parser, the sniffed
+    delimiter, '"' quoting, no comment character); when it fails, the rows are
+    read again with `csv` only to name the first ragged row or unparseable
+    cell.  The long layout is read with `csv`.
     """
     path = Path(path)
     if not path.exists():
         raise InvalidInputError(f"input file not found: {path}")
     text = path.read_text()
-    if not text.strip():
-        raise InvalidInputError(f"input file is empty: {path}")
     delimiter = _sniff_delimiter(text[:4096])
-    rows = [r for r in csv.reader(text.splitlines(), delimiter=delimiter) if any(c.strip() for c in r)]
-    header = [c.strip().lower() for c in rows[0]]
+    lines = [line for line in text.splitlines() if not _blank_line(line, delimiter)]
+    if not lines:
+        raise InvalidInputError(f"input file is empty: {path}")
+    first = _cells(lines[0], delimiter)
+    header = [c.strip().lower() for c in first]
     grid = Grid.uniform(grid_size)
     if "cycle_id" in header:
-        return _ingest_long(rows, header, grid)
-    return _ingest_matrix(rows, grid)
+        return _ingest_long(list(csv.reader(lines, delimiter=delimiter)), header, grid)
+    return _ingest_matrix(lines, delimiter, first, grid)
+
+
+def _cells(line: str, delimiter: str) -> list:
+    return next(csv.reader([line], delimiter=delimiter), [])
+
+
+def _blank_line(line: str, delimiter: str) -> bool:
+    """True when every cell of the line is blank.  A line whose first
+    character other than a delimiter, quote, space or tab is not whitespace
+    has a non-blank cell; any other line is split with csv to find out."""
+    head = line.lstrip(delimiter + '" \t')[:1]
+    if head and not head.isspace():
+        return False
+    return not any(c.strip() for c in _cells(line, delimiter))
 
 
 def _ingest_long(rows, header, grid: Grid) -> FunctionalTimeSeries:
@@ -106,25 +132,59 @@ def _ingest_long(rows, header, grid: Grid) -> FunctionalTimeSeries:
     return FunctionalTimeSeries(np.stack(curves), grid)
 
 
-def _ingest_matrix(rows, grid: Grid) -> FunctionalTimeSeries:
+def _ingest_matrix(lines, delimiter: str, first, grid: Grid) -> FunctionalTimeSeries:
     start = 0
     try:
-        [float(c) for c in rows[0]]
+        [float(c) for c in first]
     except ValueError:
         start = 1  # header row
-        if len(rows) == 1:
+        if len(lines) == 1:
             raise InvalidInputError("matrix layout has a header but no data rows") from None
-    width = len(rows[start])
-    curves = []
-    for r, row in enumerate(rows[start:], start=start + 1):
+    try:
+        values = np.loadtxt(
+            lines[start:], delimiter=delimiter, comments=None, quotechar='"', ndmin=2
+        )
+    except ValueError as exc:
+        _raise_matrix_error(lines, delimiter, start, exc)
+    if values.shape[1] != len(grid):
+        values = _resample(values, grid.points)
+    return FunctionalTimeSeries(values, grid)
+
+
+def _raise_matrix_error(lines, delimiter: str, start: int, exc: ValueError):
+    """Raise for the first ragged row or unparseable cell `np.loadtxt`
+    stopped at, by row number among the non-blank lines."""
+    rows = csv.reader(lines[start:], delimiter=delimiter)
+    width = None
+    for r, row in enumerate(rows, start=start + 1):
+        width = width or len(row)
         if len(row) != width:
             raise InvalidInputError(f"row {r} has {len(row)} values, expected {width}")
-        values = np.array([_parse_cell(c, r, j + 1) for j, c in enumerate(row)])
-        if width == len(grid):
-            curves.append(values)
-        else:
-            curves.append(np.interp(grid.points, np.linspace(0.0, 1.0, width), values))
-    return FunctionalTimeSeries(np.stack(curves), grid)
+        for j, cell in enumerate(row, start=1):
+            # np.loadtxt reads float() literals without underscores or non-ASCII text
+            if "_" in cell or not cell.strip().isascii():
+                raise InvalidInputError(f"row {r}, column {j}: cannot parse {cell!r} as a number")
+            _parse_cell(cell, r, j)
+    raise InvalidInputError(f"cannot parse the matrix rows: {exc}")
+
+
+def _resample(values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """np.interp(t, linspace(0, 1, width), row) for every row at once, with
+    np.interp's arithmetic: slope * (t - xp[j]) + row[j] between the phases
+    xp[j] <= t < xp[j + 1], and row[j] itself where t == xp[j] or j is last."""
+    width = values.shape[1]
+    xp = np.linspace(0.0, 1.0, width)
+    j = np.searchsorted(xp, t, side="right") - 1
+    k = np.minimum(j, width - 2)
+    # take() keeps the result C-ordered like the rows np.interp fills, so
+    # later reductions over cycles add in the same order
+    left = values.take(k, axis=1)
+    with np.errstate(all="ignore"):  # np.interp computes in C without warnings
+        slope = (values.take(k + 1, axis=1) - left) / (xp[k + 1] - xp[k])
+        out = slope * (t - xp[k]) + left
+    at_phase = (j == width - 1) | (xp[j] == t)
+    out[:, at_phase] = values.take(j[at_phase], axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -301,22 +361,6 @@ def _load_json(path) -> dict:
         raise InvalidInputError(f"cannot parse {path}: {exc}") from None
 
 
-def _check_config_value(key: str, value) -> None:
-    """A --config value must fit its RunConfig field's type, where an integer
-    may stand for a float and a numeric field takes a string only as "auto"."""
-    hint = typing.get_type_hints(RunConfig)[key]
-    allowed = set(typing.get_args(hint) or (hint,))
-    numeric = bool(allowed & {int, float})
-    if float in allowed:
-        allowed.add(int)
-    if isinstance(value, bool) or not isinstance(value, tuple(allowed)) or (
-        numeric and isinstance(value, str) and value != "auto"
-    ):
-        expected = str(RunConfig.__dataclass_fields__[key].type)
-        expected = expected.replace("str", "'auto'") if numeric else expected
-        raise InvalidInputError(f"config key {key!r} must be {expected}, got {value!r}")
-
-
 def _run_config(args, **settings) -> RunConfig:
     """`settings`, then the --config file (analyze only), then every flag
     given, each overriding the last; flags are read off `args` by RunConfig
@@ -328,7 +372,7 @@ def _run_config(args, **settings) -> RunConfig:
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_settings.items():
-            _check_config_value(key, value)
+            check_field_value(RunConfig, key, value, "config key")
         settings.update(file_settings)
     settings.update({k: v for k, v in vars(args).items() if k in fields and v is not None})
     if not settings.get("input"):

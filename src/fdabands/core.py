@@ -6,6 +6,7 @@ read-only) and safe to share across parallel workers.
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,27 @@ class InvalidInputError(ValueError):
 
 class InternalInvariantError(RuntimeError):
     """Raised when an internal consistency check fails (a bug, not bad input)."""
+
+
+def check_field_value(cls, key: str, value, what: str) -> None:
+    """A value read from JSON must fit the type of dataclass `cls`'s field
+    `key`: an integer may stand for a float and a list for a tuple, a bool is
+    no number, and a numeric field takes a string only as "auto"."""
+    hint = typing.get_type_hints(cls)[key]
+    allowed = set(typing.get_args(hint) or (hint,))
+    if object in allowed:
+        return
+    numeric = bool(allowed & {int, float})
+    if float in allowed:
+        allowed.add(int)
+    if tuple in allowed:
+        allowed.add(list)
+    if isinstance(value, bool) or not isinstance(value, tuple(allowed)) or (
+        numeric and isinstance(value, str) and value != "auto"
+    ):
+        expected = str(cls.__dataclass_fields__[key].type)
+        expected = expected.replace("str", "'auto'") if numeric else expected
+        raise InvalidInputError(f"{what} {key!r} must be {expected}, got {value!r}")
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:

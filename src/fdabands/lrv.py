@@ -4,6 +4,14 @@ The pointwise long-run variance sigma^2(t) is the sum over all lags of the
 error autocovariances at t.  It is estimated by a weighted sum of empirical
 lag covariances, sigma2_hat = sum_{l=-c}^{c} sigma2_hat_l * K(l/c), where K
 is a kernel with K(0)=1, K(1)=0, K symmetric and vanishing outside [-1, 1].
+
+Both factors of a lag covariance are centred at mu_hat of the left index j,
+so with the residual e = x - mu_hat, taken once, lag +a is
+sum_j e_j * e_{j+a} plus the boundary correction sum_j e_j * (mu_{j+a} - mu_j),
+and lag -a is the same main sum minus sum_j e_{j+a} * (mu_{j+a} - mu_j).  The
+corrections vanish except on the rows j where mu_hat changes between j and
+j+a, near the change points, so `estimate_lrv` forms one main sum per |a| and
+corrects it on those rows only; `lag_covariance` keeps the definition.
 """
 
 from __future__ import annotations
@@ -126,9 +134,13 @@ def estimate_lrv(
 ) -> LrvEstimate:
     """Lag-window long-run variance estimate on the grid.
 
-    Sums kernel-weighted lag covariances for l = -c..c in ascending lag order
-    (bit-reproducible), then floors the result at 1e-8 times its maximum so
-    later divisions by sigma_hat are safe.
+    Sums kernel-weighted lag covariances for l = -c..c, then floors the result
+    at 1e-8 times its maximum so later divisions by sigma_hat are safe.  The
+    residual e = x - seg_means is formed once; lags +a and -a share the main
+    sum sum_j e_j * e_{j+a}, and each adds its boundary correction over the
+    rows j where seg_means changes between j and j+a (see the module
+    docstring).  Equal to the kernel-weighted sum of `lag_covariance` up to
+    rounding; bit-reproducible for fixed inputs.
     """
     cfg = cfg or LrvConfig()
     n = x.n
@@ -140,9 +152,23 @@ def estimate_lrv(
             f"bandwidth c = {c} violates c^3/n < 1 (n = {n}); estimate may be unstable",
             stacklevel=2,
         )
-    total = np.zeros(len(x.grid))
-    for l in range(-c, c + 1):
-        total = total + float(cfg.kernel(l / c)) * lag_covariance(x, seg_means, l).values
+    mu = np.asarray(seg_means, dtype=float)
+    if mu.shape != x.values.shape:
+        raise InvalidInputError("mean assignment shape must match the series")
+    e = x.values - mu
+    # mu changes between rows i and i + 1 exactly for i in `changes`
+    changes = np.flatnonzero(np.any(mu[1:] != mu[:-1], axis=1))
+    total = float(cfg.kernel(0.0)) * np.einsum("ij,ij->j", e, e)
+    for a in range(1, c + 1):
+        main = np.einsum("ij,ij->j", e[: n - a], e[a:])
+        # rows j whose lag-a partner j + a lies past a change of mu
+        j = np.unique(changes[:, None] - np.arange(a))
+        j = j[(j >= 0) & (j < n - a)]
+        step = mu[j + a] - mu[j]
+        plus = main + np.einsum("ij,ij->j", e[j], step)
+        minus = main - np.einsum("ij,ij->j", e[j + a], step)
+        total += float(cfg.kernel(a / c)) * plus + float(cfg.kernel(-a / c)) * minus
+    total /= n
     floor = 1e-8 * max(float(total.max()), 0.0)
     if floor <= 0.0:
         floor = float(np.finfo(float).tiny)

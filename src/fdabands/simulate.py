@@ -22,6 +22,7 @@ from .core import (
     Grid,
     InternalInvariantError,
     InvalidInputError,
+    check_field_value,
     segments_from_locations,
     sup_norm,
 )
@@ -116,6 +117,8 @@ class ScenarioSpec:
         for problem, keys in (("unknown", set(d) - set(fields)), ("missing", required - set(d))):
             if keys:
                 raise InvalidInputError(f"{problem} scenario keys: {sorted(keys)}")
+        for key, value in d.items():
+            check_field_value(cls, key, value, "scenario key")
         return cls(**d)
 
 

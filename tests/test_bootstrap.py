@@ -13,11 +13,13 @@ from fdabands import (
     InvalidInputError,
     LrvConfig,
     ResidualSeries,
+    ScenarioSpec,
     Segment,
     auto_block_length,
     bootstrap_segment_mean,
     center_residuals,
     estimate_lrv,
+    generate,
     run_bootstrap,
     segment_mean,
     segment_mean_assignment,
@@ -143,6 +145,22 @@ class TestRunBootstrap:
         assert np.array_equal(a.statistics, b.statistics)
         assert a.quantile == b.quantile
 
+    def test_quantile_continuous_in_sigma2(self):
+        # The simulator's innovations span N_BASIS = 20 cosines, so at T = 60
+        # every block matrix has numerical rank about 20: factoring it after
+        # dividing it by sigma_hat let a last-bit change in sigma_hat turn r;
+        # on this input q moved by 0.6%.
+        spec = ScenarioSpec(n=400, grid_size=60, error_process="ar1", error_param=0.4, rng_seed=5)
+        x, _ = generate(spec)
+        segs = segments_from_locations(x.n, [])
+        y = center_residuals(x, segs)
+        sigma2 = estimate_lrv(x, segment_mean_assignment(x, segs)).sigma2
+        wiggle = 1.0 + 1e-15 * np.random.default_rng(6).choice([-1.0, 1.0], size=len(sigma2.grid))
+        cfg = BootstrapConfig(replications=500, rng_seed=7)
+        q = run_bootstrap(y, segs, sigma2, cfg).quantile
+        q_wiggled = run_bootstrap(y, segs, Curve(sigma2.values * wiggle, sigma2.grid), cfg).quantile
+        assert abs(q_wiggled - q) / q < 1e-12
+
     def test_quantile_monotone_in_alpha(self):
         _, segs, y, lrv = residuals_fixture()
         base = BootstrapConfig(replications=500, rng_seed=3)
@@ -230,9 +248,9 @@ def margin_rows(resid, left, right):
     return np.vstack([-basis_rows(y, Segment(lo, mid), L), basis_rows(y, Segment(mid, hi), L)])
 
 
-def factor_of(mat):
+def factor_of(mat, scale=1.0):
     k = min(mat.shape)
-    return _gaussian_draws(mat, k, _BasisNormals())
+    return _gaussian_draws(mat, k, _BasisNormals(), scale)
 
 
 def assert_same_covariance(r, rows):
@@ -261,9 +279,9 @@ class TestGaussianDraws:
         values = np.zeros((n, grid_size)) if zero else rng.normal(size=(n, grid_size))
         y = ResidualSeries(values, Grid.uniform(grid_size))
         sigma = np.sqrt(rng.uniform(0.5, 2.0, size=grid_size))
-        # the matrix run_bootstrap factors for this segment
-        mat = _block_averages(y.values, L)[seg.start : seg.end] / (np.sqrt(seg.length) * sigma)
-        r = factor_of(mat)
+        # the block matrix and column scale run_bootstrap draws this segment from
+        block = _block_averages(y.values, L)[seg.start : seg.end]
+        r = factor_of(block, np.sqrt(seg.length) * sigma)
         assert r.shape == (min(seg.length, grid_size), grid_size)
         assert_same_covariance(r, basis_rows(y, seg, L, np.sqrt(seg.length) / sigma))
 

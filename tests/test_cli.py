@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -82,15 +83,62 @@ class TestIngest:
         with pytest.raises(InvalidInputError, match="row 2"):
             ingest(f, grid_size=3)
 
+    @pytest.mark.parametrize("width", [2, 5, 9, 14], ids=["two", "below_T", "equal_T", "above_T"])
+    def test_resampling_matches_per_row_interp(self, tmp_path, width):
+        vals = np.random.default_rng(width).normal(size=(7, width))
+        f = tmp_path / "data.csv"
+        write_matrix(f, vals)
+        x = ingest(f, grid_size=9)
+        xp = np.linspace(0.0, 1.0, width)
+        expected = np.stack([np.interp(x.grid.points, xp, row) for row in vals])
+        assert x.values.tobytes() == expected.tobytes()
+        # segment means add the cycles in memory order, so the layout matters too
+        assert x.values.flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            " 1.0 , 2.0,3\n4,5 , 6 \n",
+            '"1.0","2",3\n4,"5"," 6"\n',
+            "1\t2\t3\n4\t 5\t6\n",
+            "1 2 3\n4 5 6\n",
+            "\n1,2,3\n\n   \n\t\n,,\n4,5,6\n\n",
+            "1,2,3\r\n4,5,6\r\n",
+            "# phase 0, 0.5, 1\n1,2,3\n4,5,6\n",
+        ],
+        ids=["spaces", "quotes", "tabs", "space_delimiter", "blank_lines", "crlf", "hash_header"],
+    )
+    def test_matrix_text_forms(self, tmp_path, text):
+        f = tmp_path / "data.csv"
+        f.write_text(text, newline="")
+        assert np.array_equal(ingest(f, grid_size=3).values, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,2,\n3,4,\n", "row 2, column 3: cannot parse ''"),  # first row read as a header
+            ("1,2\n\n3,x\n", "row 2, column 2: cannot parse 'x'"),  # rows counted without blanks
+            ("1,2,3\n4,5_0,6\n", "row 2, column 2: cannot parse '5_0'"),  # no float() underscores
+            ("1,2,3\n4,nan,6\n", "series values must be finite"),
+            ("1,2,3\n4,-inf,6\n", "series values must be finite"),
+        ],
+    )
+    def test_matrix_errors_name_the_cell(self, tmp_path, text, message):
+        f = tmp_path / "data.csv"
+        f.write_text(text)
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            ingest(f, grid_size=3)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InvalidInputError, match="not found"):
             ingest(tmp_path / "absent.csv")
 
     def test_empty_file(self, tmp_path):
         f = tmp_path / "data.csv"
-        f.write_text("\n")
-        with pytest.raises(InvalidInputError, match="empty"):
-            ingest(f)
+        for text in ("\n", ",,\n \n"):  # the second has only blank cells
+            f.write_text(text)
+            with pytest.raises(InvalidInputError, match="empty"):
+                ingest(f)
 
     def test_long_layout_duplicate_phase(self, tmp_path):
         f = tmp_path / "long.csv"
@@ -253,6 +301,8 @@ class TestSimulateCommand:
             ({"n": 10, "means": [0.0, 1.0], "change_locations": []}, "error:"),
             ({"n": 100, "bogus": 1}, "bogus"),
             ({"grid_size": 5}, "missing scenario keys: ['n']"),
+            ({"n": "100"}, "scenario key 'n' must be int, got '100'"),
+            ({"n": 100, "grid_size": "5"}, "scenario key 'grid_size' must be int, got '5'"),
         ):
             spec_file.write_text(json.dumps(spec))
             for args in (

@@ -18,6 +18,7 @@ from fdabands import (
     get_kernel,
     lag_covariance,
     segment_mean_assignment,
+    segments_from_indices,
     segments_from_locations,
 )
 
@@ -155,6 +156,23 @@ class TestEstimateLrv:
         indicator = Kernel("indicator", lambda v: np.where(np.asarray(v) == 0.0, 1.0, 0.0))
         est = estimate_lrv(x, mu, LrvConfig(bandwidth=3, kernel=indicator))
         assert np.allclose(est.sigma2.values, lag_covariance(x, mu, 0).values)
+
+    @pytest.mark.parametrize("kernel", [BARTLETT, PARZEN, FLAT_TOP], ids=lambda k: k.name)
+    @pytest.mark.parametrize("trend", [False, True], ids=["piecewise_constant", "non_constant"])
+    def test_matches_lag_covariance_sum(self, kernel, trend):
+        # segment [100, 103) is shorter than c = 5, so lags 4 and 5 reach
+        # across both of its change rows
+        x, _ = error_series(300, 7, "ar1", 0.5, seed=10)
+        mu = segment_mean_assignment(x, segments_from_indices(x.n, [100, 103, 200]))
+        if trend:
+            mu = mu + 0.3 * np.sin(np.arange(x.n) / 7.0)[:, None]
+        c = 5
+        expected = sum(
+            float(kernel(l / c)) * lag_covariance(x, mu, l).values for l in range(-c, c + 1)
+        )
+        assert expected.min() > 0.0
+        est = estimate_lrv(x, mu, LrvConfig(bandwidth=c, kernel=kernel))
+        assert np.allclose(est.sigma2.values, expected, rtol=1e-12, atol=0.0)
 
     def test_floor_on_degenerate_data(self):
         x = FunctionalTimeSeries(np.ones((50, 4)), Grid.uniform(4))
