@@ -8,17 +8,14 @@ from .bands import (
     Band,
     ConfidenceBandSet,
     ContainmentResult,
-    SegmentEstimate,
     build_bands,
     check_containment,
-    segment_estimates,
 )
 from .bootstrap import (
     BootstrapConfig,
     BootstrapResult,
     auto_block_length,
     bootstrap_segment_mean,
-    center_residuals,
     run_bootstrap,
 )
 from .core import (
@@ -31,7 +28,6 @@ from .core import (
     Segment,
     SegmentFit,
     fit_segments,
-    segment_mean,
     segments_from_indices,
     segments_from_locations,
     sup_norm,
@@ -48,7 +44,6 @@ from .lrv import (
     estimate_lrv,
     get_kernel,
     lag_covariance,
-    segment_mean_assignment,
 )
 from .pipeline import AnalysisResult, PipelineConfig, analyze
 from .segmentation import (

@@ -1,4 +1,9 @@
-"""Simultaneous uniform confidence bands for the relevant segment means."""
+"""Simultaneous uniform confidence bands for the relevant segment means.
+
+`build_bands` reads the segment means mu_hat_i and lengths n_hat_i from the
+SegmentFit that the relevant filter built, so no second copy of the means
+is made on the way to the bands.
+"""
 
 from __future__ import annotations
 
@@ -6,40 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    Curve,
-    FunctionalTimeSeries,
-    InvalidInputError,
-    Segment,
-    SegmentFit,
-    fit_segments,
-)
-from .lrv import LrvEstimate
-
-
-@dataclass(frozen=True)
-class SegmentEstimate:
-    segment: Segment
-    n_hat: int
-    mean: Curve
-
-    def __post_init__(self):
-        if self.n_hat != self.segment.length:
-            raise InvalidInputError("n_hat must equal the segment length")
-
-
-def fit_estimates(fit: SegmentFit, indices) -> list:
-    """Estimates of the fitted segments at `indices`, in that order."""
-    return [
-        SegmentEstimate(fit.segments[i], fit.segments[i].length, Curve(fit.means[i], fit.grid))
-        for i in indices
-    ]
-
-
-def segment_estimates(x: FunctionalTimeSeries, segments) -> list:
-    """Estimates of every segment of a partition of [0, n), in order."""
-    fit = fit_segments(x, segments)
-    return fit_estimates(fit, range(len(fit.segments)))
+from .core import Curve, InvalidInputError, Segment, SegmentFit
 
 
 @dataclass(frozen=True)
@@ -66,39 +38,34 @@ class ContainmentResult:
 
 
 def build_bands(
-    estimates,
-    sigma2: LrvEstimate | Curve,
+    fit: SegmentFit,
+    indices,
+    sigma2: Curve,
     q: float,
     alpha: float,
-    indices=None,
     metadata=None,
 ) -> ConfidenceBandSet:
-    """Bands mu_hat_i(t) +/- sigma_hat(t) * q / sqrt(n_hat_i) per segment.
-
-    `indices` optionally labels each band with its relevant-set index
-    (defaults to positional numbering).
-    """
-    estimates = list(estimates)
+    """Band i is mu_hat_i(t) +/- sigma_hat(t) * q / sqrt(n_hat_i) for each i in
+    `indices`, with mu_hat_i = fit.means[i] and n_hat_i the length of
+    fit.segments[i]; the band is labelled i."""
     if q < 0.0:
         raise InvalidInputError("quantile must be nonnegative")
-    sigma2_curve = sigma2.sigma2 if isinstance(sigma2, LrvEstimate) else sigma2
-    if np.any(sigma2_curve.values <= 0.0):
+    if np.any(sigma2.values <= 0.0):
         raise InvalidInputError("sigma^2 must be floored strictly positive")
-    sigma = np.sqrt(sigma2_curve.values)
-    if indices is None:
-        indices = range(len(estimates))
+    if fit.grid != sigma2.grid:
+        raise InvalidInputError("segment means and sigma^2 are on different grids")
+    sigma = np.sqrt(sigma2.values)
     bands = []
-    for idx, est in zip(indices, estimates):
-        if est.mean.grid != sigma2_curve.grid:
-            raise InvalidInputError("segment mean and sigma^2 are on different grids")
-        half = sigma * q / np.sqrt(est.n_hat)
+    for i in indices:
+        seg, mean = fit.segments[i], fit.means[i]
+        half = sigma * q / np.sqrt(seg.length)
         bands.append(
             Band(
-                index=idx,
-                segment=est.segment,
-                lower=Curve(est.mean.values - half, est.mean.grid),
-                center=est.mean,
-                upper=Curve(est.mean.values + half, est.mean.grid),
+                index=i,
+                segment=seg,
+                lower=Curve(mean - half, fit.grid),
+                center=Curve(mean, fit.grid),
+                upper=Curve(mean + half, fit.grid),
             )
         )
     return ConfidenceBandSet(

@@ -8,6 +8,8 @@ across segments, and is drawn as z @ r with z ~ N(0, I) and r the QR factor
 of B_i with its columns divided by sqrt(n_i) * sigma_hat: no (R, n)
 multiplier matrix.  The empirical (1 - alpha)-quantile of the replicates of
 T* = max_i sqrt(n_i) * sup_t |mu_i*(t) / sigma_hat(t)| calibrates the bands.
+`bootstrap_margin` draws the relevant filter's jump-estimate fluctuation
+between two adjacent segments the same way.
 """
 
 from __future__ import annotations
@@ -17,15 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    Curve,
-    FunctionalTimeSeries,
-    InvalidInputError,
-    ResidualSeries,
-    Segment,
-    fit_segments,
-)
-from .lrv import LrvEstimate
+from .core import Curve, InvalidInputError, ResidualSeries, Segment
 
 RNG_ALGORITHM = "philox"
 
@@ -54,12 +48,6 @@ class BootstrapResult:
     rng_seed: int
     rng_algorithm: str
     segment_diagnostics: dict = field(default_factory=dict)
-
-
-def center_residuals(x: FunctionalTimeSeries, segments) -> ResidualSeries:
-    """Subtract from each curve the mean of the segment containing it;
-    `segments` must partition [0, n) in order."""
-    return fit_segments(x, segments).residuals(x)
 
 
 def auto_block_length(n_min: int) -> int:
@@ -130,10 +118,29 @@ def _empirical_quantile(values: np.ndarray, level: float) -> float:
     return float(np.sort(values)[rank - 1])
 
 
+def bootstrap_margin(
+    residuals: np.ndarray, left: Segment, right: Segment, beta: float, replications: int, seed
+) -> float:
+    """(1 - beta)-quantile of the bootstrapped jump-estimate fluctuation.
+
+    Reuses the multiplier block bootstrap on the residuals of the two segments
+    adjacent to a change to calibrate how far a jump estimate can stray from
+    its target under the null; the jump difference nu @ [-B_left / n_left;
+    B_right / n_right] is Gaussian given the data and is drawn exactly.
+    """
+    resid = residuals[left.start : right.end]
+    L = auto_block_length(min(left.length, right.length))
+    B = _block_averages(resid, L)
+    diff = np.vstack([-B[: left.length] / left.length, B[left.length :] / right.length])
+    rng = np.random.Generator(np.random.Philox(seed))  # seed: an int or (rng_seed, i)
+    draws = np.abs(_gaussian_draws(diff, replications, rng)).max(axis=1)
+    return _empirical_quantile(draws, 1.0 - beta)
+
+
 def run_bootstrap(
     y: ResidualSeries,
     segments,
-    sigma2: LrvEstimate | Curve,
+    sigma2: Curve,
     cfg: BootstrapConfig,
 ) -> BootstrapResult:
     """R replicate statistics T* and their empirical (1 - alpha)-quantile.
@@ -155,10 +162,9 @@ def run_bootstrap(
         raise InvalidInputError(
             f"block length {L} must lie in [1, {n_min}] (shortest segment)"
         )
-    sigma2_vals = sigma2.sigma2.values if isinstance(sigma2, LrvEstimate) else sigma2.values
-    if np.any(sigma2_vals <= 0.0):
+    if np.any(sigma2.values <= 0.0):
         raise InvalidInputError("sigma^2 must be floored strictly positive")
-    sigma = np.sqrt(sigma2_vals)
+    sigma = np.sqrt(sigma2.values)
 
     B = _block_averages(y.values, L)
     rng = np.random.Generator(np.random.Philox(cfg.rng_seed))

@@ -126,27 +126,9 @@ class FunctionalTimeSeries:
             raise InvalidInputError("series values must be finite")
         object.__setattr__(self, "values", _frozen_array(vals))
 
-    @classmethod
-    def from_curves(cls, curves) -> "FunctionalTimeSeries":
-        curves = list(curves)
-        if not curves:
-            raise InvalidInputError("series needs at least one curve")
-        grid = curves[0].grid
-        for c in curves[1:]:
-            if c.grid != grid:
-                raise InvalidInputError("all curves must share the same grid")
-        return cls(np.stack([c.values for c in curves]), grid)
-
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    def curve(self, j: int) -> Curve:
-        return Curve(self.values[j], self.grid)
-
-    @property
-    def curves(self) -> list:
-        return [self.curve(j) for j in range(self.n)]
 
 
 @dataclass(frozen=True)
@@ -164,9 +146,6 @@ class Segment:
     def length(self) -> int:
         return self.end - self.start
 
-    def rescaled(self, n: int) -> tuple:
-        return (self.start / n, self.end / n)
-
 
 def sup_norm(c) -> float:
     """Maximum absolute value over the grid (the discrete sup-norm)."""
@@ -174,13 +153,6 @@ def sup_norm(c) -> float:
     if vals.size == 0:
         raise InvalidInputError("sup_norm of an empty curve is undefined")
     return float(np.max(np.abs(vals)))
-
-
-def segment_mean(x: FunctionalTimeSeries, seg: Segment) -> Curve:
-    """Pointwise mean of the curves with indices in [seg.start, seg.end)."""
-    if seg.end > x.n:
-        raise InvalidInputError(f"segment [{seg.start}, {seg.end}) exceeds series length {x.n}")
-    return Curve(x.values[seg.start : seg.end].mean(axis=0), x.grid)
 
 
 def segments_from_indices(n: int, cuts) -> list:

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Curve, FunctionalTimeSeries, InvalidInputError, fit_segments
+from .core import Curve, FunctionalTimeSeries, InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -89,15 +89,6 @@ class LrvEstimate:
     config: LrvConfig
     bandwidth: int
     floor: float
-
-    @property
-    def sigma(self) -> Curve:
-        return Curve(np.sqrt(self.sigma2.values), self.sigma2.grid)
-
-
-def segment_mean_assignment(x: FunctionalTimeSeries, segments) -> np.ndarray:
-    """(n, T) matrix assigning to each index j the mean of its segment."""
-    return fit_segments(x, segments).fitted()
 
 
 def lag_covariance(x: FunctionalTimeSeries, seg_means: np.ndarray, l: int) -> Curve:

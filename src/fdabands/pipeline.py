@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bands import ConfidenceBandSet, build_bands, fit_estimates
+from .bands import ConfidenceBandSet, build_bands
 from .bootstrap import BootstrapConfig, BootstrapResult, run_bootstrap
 from .core import FunctionalTimeSeries, InvalidInputError
 from .lrv import LrvConfig, LrvEstimate, estimate_lrv
@@ -33,7 +33,6 @@ class PipelineConfig:
     # asymptotically tighter alpha mode undercovers at moderate n because the
     # block bootstrap scale is biased low for short blocks.
     band_quantile_mode: str = "alpha_half"
-    quantile_override: float | None = None  # fixed quantile, skips calibration
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -46,10 +45,8 @@ class PipelineConfig:
 class AnalysisResult:
     change_points: ChangePointSet
     relevant: RelevantSet
-    segments: list
-    estimates: list
     lrv: LrvEstimate
-    bootstrap: BootstrapResult | None
+    bootstrap: BootstrapResult
     bands: ConfidenceBandSet
     delta: float
     config: PipelineConfig
@@ -62,25 +59,19 @@ def analyze(x: FunctionalTimeSeries, cfg: PipelineConfig | None = None) -> Analy
     rel = relevant_set(x, cps, cfg.relevant)
     fit = rel.fit
     lrv_est = estimate_lrv(x, fit.fitted(), cfg.lrv)
-    estimates = fit_estimates(fit, rel.indices)
 
-    boot = None
-    if cfg.quantile_override is not None:
-        q = float(cfg.quantile_override)
-    else:
-        level_alpha = cfg.alpha if cfg.band_quantile_mode == "alpha" else cfg.alpha / 2.0
-        boot = run_bootstrap(
-            fit.residuals(x),
-            [est.segment for est in estimates],
-            lrv_est,
-            BootstrapConfig(
-                block_length=cfg.block_length,
-                replications=cfg.replications,
-                alpha=level_alpha,
-                rng_seed=cfg.rng_seed,
-            ),
-        )
-        q = boot.quantile
+    level_alpha = cfg.alpha if cfg.band_quantile_mode == "alpha" else cfg.alpha / 2.0
+    boot = run_bootstrap(
+        fit.residuals(x),
+        [fit.segments[i] for i in rel.indices],
+        lrv_est.sigma2,
+        BootstrapConfig(
+            block_length=cfg.block_length,
+            replications=cfg.replications,
+            alpha=level_alpha,
+            rng_seed=cfg.rng_seed,
+        ),
+    )
 
     metadata = {
         "n": x.n,
@@ -89,22 +80,20 @@ def analyze(x: FunctionalTimeSeries, cfg: PipelineConfig | None = None) -> Analy
         "beta": cfg.relevant.beta,
         "delta": rel.delta,
         "band_quantile_mode": cfg.band_quantile_mode,
-        "block_length": boot.block_length if boot else None,
+        "block_length": boot.block_length,
         "replications": cfg.replications,
         "bandwidth": lrv_est.bandwidth,
         "kernel": lrv_est.config.kernel.name,
         "rng_seed": cfg.rng_seed,
-        "rng_algorithm": boot.rng_algorithm if boot else None,
+        "rng_algorithm": boot.rng_algorithm,
     }
     bands = build_bands(
-        estimates, lrv_est, q, cfg.alpha, indices=rel.indices, metadata=metadata
+        fit, rel.indices, lrv_est.sigma2, boot.quantile, cfg.alpha, metadata=metadata
     )
 
     return AnalysisResult(
         change_points=cps,
         relevant=rel,
-        segments=list(fit.segments),
-        estimates=estimates,
         lrv=lrv_est,
         bootstrap=boot,
         bands=bands,

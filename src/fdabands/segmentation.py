@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import _block_averages, _empirical_quantile, _gaussian_draws, auto_block_length
+from .bootstrap import bootstrap_margin
 from .core import (
     FunctionalTimeSeries,
     InvalidInputError,
@@ -31,6 +31,10 @@ from .lrv import estimate_lrv
 
 # Gaussian-maximum scaling constant in the auto threshold
 XI_SCALE = 1.5
+# auto Delta: the end windows hold this fraction of the curves, and their
+# means' sup-norm distance is divided by AUTO_DIVISOR
+AUTO_FRACTION = 0.05
+AUTO_DIVISOR = 3.0
 
 
 @dataclass(frozen=True)
@@ -73,8 +77,6 @@ class ChangePointSet:
 class RelevantChangeConfig:
     delta: float | str = "auto"
     beta: float = 0.05
-    auto_fraction: float = 0.05
-    auto_divisor: float = 3.0
     method: str = "plugin"  # or "bootstrap" for a beta-calibrated margin
     calibration_replications: int = 1000
     rng_seed: int = 0
@@ -84,10 +86,6 @@ class RelevantChangeConfig:
             raise InvalidInputError("beta must lie in (0, 1)")
         if self.delta != "auto" and float(self.delta) <= 0.0:
             raise InvalidInputError("delta must be positive or 'auto'")
-        if not 0.0 < self.auto_fraction <= 0.5:
-            raise InvalidInputError("auto_fraction must lie in (0, 0.5]")
-        if self.auto_divisor <= 0.0:
-            raise InvalidInputError("auto_divisor must be positive")
         if self.method not in ("plugin", "bootstrap"):
             raise InvalidInputError("method must be 'plugin' or 'bootstrap'")
 
@@ -187,36 +185,14 @@ def detect_change_points(
     return ChangePointSet(indices=tuple(changes), n=x.n, threshold=xi)
 
 
-def auto_delta(x: FunctionalTimeSeries, cfg: RelevantChangeConfig | None = None) -> float:
+def auto_delta(x: FunctionalTimeSeries) -> float:
     """Data-driven Delta: sup-norm distance of the early and late window means
-    divided by auto_divisor (windows hold the first and last ceil(fraction * n)
-    curves)."""
-    cfg = cfg or RelevantChangeConfig()
-    w = int(np.ceil(cfg.auto_fraction * x.n))
-    if w < 1:
-        raise InvalidInputError("auto delta window contains no curves")
+    divided by AUTO_DIVISOR (windows hold the first and last
+    ceil(AUTO_FRACTION * n) curves, at least one)."""
+    w = int(np.ceil(AUTO_FRACTION * x.n))
     mu_initial = x.values[:w].mean(axis=0)
     mu_final = x.values[-w:].mean(axis=0)
-    return sup_norm(mu_final - mu_initial) / cfg.auto_divisor
-
-
-def _bootstrap_margin(
-    residuals: np.ndarray, left, right, beta: float, replications: int, seed
-) -> float:
-    """(1 - beta)-quantile of the bootstrapped jump-estimate fluctuation.
-
-    Reuses the multiplier block bootstrap on the residuals of the two segments
-    adjacent to a change to calibrate how far a jump estimate can stray from
-    its target under the null; the jump difference nu @ [-B_left / n_left;
-    B_right / n_right] is Gaussian given the data and is drawn exactly.
-    """
-    resid = residuals[left.start : right.end]
-    L = auto_block_length(min(left.length, right.length))
-    B = _block_averages(resid, L)
-    diff = np.vstack([-B[: left.length] / left.length, B[left.length :] / right.length])
-    rng = np.random.Generator(np.random.Philox(seed))  # seed: an int or (rng_seed, i)
-    draws = np.abs(_gaussian_draws(diff, replications, rng)).max(axis=1)
-    return _empirical_quantile(draws, 1.0 - beta)
+    return sup_norm(mu_final - mu_initial) / AUTO_DIVISOR
 
 
 def relevant_set(
@@ -232,7 +208,7 @@ def relevant_set(
     cfg = cfg or RelevantChangeConfig()
     if cps.n != x.n:
         raise InvalidInputError("change point set was computed for a different series")
-    delta = auto_delta(x, cfg) if cfg.delta == "auto" else float(cfg.delta)
+    delta = auto_delta(x) if cfg.delta == "auto" else float(cfg.delta)
     if delta <= 0.0:
         raise InvalidInputError(
             "auto delta is zero (identical end windows); supply an explicit delta"
@@ -244,7 +220,7 @@ def relevant_set(
     if cfg.method == "bootstrap":
         resid = fit.residuals(x).values
         margins = [
-            _bootstrap_margin(
+            bootstrap_margin(
                 resid,
                 fit.segments[i - 1],
                 fit.segments[i],

@@ -11,6 +11,7 @@ uniform across t, so the pointwise long-run variance has a closed form.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import MISSING, dataclass, field, replace
 
 import numpy as np
@@ -32,6 +33,17 @@ N_BASIS = 20
 
 ERROR_PROCESSES = ("iid", "ma1", "ar1")
 _AR_BURN_IN = 100
+# curve spec kind -> {key: default}; None marks a required key
+_CURVE_KINDS = {
+    "constant": {"value": None},
+    "linear": {"intercept": 0.0, "slope": 0.0},
+    "sine": {"amplitude": None, "frequency": 1.0},
+    "hat": {"peak": None, "center": 0.5},
+}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def curve_values(spec, grid: Grid) -> np.ndarray:
@@ -40,32 +52,55 @@ def curve_values(spec, grid: Grid) -> np.ndarray:
     Accepts a Curve, an array of grid values, a scalar (constant curve), or a
     dict: {"kind": "constant", "value": v}, {"kind": "linear", "intercept": a,
     "slope": b}, {"kind": "sine", "amplitude": a, "frequency": k}, or
-    {"kind": "hat", "peak": h, "center": c}.
+    {"kind": "hat", "peak": h, "center": c}.  Keys with a default may be left
+    out; any other problem raises InvalidInputError naming it.
     """
     t = grid.points
     if isinstance(spec, Curve):
         if spec.grid != grid:
             raise InvalidInputError("curve spec is on a different grid")
         return np.array(spec.values)
-    if isinstance(spec, (int, float)):
-        return np.full(t.size, float(spec))
-    if isinstance(spec, dict):
-        kind = spec.get("kind")
-        if kind == "constant":
-            return np.full(t.size, float(spec["value"]))
-        if kind == "linear":
-            return float(spec.get("intercept", 0.0)) + float(spec.get("slope", 0.0)) * t
-        if kind == "sine":
-            return float(spec["amplitude"]) * np.sin(float(spec.get("frequency", 1)) * np.pi * t)
-        if kind == "hat":
-            c = float(spec.get("center", 0.5))
-            up = np.where(t <= c, t / c if c > 0 else 0.0, (1.0 - t) / (1.0 - c))
-            return float(spec["peak"]) * np.clip(up, 0.0, None)
+    if _is_number(spec):
+        vals = np.full(t.size, float(spec))
+    elif isinstance(spec, dict):
+        vals = _kind_values(spec, t)
+    else:
+        try:
+            vals = np.array(spec, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidInputError(
+                f"curve spec {spec!r} is not a number, an array or a dict"
+            ) from None
+        if vals.shape != t.shape:
+            raise InvalidInputError("curve spec array length does not match the grid")
+    if not np.all(np.isfinite(vals)):
+        raise InvalidInputError(f"curve spec {spec!r} has non-finite values")
+    return vals
+
+
+def _kind_values(spec: dict, t: np.ndarray) -> np.ndarray:
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _CURVE_KINDS:
         raise InvalidInputError(f"unknown curve spec kind {kind!r}")
-    vals = np.asarray(spec, dtype=float)
-    if vals.shape != t.shape:
-        raise InvalidInputError("curve spec array length does not match the grid")
-    return np.array(vals)
+    p = {}
+    for key, default in _CURVE_KINDS[kind].items():
+        if key not in spec and default is None:
+            raise InvalidInputError(f"curve spec {spec!r} needs key {key!r}")
+        value = spec.get(key, default)
+        if not _is_number(value):
+            raise InvalidInputError(f"curve spec key {key!r} must be a number, got {value!r}")
+        p[key] = float(value)
+    if kind == "constant":
+        return np.full(t.size, p["value"])
+    if kind == "linear":
+        return p["intercept"] + p["slope"] * t
+    if kind == "sine":
+        return p["amplitude"] * np.sin(p["frequency"] * np.pi * t)
+    c = p["center"]
+    if not 0.0 <= c <= 1.0:
+        raise InvalidInputError(f"hat center must lie in [0, 1], got {c}")
+    up = np.where(t <= c, t / c if c > 0 else 0.0, (1.0 - t) / (1.0 - c) if c < 1 else 0.0)
+    return p["peak"] * np.clip(up, 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -87,6 +122,8 @@ class ScenarioSpec:
         if len(self.means) != len(self.change_locations) + 1:
             raise InvalidInputError("need exactly one mean spec per segment")
         locs = self.change_locations
+        if not all(_is_number(s) for s in locs):
+            raise InvalidInputError(f"change locations must be numbers, got {list(locs)!r}")
         if any(not 0.0 < s < 1.0 for s in locs) or any(
             b <= a for a, b in zip(locs, locs[1:])
         ):
@@ -97,6 +134,13 @@ class ScenarioSpec:
             raise InvalidInputError("AR(1) coefficient must satisfy |rho| < 1")
         if not np.isfinite(self.error_param):
             raise InvalidInputError("error parameter must be finite")
+        grid = Grid.uniform(self.grid_size)
+        for key, specs in (("means", self.means), ("tau2", (self.tau2,))):
+            for spec in specs:
+                try:
+                    curve_values(spec, grid)
+                except InvalidInputError as exc:
+                    raise InvalidInputError(f"scenario key {key!r}: {exc}") from None
 
     def to_dict(self) -> dict:
         return {
@@ -153,8 +197,7 @@ def _innovations(rng, count: int, grid: Grid, tau2_vals: np.ndarray) -> np.ndarr
 def generate(spec: ScenarioSpec):
     """Draw one series from the scenario; returns (series, ground truth)."""
     grid = Grid.uniform(spec.grid_size)
-    tau2_vals = np.clip(curve_values(spec.tau2, grid) if not isinstance(spec.tau2, (int, float))
-                        else np.full(len(grid), float(spec.tau2)), 0.0, None)
+    tau2_vals = np.clip(curve_values(spec.tau2, grid), 0.0, None)
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.rng_seed)))
     n = spec.n

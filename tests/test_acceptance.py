@@ -21,19 +21,18 @@ from fdabands import (
     ResidualSeries,
     ScenarioSpec,
     Segment,
-    SegmentEstimate,
+    SegmentFit,
     analyze,
     auto_delta,
     build_bands,
     bootstrap_segment_mean,
-    center_residuals,
     detect_change_points,
     estimate_lrv,
+    fit_segments,
     generate,
     relevant_set,
     run_bootstrap,
     run_coverage_study,
-    segment_mean_assignment,
     segments_from_locations,
 )
 
@@ -88,7 +87,7 @@ def test_criterion_2_lrv_consistency():
             n=10000, grid_size=20, error_process="ar1", error_param=0.4, rng_seed=seed
         )
         x, _ = generate(spec)
-        mu = segment_mean_assignment(x, segments_from_locations(x.n, []))
+        mu = fit_segments(x, segments_from_locations(x.n, [])).fitted()
         est = estimate_lrv(x, mu, LrvConfig(kernel=FLAT_TOP))
         errors.append(float(np.max(np.abs(est.sigma2.values - true)) / true))
     share = float(np.mean([e <= 0.15 for e in errors]))
@@ -113,7 +112,7 @@ def test_criterion_3_bootstrap_quantiles():
 
     x = iid_residuals(5000, grid, seed=0)
     segs = segments_from_locations(5000, [])
-    y = center_residuals(x, segs)
+    y = fit_segments(x, segs).residuals(x)
     res = run_bootstrap(
         y, segs, unit, BootstrapConfig(block_length=1, replications=20000, alpha=0.1, rng_seed=0)
     )
@@ -121,7 +120,7 @@ def test_criterion_3_bootstrap_quantiles():
 
     x2 = iid_residuals(10000, grid, seed=1)
     segs2 = segments_from_locations(10000, [0.5])
-    y2 = center_residuals(x2, segs2)
+    y2 = fit_segments(x2, segs2).residuals(x2)
     res2 = run_bootstrap(
         y2, segs2, unit, BootstrapConfig(block_length=1, replications=20000, alpha=0.1, rng_seed=1)
     )
@@ -138,10 +137,10 @@ def test_criterion_4_band_formula_exactness():
     grid = Grid.uniform(33)
     worst = 0.0
     for q, n_hat in ((0.0, 5), (1.7, 64), (123.456, 997)):
-        mean = Curve(rng.normal(scale=50.0, size=33), grid)
+        mean = rng.normal(scale=50.0, size=33)
         sigma2 = Curve(rng.uniform(1e-6, 40.0, size=33), grid)
-        est = SegmentEstimate(Segment(0, n_hat), n_hat, mean)
-        band = build_bands([est], sigma2, q=q, alpha=0.1).bands[0]
+        fit = SegmentFit((Segment(0, n_hat),), mean[None, :], grid)
+        band = build_bands(fit, [0], sigma2, q=q, alpha=0.1).bands[0]
         half = np.sqrt(sigma2.values) * q / np.sqrt(n_hat)
         worst = max(
             worst,

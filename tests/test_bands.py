@@ -7,25 +7,28 @@ from fdabands import (
     Grid,
     InvalidInputError,
     Segment,
-    SegmentEstimate,
+    SegmentFit,
     build_bands,
     check_containment,
-    segment_estimates,
+    fit_segments,
+    segments_from_indices,
 )
 
 
-def make_estimate(mean_values, n_hat, start=0):
-    grid = Grid.uniform(len(mean_values))
-    seg = Segment(start, start + n_hat)
-    return SegmentEstimate(seg, n_hat, Curve(np.asarray(mean_values, float), grid)), grid
+def make_fit(mean_rows, lengths):
+    """A fit whose segment i has length lengths[i] and mean curve mean_rows[i]."""
+    means = np.asarray(mean_rows, float)
+    grid = Grid.uniform(means.shape[1])
+    segments = segments_from_indices(sum(lengths), np.cumsum(lengths)[:-1])
+    return SegmentFit(tuple(segments), means, grid), grid
 
 
 class TestBuildBands:
     def test_width_formula(self):
         # half-width sigma(t) * q / sqrt(n_hat), verified pointwise by hand
-        est, grid = make_estimate([1.0, -2.0, 0.5], n_hat=25)
+        fit, grid = make_fit([[1.0, -2.0, 0.5]], [25])
         sigma2 = Curve(np.array([4.0, 1.0, 9.0]), grid)
-        bs = build_bands([est], sigma2, q=2.0, alpha=0.1)
+        bs = build_bands(fit, [0], sigma2, q=2.0, alpha=0.1)
         band = bs.bands[0]
         half = np.array([2.0, 1.0, 3.0]) * 2.0 / 5.0
         assert np.allclose(band.upper.values - band.center.values, half, atol=1e-15)
@@ -33,9 +36,9 @@ class TestBuildBands:
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(0)
-        est, grid = make_estimate(rng.normal(size=12), n_hat=40)
+        fit, grid = make_fit([rng.normal(size=12)], [40])
         sigma2 = Curve(rng.uniform(0.5, 2.0, size=12), grid)
-        band = build_bands([est], sigma2, q=1.7, alpha=0.05).bands[0]
+        band = build_bands(fit, [0], sigma2, q=1.7, alpha=0.05).bands[0]
         assert np.allclose(
             band.upper.values - band.center.values,
             band.center.values - band.lower.values,
@@ -44,19 +47,16 @@ class TestBuildBands:
         )
 
     def test_zero_quantile_collapses(self):
-        est, grid = make_estimate([3.0, 3.0], n_hat=10)
-        band = build_bands([est], Curve(np.ones(2), grid), q=0.0, alpha=0.1).bands[0]
+        fit, grid = make_fit([[3.0, 3.0]], [10])
+        band = build_bands(fit, [0], Curve(np.ones(2), grid), q=0.0, alpha=0.1).bands[0]
         assert np.array_equal(band.lower.values, band.center.values)
         assert np.array_equal(band.upper.values, band.center.values)
 
     def test_width_scales_inverse_sqrt_n(self):
         # n_hat 400 vs 100 with equal sigma: widths differ by a factor 2
-        grid = Grid.uniform(4)
-        mu = Curve(np.zeros(4), grid)
-        small = SegmentEstimate(Segment(0, 100), 100, mu)
-        large = SegmentEstimate(Segment(100, 500), 400, mu)
+        fit, grid = make_fit(np.zeros((2, 4)), [100, 400])
         sigma2 = Curve(np.full(4, 2.0), grid)
-        bs = build_bands([small, large], sigma2, q=1.5, alpha=0.1)
+        bs = build_bands(fit, [0, 1], sigma2, q=1.5, alpha=0.1)
         w_small = bs.bands[0].upper.values - bs.bands[0].lower.values
         w_large = bs.bands[1].upper.values - bs.bands[1].lower.values
         assert np.allclose(w_small, 2.0 * w_large, rtol=1e-14)
@@ -67,69 +67,64 @@ class TestBuildBands:
         rng = np.random.default_rng(1)
         mean = rng.normal(size=6)
         sigma2_vals = rng.uniform(0.5, 3.0, size=6)
-        est, grid = make_estimate(mean, n_hat=30)
-        base = build_bands([est], Curve(sigma2_vals, grid), q=2.0, alpha=0.1).bands[0]
+        fit, grid = make_fit([mean], [30])
+        base = build_bands(fit, [0], Curve(sigma2_vals, grid), q=2.0, alpha=0.1).bands[0]
         lam, shift = 2.5, -4.0
-        est2, _ = make_estimate(lam * mean + shift, n_hat=30)
+        fit2, _ = make_fit([lam * mean + shift], [30])
         scaled = build_bands(
-            [est2], Curve(lam**2 * sigma2_vals, grid), q=2.0, alpha=0.1
+            fit2, [0], Curve(lam**2 * sigma2_vals, grid), q=2.0, alpha=0.1
         ).bands[0]
         assert np.allclose(scaled.lower.values, lam * base.lower.values + shift, rtol=1e-10, atol=1e-10)
         assert np.allclose(scaled.upper.values, lam * base.upper.values + shift, rtol=1e-10, atol=1e-10)
 
     def test_negative_quantile_rejected(self):
-        est, grid = make_estimate([0.0, 0.0], n_hat=5)
+        fit, grid = make_fit([[0.0, 0.0]], [5])
         with pytest.raises(InvalidInputError):
-            build_bands([est], Curve(np.ones(2), grid), q=-0.5, alpha=0.1)
+            build_bands(fit, [0], Curve(np.ones(2), grid), q=-0.5, alpha=0.1)
 
     def test_nonpositive_sigma2_rejected(self):
-        est, grid = make_estimate([0.0, 0.0], n_hat=5)
+        fit, grid = make_fit([[0.0, 0.0]], [5])
         with pytest.raises(InvalidInputError):
-            build_bands([est], Curve(np.array([1.0, 0.0]), grid), q=1.0, alpha=0.1)
+            build_bands(fit, [0], Curve(np.array([1.0, 0.0]), grid), q=1.0, alpha=0.1)
 
     def test_grid_mismatch_rejected(self):
-        est, _ = make_estimate([0.0, 0.0, 0.0], n_hat=5)
+        fit, _ = make_fit([[0.0, 0.0, 0.0]], [5])
         sigma2 = Curve(np.ones(2), Grid.uniform(2))
         with pytest.raises(InvalidInputError):
-            build_bands([est], sigma2, q=1.0, alpha=0.1)
+            build_bands(fit, [0], sigma2, q=1.0, alpha=0.1)
 
     def test_index_labels(self):
-        grid = Grid.uniform(3)
-        mu = Curve(np.zeros(3), grid)
-        ests = [
-            SegmentEstimate(Segment(0, 10), 10, mu),
-            SegmentEstimate(Segment(10, 30), 20, mu),
-        ]
-        bs = build_bands(ests, Curve(np.ones(3), grid), q=1.0, alpha=0.1, indices=[0, 3])
+        # band i is built around segment i of the fit and labelled i
+        fit, grid = make_fit(np.arange(12.0).reshape(4, 3), [10, 20, 5, 7])
+        bs = build_bands(fit, [0, 3], Curve(np.ones(3), grid), q=1.0, alpha=0.1)
         assert [b.index for b in bs.bands] == [0, 3]
+        assert [b.segment for b in bs.bands] == [Segment(0, 10), Segment(35, 42)]
+        assert np.array_equal(bs.bands[1].center.values, [9.0, 10.0, 11.0])
 
     def test_metadata_copied(self):
-        est, grid = make_estimate([0.0, 0.0], n_hat=5)
+        fit, grid = make_fit([[0.0, 0.0]], [5])
         meta = {"n": 5}
-        bs = build_bands([est], Curve(np.ones(2), grid), q=1.0, alpha=0.1, metadata=meta)
+        bs = build_bands(fit, [0], Curve(np.ones(2), grid), q=1.0, alpha=0.1, metadata=meta)
         meta["n"] = 99
         assert bs.metadata == {"n": 5}
 
-
-class TestSegmentEstimates:
-    def test_from_series(self):
+    def test_bands_from_series_fit(self):
+        # n_hat_i is the segment length and the center the segment mean
         rng = np.random.default_rng(2)
         vals = rng.normal(size=(10, 4))
-        x = FunctionalTimeSeries(vals, Grid.uniform(4))
-        ests = segment_estimates(x, [Segment(0, 4), Segment(4, 10)])
-        assert [e.n_hat for e in ests] == [4, 6]
-        assert np.allclose(ests[1].mean.values, vals[4:].mean(axis=0), atol=1e-14)
-
-    def test_n_hat_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            SegmentEstimate(Segment(0, 4), 5, Curve(np.zeros(2), Grid.uniform(2)))
+        grid = Grid.uniform(4)
+        fit = fit_segments(FunctionalTimeSeries(vals, grid), [Segment(0, 4), Segment(4, 10)])
+        bs = build_bands(fit, [0, 1], Curve(np.ones(4), grid), q=1.0, alpha=0.1)
+        assert [b.segment.length for b in bs.bands] == [4, 6]
+        assert np.allclose(bs.bands[1].center.values, vals[4:].mean(axis=0), atol=1e-14)
+        half = bs.bands[1].upper.values - bs.bands[1].center.values
+        assert np.allclose(half, 1.0 / np.sqrt(6.0), atol=1e-15)
 
 
 class TestCheckContainment:
     def band_set(self):
-        est, grid = make_estimate([0.0, 0.0, 0.0], n_hat=4)
-        est2 = SegmentEstimate(Segment(4, 8), 4, Curve(np.full(3, 10.0), grid))
-        return build_bands([est, est2], Curve(np.ones(3), grid), q=2.0, alpha=0.1), grid
+        fit, grid = make_fit([np.zeros(3), np.full(3, 10.0)], [4, 4])
+        return build_bands(fit, [0, 1], Curve(np.ones(3), grid), q=2.0, alpha=0.1), grid
 
     def test_contained(self):
         bs, grid = self.band_set()
@@ -158,9 +153,9 @@ class TestCheckContainment:
 
     def test_alpha_monotone_widths(self):
         # a band built from a larger quantile contains the smaller one
-        est, grid = make_estimate(np.random.default_rng(3).normal(size=5), n_hat=16)
+        fit, grid = make_fit([np.random.default_rng(3).normal(size=5)], [16])
         sigma2 = Curve(np.full(5, 1.3), grid)
-        narrow = build_bands([est], sigma2, q=1.0, alpha=0.2).bands[0]
-        wide = build_bands([est], sigma2, q=2.0, alpha=0.05).bands[0]
+        narrow = build_bands(fit, [0], sigma2, q=1.0, alpha=0.2).bands[0]
+        wide = build_bands(fit, [0], sigma2, q=2.0, alpha=0.05).bands[0]
         assert np.all(wide.lower.values <= narrow.lower.values)
         assert np.all(narrow.upper.values <= wide.upper.values)

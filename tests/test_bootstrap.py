@@ -17,17 +17,14 @@ from fdabands import (
     Segment,
     auto_block_length,
     bootstrap_segment_mean,
-    center_residuals,
     estimate_lrv,
+    fit_segments,
     generate,
     run_bootstrap,
-    segment_mean,
-    segment_mean_assignment,
     segments_from_locations,
 )
-import fdabands.segmentation as segmentation
-from fdabands.bootstrap import _block_averages, _gaussian_draws
-from fdabands.segmentation import _bootstrap_margin
+import fdabands.bootstrap as bootstrap
+from fdabands.bootstrap import _block_averages, _gaussian_draws, bootstrap_margin
 
 
 def make_series(values):
@@ -43,21 +40,21 @@ class TestCenterResiduals:
     def test_noise_free_piecewise_constant(self):
         vals = np.vstack([np.zeros((5, 3)), np.full((5, 3), 4.0)])
         x = make_series(vals)
-        y = center_residuals(x, segments_from_locations(10, [0.5]))
+        y = fit_segments(x, segments_from_locations(10, [0.5])).residuals(x)
         assert np.array_equal(y.values, np.zeros((10, 3)))
 
     def test_single_segment_mean_subtraction(self):
         rng = np.random.default_rng(0)
         noise = rng.normal(size=(8, 4))
         x = make_series(2.5 + noise)
-        y = center_residuals(x, segments_from_locations(8, []))
+        y = fit_segments(x, segments_from_locations(8, [])).residuals(x)
         assert np.allclose(y.values, noise - noise.mean(axis=0), atol=1e-13)
 
     def test_per_segment_means_vanish(self):
         rng = np.random.default_rng(1)
         x = make_series(rng.normal(size=(60, 5)) + 3.0)
         segs = segments_from_locations(60, [0.4])
-        y = center_residuals(x, segs)
+        y = fit_segments(x, segs).residuals(x)
         for seg in segs:
             # independently recomputed per-segment residual means
             assert np.max(np.abs(y.values[seg.start : seg.end].mean(axis=0))) < 1e-10
@@ -65,7 +62,7 @@ class TestCenterResiduals:
     def test_uncovered_index_is_internal_error(self):
         x = make_series(np.zeros((10, 2)))
         with pytest.raises(InternalInvariantError):
-            center_residuals(x, [Segment(0, 5)])
+            fit_segments(x, [Segment(0, 5)])
 
 
 class TestBootstrapSegmentMean:
@@ -124,9 +121,9 @@ def residuals_fixture(n=80, grid_size=6, seed=5, changes=(0.5,)):
     rng = np.random.default_rng(seed)
     x = make_series(rng.normal(size=(n, grid_size)))
     segs = segments_from_locations(n, list(changes))
-    y = center_residuals(x, segs)
-    lrv = estimate_lrv(x, segment_mean_assignment(x, segs), LrvConfig(bandwidth=2))
-    return x, segs, y, lrv
+    fit = fit_segments(x, segs)
+    sigma2 = estimate_lrv(x, fit.fitted(), LrvConfig(bandwidth=2)).sigma2
+    return x, segs, fit.residuals(x), sigma2
 
 
 class TestRunBootstrap:
@@ -138,10 +135,10 @@ class TestRunBootstrap:
         assert res.quantile == 0.0
 
     def test_determinism(self):
-        _, segs, y, lrv = residuals_fixture()
+        _, segs, y, sigma2 = residuals_fixture()
         cfg = BootstrapConfig(replications=300, rng_seed=17)
-        a = run_bootstrap(y, segs, lrv, cfg)
-        b = run_bootstrap(y, segs, lrv, cfg)
+        a = run_bootstrap(y, segs, sigma2, cfg)
+        b = run_bootstrap(y, segs, sigma2, cfg)
         assert np.array_equal(a.statistics, b.statistics)
         assert a.quantile == b.quantile
 
@@ -153,8 +150,9 @@ class TestRunBootstrap:
         spec = ScenarioSpec(n=400, grid_size=60, error_process="ar1", error_param=0.4, rng_seed=5)
         x, _ = generate(spec)
         segs = segments_from_locations(x.n, [])
-        y = center_residuals(x, segs)
-        sigma2 = estimate_lrv(x, segment_mean_assignment(x, segs)).sigma2
+        fit = fit_segments(x, segs)
+        y = fit.residuals(x)
+        sigma2 = estimate_lrv(x, fit.fitted()).sigma2
         wiggle = 1.0 + 1e-15 * np.random.default_rng(6).choice([-1.0, 1.0], size=len(sigma2.grid))
         cfg = BootstrapConfig(replications=500, rng_seed=7)
         q = run_bootstrap(y, segs, sigma2, cfg).quantile
@@ -162,60 +160,61 @@ class TestRunBootstrap:
         assert abs(q_wiggled - q) / q < 1e-12
 
     def test_quantile_monotone_in_alpha(self):
-        _, segs, y, lrv = residuals_fixture()
+        _, segs, y, sigma2 = residuals_fixture()
         base = BootstrapConfig(replications=500, rng_seed=3)
         qs = [
-            run_bootstrap(y, segs, lrv, dataclasses.replace(base, alpha=a)).quantile
+            run_bootstrap(y, segs, sigma2, dataclasses.replace(base, alpha=a)).quantile
             for a in (0.2, 0.1, 0.05)
         ]
         assert qs[0] <= qs[1] <= qs[2]
 
     def test_scale_equivariance_replicatewise(self):
         # scaling the data by lambda cancels in mu*/sigma, replicate by replicate
-        x, segs, y, lrv = residuals_fixture()
+        x, segs, y, sigma2 = residuals_fixture()
         cfg = BootstrapConfig(replications=250, rng_seed=9)
-        base = run_bootstrap(y, segs, lrv, cfg)
+        base = run_bootstrap(y, segs, sigma2, cfg)
         lam = 3.7
         x2 = make_series(lam * np.array(x.values))
-        y2 = center_residuals(x2, segs)
-        lrv2 = estimate_lrv(x2, segment_mean_assignment(x2, segs), LrvConfig(bandwidth=2))
-        scaled = run_bootstrap(y2, segs, lrv2, cfg)
+        fit2 = fit_segments(x2, segs)
+        sigma2_scaled = estimate_lrv(x2, fit2.fitted(), LrvConfig(bandwidth=2)).sigma2
+        scaled = run_bootstrap(fit2.residuals(x2), segs, sigma2_scaled, cfg)
         assert np.allclose(scaled.statistics, base.statistics, rtol=1e-10)
 
     def test_constant_shift_invariance(self):
         # adding a constant curve to every observation of one segment leaves
         # the residuals, hence the replicates, unchanged
-        x, segs, y, lrv = residuals_fixture()
+        x, segs, y, sigma2 = residuals_fixture()
         cfg = BootstrapConfig(replications=250, rng_seed=11)
-        base = run_bootstrap(y, segs, lrv, cfg)
+        base = run_bootstrap(y, segs, sigma2, cfg)
         shifted_vals = np.array(x.values)
         shifted_vals[segs[1].start : segs[1].end] += 42.0
-        y2 = center_residuals(make_series(shifted_vals), segs)
+        x2 = make_series(shifted_vals)
+        y2 = fit_segments(x2, segs).residuals(x2)
         assert np.allclose(y2.values, y.values, atol=1e-12)
-        again = run_bootstrap(y2, segs, lrv, cfg)
+        again = run_bootstrap(y2, segs, sigma2, cfg)
         assert np.allclose(again.statistics, base.statistics, rtol=1e-12)
 
     def test_replication_validation(self):
-        _, segs, y, lrv = residuals_fixture()
+        _, segs, y, sigma2 = residuals_fixture()
         with pytest.raises(InvalidInputError):
-            run_bootstrap(y, segs, lrv, BootstrapConfig(replications=0))
+            run_bootstrap(y, segs, sigma2, BootstrapConfig(replications=0))
         with pytest.warns(UserWarning, match="quantile unstable"):
-            run_bootstrap(y, segs, lrv, BootstrapConfig(replications=50))
+            run_bootstrap(y, segs, sigma2, BootstrapConfig(replications=50))
 
     def test_block_length_bounds(self):
-        _, segs, y, lrv = residuals_fixture()
+        _, segs, y, sigma2 = residuals_fixture()
         n_min = min(s.length for s in segs)
         with pytest.raises(InvalidInputError):
-            run_bootstrap(y, segs, lrv, BootstrapConfig(block_length=n_min + 1, replications=100))
+            run_bootstrap(y, segs, sigma2, BootstrapConfig(block_length=n_min + 1, replications=100))
 
     def test_empty_segments_rejected(self):
-        _, _, y, lrv = residuals_fixture()
+        _, _, y, sigma2 = residuals_fixture()
         with pytest.raises(InvalidInputError):
-            run_bootstrap(y, [], lrv, BootstrapConfig(replications=100))
+            run_bootstrap(y, [], sigma2, BootstrapConfig(replications=100))
 
     def test_diagnostics_present(self):
-        _, segs, y, lrv = residuals_fixture()
-        res = run_bootstrap(y, segs, lrv, BootstrapConfig(replications=200))
+        _, segs, y, sigma2 = residuals_fixture()
+        res = run_bootstrap(y, segs, sigma2, BootstrapConfig(replications=200))
         assert set(res.segment_diagnostics) == {0, 1}
         shares = [d["max_share"] for d in res.segment_diagnostics.values()]
         assert sum(shares) == pytest.approx(1.0)
@@ -298,8 +297,8 @@ class TestGaussianDraws:
             seen.append(mat)
             return _gaussian_draws(mat, replications, rng)
 
-        monkeypatch.setattr(segmentation, "_gaussian_draws", record)
-        _bootstrap_margin(resid, left, right, 0.1, 50, (0, 1))
+        monkeypatch.setattr(bootstrap, "_gaussian_draws", record)
+        bootstrap_margin(resid, left, right, 0.1, 50, (0, 1))
         assert_same_covariance(factor_of(seen[0]), margin_rows(resid, left, right))
 
 
@@ -309,7 +308,8 @@ def ar1_fixture(n=120, grid_size=6, rho=0.5, seed=41):
     for j in range(1, n):
         e[j] += rho * e[j - 1]
     segs = segments_from_locations(n, [0.4])
-    y = center_residuals(make_series(e), segs)
+    x = make_series(e)
+    y = fit_segments(x, segs).residuals(x)
     return segs, y
 
 
@@ -339,7 +339,7 @@ class TestDistributionalAgreement:
     def test_bootstrap_margin_quantile(self):
         segs, y = ar1_fixture()
         left, right = segs
-        margin = _bootstrap_margin(y.values, left, right, 0.1, self.R, (5, 1))
+        margin = bootstrap_margin(y.values, left, right, 0.1, self.R, (5, 1))
         nu = np.random.default_rng(7).standard_normal((self.R, y.n))
         q_def = np.quantile(np.abs(nu @ margin_rows(y.values, left, right)).max(axis=1), 0.9)
         assert margin == pytest.approx(q_def, rel=self.TOL)

@@ -303,6 +303,16 @@ class TestSimulateCommand:
             ({"grid_size": 5}, "missing scenario keys: ['n']"),
             ({"n": "100"}, "scenario key 'n' must be int, got '100'"),
             ({"n": 100, "grid_size": "5"}, "scenario key 'grid_size' must be int, got '5'"),
+            (
+                {"n": 100, "means": [0.0, 1.0], "change_locations": ["0.5"]},
+                "change locations must be numbers, got ['0.5']",
+            ),
+            ({"n": 100, "tau2": "x"}, "scenario key 'tau2': curve spec 'x' is not a number"),
+            (
+                {"n": 100, "means": [{"kind": "constant"}]},
+                "scenario key 'means': curve spec {'kind': 'constant'} needs key 'value'",
+            ),
+            ({"n": 100, "means": [{"kind": "wave"}]}, "unknown curve spec kind 'wave'"),
         ):
             spec_file.write_text(json.dumps(spec))
             for args in (

@@ -7,12 +7,14 @@ from fdabands import (
     Curve,
     FunctionalTimeSeries,
     Grid,
+    InternalInvariantError,
     InvalidInputError,
     Segment,
-    segment_mean,
+    fit_segments,
     segments_from_locations,
     sup_norm,
 )
+from fdabands.segmentation import ChangePointSet
 
 
 def hat(peak, center, t):
@@ -81,28 +83,31 @@ def series_from(values):
 class TestSegmentMean:
     def test_identical_curves(self):
         x = series_from(np.tile([1.0, -2.0, 0.5], (3, 1)))
-        mu = segment_mean(x, Segment(0, 3))
-        assert np.array_equal(mu.values, [1.0, -2.0, 0.5])
+        mu = fit_segments(x, [Segment(0, 3)]).means[0]
+        assert np.array_equal(mu, [1.0, -2.0, 0.5])
 
     def test_two_curve_average(self):
         x = series_from([[0.0, 0.0], [2.0, 2.0]])
-        assert np.array_equal(segment_mean(x, Segment(0, 2)).values, [1.0, 1.0])
+        assert np.array_equal(fit_segments(x, [Segment(0, 2)]).means[0], [1.0, 1.0])
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(42)
         vals = rng.normal(size=(10, 6))
         x = series_from(vals)
-        mu = segment_mean(x, Segment(2, 7))
+        mu = fit_segments(x, [Segment(0, 2), Segment(2, 7), Segment(7, 10)]).means[1]
         for t in range(6):
             acc = 0.0
             for j in range(2, 7):
                 acc += vals[j, t]
-            assert mu.values[t] == pytest.approx(acc / 5, abs=1e-14)
+            assert mu[t] == pytest.approx(acc / 5, abs=1e-14)
 
     def test_out_of_range(self):
+        # segments running past the series, or leaving a gap, are no partition
         x = series_from(np.zeros((4, 3)))
-        with pytest.raises(InvalidInputError):
-            segment_mean(x, Segment(2, 5))
+        with pytest.raises(InternalInvariantError):
+            fit_segments(x, [Segment(0, 2), Segment(2, 5)])
+        with pytest.raises(InternalInvariantError):
+            fit_segments(x, [Segment(0, 1), Segment(2, 4)])
 
     def test_empty_segment_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -136,18 +141,18 @@ class TestSegmentProperties:
     def test_length_one_identity(self):
         rng = np.random.default_rng(7)
         x = series_from(rng.normal(size=(6, 5)))
+        fit = fit_segments(x, [Segment(j, j + 1) for j in range(6)])
         for j in range(6):
-            mu = segment_mean(x, Segment(j, j + 1))
-            assert np.array_equal(mu.values, x.values[j])
+            assert np.array_equal(fit.means[j], x.values[j])
 
     def test_concatenation_consistency(self):
         rng = np.random.default_rng(8)
         x = series_from(rng.normal(size=(20, 9)))
         a, b, c = 3, 11, 18
-        left = segment_mean(x, Segment(a, b)).values
-        right = segment_mean(x, Segment(b, c)).values
+        parts = fit_segments(x, [Segment(0, a), Segment(a, b), Segment(b, c), Segment(c, 20)])
+        left, right = parts.means[1], parts.means[2]
         combined = ((b - a) * left + (c - b) * right) / (c - a)
-        whole = segment_mean(x, Segment(a, c)).values
+        whole = fit_segments(x, [Segment(0, a), Segment(a, c), Segment(c, 20)]).means[1]
         assert np.max(np.abs(whole - combined)) < 1e-12
 
 
@@ -155,7 +160,7 @@ class TestSegmentsFromLocations:
     def test_half_open_convention(self):
         segs = segments_from_locations(10, [0.3, 0.7])
         assert [(s.start, s.end) for s in segs] == [(0, 3), (3, 7), (7, 10)]
-        assert segs[1].rescaled(10) == (0.3, 0.7)
+        assert ChangePointSet((3, 7), 10, 1.0).locations == (0.3, 0.7)
 
     def test_index_roundtrip_is_exact(self):
         # floor(n * (j/n)) must recover j despite float rounding

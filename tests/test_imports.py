@@ -1,8 +1,11 @@
-"""Every name a fdabands module imports from a sibling module is used there.
+"""Every name a fdabands module imports from a sibling module is used there,
+and no module imports a sibling's private (underscore-prefixed, non-dunder)
+name.
 
 The benchmark's tracer (bench/spans.py) patches exactly these imported
 names, so a dead import would look like a live trace target whose span
-never fires.
+never fires.  A private name belongs to the module that defines it: a
+sibling that needs it should get a public function instead.
 """
 
 import ast
@@ -14,14 +17,27 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fdabands"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
-def test_sibling_imports_are_used(path):
+def sibling_imports(path):
+    """The aliases of the names `path` imports from sibling modules, and its AST."""
     tree = ast.parse(path.read_text())
-    imported = {
-        alias.asname or alias.name
+    return [
+        alias
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
-    }
+    ], tree
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_sibling_imports_are_used(path):
+    aliases, tree = sibling_imports(path)
+    imported = {alias.asname or alias.name for alias in aliases}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_private_sibling_imports(path):
+    aliases, _ = sibling_imports(path)
+    private = [a.name for a in aliases if a.name.startswith("_") and not a.name.endswith("__")]
+    assert sorted(private) == []

@@ -14,10 +14,10 @@ from fdabands import (
     ScenarioSpec,
     auto_bandwidth,
     estimate_lrv,
+    fit_segments,
     generate,
     get_kernel,
     lag_covariance,
-    segment_mean_assignment,
     segments_from_indices,
     segments_from_locations,
 )
@@ -40,7 +40,7 @@ def error_series(n, grid_size, process, param, seed, tau2=1.0):
 
 
 def single_segment_means(x):
-    return segment_mean_assignment(x, segments_from_locations(x.n, []))
+    return fit_segments(x, segments_from_locations(x.n, [])).fitted()
 
 
 class TestKernels:
@@ -163,7 +163,7 @@ class TestEstimateLrv:
         # segment [100, 103) is shorter than c = 5, so lags 4 and 5 reach
         # across both of its change rows
         x, _ = error_series(300, 7, "ar1", 0.5, seed=10)
-        mu = segment_mean_assignment(x, segments_from_indices(x.n, [100, 103, 200]))
+        mu = fit_segments(x, segments_from_indices(x.n, [100, 103, 200])).fitted()
         if trend:
             mu = mu + 0.3 * np.sin(np.arange(x.n) / 7.0)[:, None]
         c = 5

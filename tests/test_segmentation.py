@@ -157,12 +157,6 @@ class TestAutoDelta:
         x_scaled = make_series(lam * vals)
         assert auto_delta(x_scaled) == pytest.approx(lam * auto_delta(x), rel=1e-12)
 
-    def test_invalid_fraction_rejected(self):
-        with pytest.raises(InvalidInputError):
-            RelevantChangeConfig(auto_fraction=0.0)
-        with pytest.raises(InvalidInputError):
-            RelevantChangeConfig(auto_fraction=0.6)
-
 
 def two_jump_series(sizes=(8.1, 2.0), n=120, grid_size=5, seed=9, noise_sd=0.0):
     rng = np.random.default_rng(seed)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from fdabands import (
     generate,
     run_coverage_study,
 )
-from fdabands import simulate
+from fdabands import pipeline, simulate
 
 
 class TestCurveValues:
@@ -33,6 +34,11 @@ class TestCurveValues:
         g = Grid.uniform(5)
         out = curve_values({"kind": "hat", "peak": 6.6, "center": 0.5}, g)
         assert np.allclose(out, [0.0, 3.3, 6.6, 3.3, 0.0])
+        # a peak at either end is a ramp, computed without dividing by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ramp = curve_values({"kind": "hat", "peak": 2.0, "center": 1.0}, g)
+        assert np.allclose(ramp, [0.0, 0.5, 1.0, 1.5, 2.0])
 
     def test_array_and_curve(self):
         g = Grid.uniform(4)
@@ -46,6 +52,15 @@ class TestCurveValues:
             curve_values({"kind": "spline"}, g)
         with pytest.raises(InvalidInputError):
             curve_values(np.zeros(3), g)
+        for spec, message in (
+            ({"kind": "constant"}, "needs key 'value'"),
+            ({"kind": "sine", "amplitude": "2"}, "'amplitude' must be a number"),
+            ("x", "not a number, an array or a dict"),
+            (float("inf"), "non-finite"),
+            ({"kind": "hat", "peak": 1.0, "center": 1.5}, "hat center must lie in"),
+        ):
+            with pytest.raises(InvalidInputError, match=message):
+                curve_values(spec, g)
 
 
 class TestScenarioSpec:
@@ -162,23 +177,29 @@ def small_pipeline(**overrides):
     return PipelineConfig(**base)
 
 
+def fix_quantile(monkeypatch, q):
+    """Make every analyze call build its bands from the quantile q."""
+    real_run_bootstrap = pipeline.run_bootstrap
+
+    def run_bootstrap(*args, **kwargs):
+        return dataclasses.replace(real_run_bootstrap(*args, **kwargs), quantile=q)
+
+    monkeypatch.setattr(pipeline, "run_bootstrap", run_bootstrap)
+
+
 class TestRunCoverageStudy:
-    def test_huge_quantile_gives_full_coverage(self):
-        report = run_coverage_study(
-            small_study_spec(), small_pipeline(quantile_override=1e6), replications=20
-        )
+    def test_huge_quantile_gives_full_coverage(self, monkeypatch):
+        fix_quantile(monkeypatch, 1e6)
+        report = run_coverage_study(small_study_spec(), small_pipeline(), replications=20)
         assert report.coverage == 1.0
         assert report.m_match_rate == 1.0
         assert report.relevant_match_rate == 1.0
         assert report.mean_location_error < 0.05
 
     def test_noise_free_coverage_is_exact(self):
-        # zero-width bands around exactly recovered means still contain them
-        report = run_coverage_study(
-            small_study_spec(tau2=0.0),
-            small_pipeline(quantile_override=0.0),
-            replications=5,
-        )
+        # zero residuals give q = 0: zero-width bands around exactly
+        # recovered means still contain them
+        report = run_coverage_study(small_study_spec(tau2=0.0), small_pipeline(), replications=5)
         assert report.coverage == 1.0
         assert report.mean_location_error == 0.0
         assert report.average_band_width == 0.0
@@ -228,7 +249,8 @@ class TestRunCoverageStudy:
 
             return analyze
 
-        cfg = small_pipeline(quantile_override=1e6)
+        fix_quantile(monkeypatch, 1e6)
+        cfg = small_pipeline()
         # a bug propagates instead of being counted as a failed replication
         monkeypatch.setattr(simulate, "analyze", fail_first_with(RuntimeError("bug")))
         with pytest.raises(RuntimeError, match="bug"):
@@ -243,10 +265,9 @@ class TestRunCoverageStudy:
         with pytest.raises(InvalidInputError):
             run_coverage_study(small_study_spec(), small_pipeline(), replications=0)
 
-    def test_summary_rows(self):
-        report = run_coverage_study(
-            small_study_spec(), small_pipeline(quantile_override=1.0), replications=5
-        )
+    def test_summary_rows(self, monkeypatch):
+        fix_quantile(monkeypatch, 1.0)
+        report = run_coverage_study(small_study_spec(), small_pipeline(), replications=5)
         keys = [k for k, _ in report.summary_rows()]
         assert keys == [
             "replications",
