@@ -4,10 +4,11 @@ A replicate weights L-length block averages of the segment-centered residuals
 by iid standard normal multipliers, one per time index.  Given the data,
 segment i's sqrt(n_i) * mu_i* / sigma_hat is then exactly N(0, M_i^T M_i) for
 its scaled block matrix M_i = B_i / (sqrt(n_i) * sigma_hat), independently
-across segments, and is drawn as z @ r with z ~ N(0, I) and r the QR factor
-of B_i with its columns divided by sqrt(n_i) * sigma_hat: no (R, n)
-multiplier matrix.  The empirical (1 - alpha)-quantile of the replicates of
-T* = max_i sqrt(n_i) * sup_t |mu_i*(t) / sigma_hat(t)| calibrates the bands.
+across segments, and is drawn as z @ r with z ~ N(0, I) and r the symmetric
+square root of B_i^T B_i with its columns divided by sqrt(n_i) * sigma_hat:
+no (R, n) multiplier matrix.  The empirical (1 - alpha)-quantile of the
+replicates of T* = max_i sqrt(n_i) * sup_t |mu_i*(t) / sigma_hat(t)|
+calibrates the bands.
 `bootstrap_margin` draws the relevant filter's jump-estimate fluctuation
 between two adjacent segments the same way.
 """
@@ -61,14 +62,18 @@ def _block_averages(y_values: np.ndarray, L: int) -> np.ndarray:
     """B_j = len_j^(-1/2) * sum_{l<L} Y_{j+l}, truncated at the series end.
 
     Blocks that would run past the last index use the available indices only
-    and rescale by the square root of the actual block length.
+    and rescale by the square root of the actual block length.  Needs
+    1 <= L <= n.
     """
     n = y_values.shape[0]
     padded = np.vstack([np.zeros((1,) + y_values.shape[1:]), np.cumsum(y_values, axis=0)])
-    lengths = np.minimum(L, n - np.arange(n))
-    ends = np.arange(n) + lengths
-    sums = padded[ends] - padded[np.arange(n)]
-    return sums / np.sqrt(lengths)[:, None]
+    full = n + 1 - L  # blocks j < full hold L indices, block j >= full holds n - j
+    out = np.empty_like(padded[1:])
+    np.subtract(padded[L:], padded[:full], out=out[:full])
+    np.subtract(padded[n], padded[full:n], out=out[full:])
+    out[:full] /= np.sqrt(L)
+    out[full:] /= np.sqrt(np.arange(L - 1, 0, -1))[:, None]
+    return out
 
 
 def bootstrap_segment_mean(
@@ -98,15 +103,18 @@ def _gaussian_draws(
     mat: np.ndarray, replications: int, rng: np.random.Generator, scale=1.0
 ) -> np.ndarray:
     """Rows drawn from N(0, M^T M) with M = mat / scale (columns divided by a
-    positive `scale`), the law of nu @ M for standard normal nu: with mat = Q r,
-    M = Q (r / scale) and z @ (r / scale) has covariance M^T M, also when mat
-    is rank-deficient or zero.
+    positive `scale`), the law of nu @ M for standard normal nu: with S the
+    symmetric square root of mat^T mat, r = S / scale has r^T r = M^T M, also
+    when mat is rank-deficient or zero.
 
-    The columns of r are scaled rather than those of mat: when mat is nearly
-    rank-deficient, its r turns by far more than a last-bit change in `scale`,
-    so factoring mat / scale would make the draws jump with sigma_hat.
+    S is continuous in mat: a change of eps in mat^T mat moves S by at most
+    about sqrt(eps), where a QR factor of a block matrix of low numerical rank
+    turns by far more.  For the same reason the columns of S are scaled
+    rather than those of mat: a last-bit change in sigma_hat then only
+    rescales the draws.
     """
-    r = np.linalg.qr(mat, mode="r") / scale
+    lam, v = np.linalg.eigh(mat.T @ mat)
+    r = (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.T / scale
     return rng.standard_normal((replications, r.shape[0])) @ r
 
 

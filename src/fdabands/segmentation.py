@@ -3,8 +3,12 @@
 Detection is binary segmentation on the functional CUSUM statistic: within
 an interval, split at the argmax over candidate split points of
 sup_t |U(s, t)|, recursing while the sup exceeds the threshold xi_n.  The
-detector sits behind this module's function interface so an alternative
-detector can be substituted.
+splits are taken best-first, in an order that does not depend on xi_n, so
+every threshold's change set is a prefix of one split path.  A
+`detect_change_points` call builds that path once, lazily, and reads the
+change sets of both the pilot threshold in `_auto_threshold` and the final
+threshold off it: each interval is scanned at most once.  The detector sits behind this module's
+function interface so an alternative detector can be substituted.
 
 A change i is relevant when the plug-in jump estimate
 ||mu_hat_i - mu_hat_{i-1}||_inf strictly exceeds the threshold Delta.  Index
@@ -14,6 +18,8 @@ A change i is relevant when the plug-in jump estimate
 from __future__ import annotations
 
 import heapq
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +43,17 @@ AUTO_FRACTION = 0.05
 AUTO_DIVISOR = 3.0
 
 
+def _check_positive_or_auto(name: str, value) -> None:
+    """A threshold is "auto" or a finite positive number: every comparison
+    with NaN is false, so a NaN threshold would accept every split."""
+    if value == "auto":
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        math.isfinite(value) and value > 0.0
+    ):
+        raise InvalidInputError(f"{name} must be a finite positive number or 'auto', got {value!r}")
+
+
 @dataclass(frozen=True)
 class SegmentationConfig:
     threshold: float | str = "auto"  # xi_n
@@ -44,8 +61,7 @@ class SegmentationConfig:
     max_changes: int = 50
 
     def __post_init__(self):
-        if self.threshold != "auto" and float(self.threshold) <= 0.0:
-            raise InvalidInputError("threshold must be positive or 'auto'")
+        _check_positive_or_auto("threshold", self.threshold)
         if self.min_segment_length is not None and self.min_segment_length < 2:
             raise InvalidInputError("min_segment_length must be >= 2")
         if self.max_changes < 0:
@@ -84,8 +100,7 @@ class RelevantChangeConfig:
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise InvalidInputError("beta must lie in (0, 1)")
-        if self.delta != "auto" and float(self.delta) <= 0.0:
-            raise InvalidInputError("delta must be positive or 'auto'")
+        _check_positive_or_auto("delta", self.delta)
         if self.method not in ("plugin", "bootstrap"):
             raise InvalidInputError("method must be 'plugin' or 'bootstrap'")
 
@@ -105,53 +120,76 @@ def _best_split(values: np.ndarray, lo: int, hi: int, msl: int):
     """Max over admissible splits of the interval CUSUM; ties -> smallest index.
 
     Returns (statistic, global split index) or None when no split leaves both
-    sides with at least msl curves.
+    sides with at least msl curves.  Only the row maxima are divided by
+    sqrt(m): rounding x / s is monotone in x, so this gives the same bits as
+    dividing every entry first.
     """
     m = hi - lo
     if m < 2 * msl:
         return None
-    z = values[lo:hi]
-    cs = np.cumsum(z, axis=0)
-    total = cs[-1]
+    cs = np.cumsum(values[lo:hi], axis=0)
     ks = np.arange(msl, m - msl + 1)
-    u = (cs[ks - 1] - np.outer(ks / m, total)) / np.sqrt(m)
-    stats = np.abs(u).max(axis=1)
+    u = np.multiply.outer(ks / m, cs[-1])
+    np.subtract(cs[msl - 1 : m - msl], u, out=u)
+    stats = np.abs(u, out=u).max(axis=1) / np.sqrt(m)
     best = int(np.argmax(stats))  # first max: smallest split index
     return float(stats[best]), lo + int(ks[best])
 
 
-def _binseg(values: np.ndarray, xi: float, msl: int, max_changes: int) -> list:
-    """Best-first binary segmentation; splits while the CUSUM sup exceeds xi."""
-    heap = []
+class _SplitPath:
+    """Best-first binary segmentation as one path, extended on demand.
 
-    def push(lo, hi):
-        found = _best_split(values, lo, hi, msl)
+    The heap pops splits by statistic, then by (j, lo, hi), whatever the
+    threshold, so the changes for any xi are the pops before the first one
+    whose statistic is <= xi, capped at max_changes.  A pop's two children
+    are scanned only once some threshold accepts that pop.
+    """
+
+    def __init__(self, values: np.ndarray, msl: int):
+        self._values = values
+        self._msl = msl
+        self._heap = []
+        self._pops = []  # (statistic, j, lo, hi) in pop order
+        self._expanded = 0  # the first _expanded pops have their children pushed
+        self._push(0, values.shape[0])
+
+    def _push(self, lo: int, hi: int) -> None:
+        found = _best_split(self._values, lo, hi, self._msl)
         if found is not None:
             stat, j = found
-            heapq.heappush(heap, (-stat, j, lo, hi))
+            heapq.heappush(self._heap, (-stat, j, lo, hi))
 
-    push(0, values.shape[0])
-    changes = []
-    while heap and len(changes) < max_changes:
-        neg_stat, j, lo, hi = heapq.heappop(heap)
-        if -neg_stat <= xi:
-            break
-        changes.append(j)
-        push(lo, j)
-        push(j, hi)
-    return sorted(changes)
+    def changes(self, xi: float, max_changes: int) -> list:
+        """Sorted split indices that best-first segmentation at xi keeps."""
+        k = 0
+        while k < max_changes:
+            if k == len(self._pops):
+                if not self._heap:
+                    break
+                neg_stat, j, lo, hi = heapq.heappop(self._heap)
+                self._pops.append((-neg_stat, j, lo, hi))
+            stat, j, lo, hi = self._pops[k]
+            if stat <= xi:
+                break
+            if k == self._expanded:
+                self._push(lo, j)
+                self._push(j, hi)
+                self._expanded += 1
+            k += 1
+        return sorted(pop[1] for pop in self._pops[:k])
 
 
 def _default_msl(n: int) -> int:
     return max(20, int(np.ceil(np.sqrt(n))))
 
 
-def _auto_threshold(x: FunctionalTimeSeries, msl: int, max_changes: int) -> float:
+def _auto_threshold(x: FunctionalTimeSeries, path: _SplitPath, max_changes: int) -> float:
     """xi_n = 1.5 * sigma_bar * sqrt(2 log n), sigma_bar from the lag-window LRV.
 
     The LRV needs segment means, so a pilot segmentation breaks the circular
     dependency: its threshold uses a first-difference variance proxy, which is
-    robust to mean shifts.
+    robust to mean shifts.  The pilot reads its changes off the caller's split
+    path, which the final threshold then reuses.
     """
     n = x.n
     scale = np.sqrt(2.0 * np.log(n))
@@ -160,7 +198,7 @@ def _auto_threshold(x: FunctionalTimeSeries, msl: int, max_changes: int) -> floa
     diffs = np.diff(x.values, axis=0)
     proxy = (diffs**2).mean(axis=0) / 2.0
     pilot_xi = max(XI_SCALE * float(np.median(np.sqrt(proxy))) * scale, floor)
-    pilot = _binseg(x.values, pilot_xi, msl, max_changes)
+    pilot = path.changes(pilot_xi, max_changes)
 
     lrv = estimate_lrv(x, fit_segments(x, segments_from_indices(n, pilot)).fitted())
     sigma_bar = float(np.median(np.sqrt(lrv.sigma2.values)))
@@ -177,11 +215,12 @@ def detect_change_points(
         raise InvalidInputError(
             f"series length {x.n} is below 2 * min_segment_length = {2 * msl}"
         )
+    path = _SplitPath(x.values, msl)
     if cfg.threshold == "auto":
-        xi = _auto_threshold(x, msl, cfg.max_changes)
+        xi = _auto_threshold(x, path, cfg.max_changes)
     else:
         xi = float(cfg.threshold)
-    changes = _binseg(x.values, xi, msl, cfg.max_changes)
+    changes = path.changes(xi, cfg.max_changes)
     return ChangePointSet(indices=tuple(changes), n=x.n, threshold=xi)
 
 

@@ -105,6 +105,22 @@ class TestBootstrapSegmentMean:
             bootstrap_segment_mean(y, Segment(0, 3), L=4, multipliers=np.zeros(3))
 
 
+def block_averages_by_index(y_values, L):
+    """B_j from the index formula: padded[j + len_j] - padded[j] over sqrt(len_j)."""
+    n = y_values.shape[0]
+    padded = np.vstack([np.zeros((1, y_values.shape[1])), np.cumsum(y_values, axis=0)])
+    lengths = np.minimum(L, n - np.arange(n))
+    sums = padded[np.arange(n) + lengths] - padded[np.arange(n)]
+    return sums / np.sqrt(lengths)[:, None]
+
+
+class TestBlockAverages:
+    @pytest.mark.parametrize("n, L", [(9, 1), (9, 9), (9, 4), (50, 7), (1, 1)], ids=["L=1", "L=n", "L<n", "long", "n=1"])
+    def test_matches_index_formula(self, n, L):
+        yv = np.random.default_rng(n + L).normal(size=(n, 3))
+        assert np.array_equal(_block_averages(yv, L), block_averages_by_index(yv, L))
+
+
 class TestAutoBlockLength:
     def test_values(self):
         assert auto_block_length(8) == 2
@@ -158,6 +174,23 @@ class TestRunBootstrap:
         q = run_bootstrap(y, segs, sigma2, cfg).quantile
         q_wiggled = run_bootstrap(y, segs, Curve(sigma2.values * wiggle, sigma2.grid), cfg).quantile
         assert abs(q_wiggled - q) / q < 1e-12
+
+    def test_quantile_continuous_in_residuals(self):
+        # The simulator's innovations span N_BASIS = 20 cosines, so at T = 40
+        # the block matrices are nearly rank-deficient: a QR factor turned
+        # with last-bit changes of the residuals and moved q by 1% here.
+        spec = ScenarioSpec(n=200, grid_size=40, error_process="ar1", error_param=0.4, rng_seed=3)
+        x, _ = generate(spec)
+        segs = segments_from_locations(x.n, [0.5])
+        fit = fit_segments(x, segs)
+        y = fit.residuals(x)
+        sigma2 = estimate_lrv(x, fit.fitted()).sigma2
+        cfg = BootstrapConfig(replications=500, rng_seed=7)
+        q = run_bootstrap(y, segs, sigma2, cfg).quantile
+        for seed in range(3):
+            noise = 1.0 + 1e-14 * np.random.default_rng(seed).standard_normal(y.values.shape)
+            y_noisy = ResidualSeries(y.values * noise, y.grid)
+            assert abs(run_bootstrap(y_noisy, segs, sigma2, cfg).quantile - q) / q < 1e-6
 
     def test_quantile_monotone_in_alpha(self):
         _, segs, y, sigma2 = residuals_fixture()
@@ -248,7 +281,7 @@ def margin_rows(resid, left, right):
 
 
 def factor_of(mat, scale=1.0):
-    k = min(mat.shape)
+    k = mat.shape[1]  # the symmetric square root is T x T
     return _gaussian_draws(mat, k, _BasisNormals(), scale)
 
 
@@ -281,7 +314,7 @@ class TestGaussianDraws:
         # the block matrix and column scale run_bootstrap draws this segment from
         block = _block_averages(y.values, L)[seg.start : seg.end]
         r = factor_of(block, np.sqrt(seg.length) * sigma)
-        assert r.shape == (min(seg.length, grid_size), grid_size)
+        assert r.shape == (grid_size, grid_size)
         assert_same_covariance(r, basis_rows(y, seg, L, np.sqrt(seg.length) / sigma))
 
     @pytest.mark.parametrize(

@@ -267,6 +267,21 @@ class TestAnalyzeCommand:
             assert rc == 2
             assert message in capsys.readouterr().err
 
+    def test_nan_threshold_is_exit_2(self, tmp_path, capsys):
+        # pure noise: a NaN xi would accept every split
+        data = tmp_path / "noise.csv"
+        write_matrix(data, np.random.default_rng(4).normal(size=(300, 12)))
+        out = tmp_path / "o"
+        for flag, value, name in (("--xi", "nan", "threshold"), ("--xi", "inf", "threshold"),
+                                  ("--delta", "nan", "delta"), ("--delta", "inf", "delta")):
+            assert main(analyze_args(data, out, flag, value)) == 2
+            assert f"{name} must be a finite positive number" in capsys.readouterr().err
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"input": str(data), "output_dir": str(out), "xi": float("nan")}))
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        assert "threshold must be a finite positive number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_alpha_is_exit_2(self, tmp_path):
         data = jump_dataset(tmp_path)
         assert main(analyze_args(data, tmp_path / "o", "--alpha", "1.5")) == 2

@@ -1,4 +1,6 @@
 import dataclasses
+import heapq
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from fdabands import (
     detect_change_points,
     relevant_set,
 )
+import fdabands.segmentation as segmentation
+from fdabands.segmentation import _best_split, _SplitPath
 
 
 def make_series(values):
@@ -225,3 +229,170 @@ class TestRelevantSet:
         cps = ChangePointSet(indices=(), n=60, threshold=1.0)
         with pytest.raises(InvalidInputError):
             relevant_set(x, cps, RelevantChangeConfig(delta="auto"))
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0, "abc", "1.5", True, None])
+    def test_bad_threshold_rejected(self, value):
+        with pytest.raises(InvalidInputError, match="threshold"):
+            SegmentationConfig(threshold=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf"), -2.0, 0, "x", [1.0]])
+    def test_bad_delta_rejected(self, value):
+        with pytest.raises(InvalidInputError, match="delta"):
+            RelevantChangeConfig(delta=value)
+
+    def test_numbers_and_auto_accepted(self):
+        for value in ("auto", 2, 0.5, np.float64(3.0)):
+            SegmentationConfig(threshold=value)
+            RelevantChangeConfig(delta=value)
+
+
+def heap_binseg(values, xi, msl, max_changes):
+    """The definition: one best-first heap run per threshold, splitting while
+    the popped CUSUM sup exceeds xi."""
+    heap = []
+
+    def push(lo, hi):
+        found = _best_split(values, lo, hi, msl)
+        if found is not None:
+            stat, j = found
+            heapq.heappush(heap, (-stat, j, lo, hi))
+
+    push(0, values.shape[0])
+    changes = []
+    while heap and len(changes) < max_changes:
+        neg_stat, j, lo, hi = heapq.heappop(heap)
+        if -neg_stat <= xi:
+            break
+        changes.append(j)
+        push(lo, j)
+        push(j, hi)
+    return sorted(changes)
+
+
+def bump_series(n=240, grid_size=4, noise_sd=0.2, seed=12):
+    """Mean a on the middle third only: the root's best split (one end of the
+    bump) has a smaller statistic than its child's, which holds the whole
+    step."""
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(scale=noise_sd, size=(n, grid_size))
+    vals[n // 3 : 2 * n // 3] += 3.0
+    return vals
+
+
+def path_cases():
+    rng = np.random.default_rng(21)
+    piecewise = rng.normal(size=(300, 5))
+    for start, shift in ((50, 1.5), (120, -2.0), (200, 1.0), (260, 3.0)):
+        piecewise[start:] += shift
+    return {
+        "noise": rng.normal(size=(200, 3)),
+        "piecewise": piecewise,
+        "bump": bump_series(),
+        "steps_noise_free": np.repeat(np.arange(6.0)[:, None] * [1.0, 2.0], 30, axis=0),
+    }
+
+
+class TestSplitPath:
+    MSL = 10
+
+    def sweep(self, values):
+        """Thresholds at, between and around every statistic on the path."""
+        stats = sorted(pop[0] for pop in self.full_path(values)._pops)
+        mids = [(a + b) / 2 for a, b in zip(stats, stats[1:])]
+        return sorted({0.0, *stats, *mids, stats[-1] * 2 if stats else 1.0})
+
+    def full_path(self, values):
+        path = _SplitPath(values, self.MSL)
+        path.changes(0.0, values.shape[0])
+        return path
+
+    @pytest.mark.parametrize("name", ["noise", "piecewise", "bump", "steps_noise_free"])
+    @pytest.mark.parametrize("order", ["increasing", "decreasing"])
+    def test_matches_heap_oracle(self, name, order):
+        values = path_cases()[name]
+        queries = [(xi, cap) for xi in self.sweep(values) for cap in (0, 1, 2, 3, 50)]
+        if order == "decreasing":
+            queries.reverse()
+        path = _SplitPath(values, self.MSL)
+        for xi, cap in queries:
+            assert path.changes(xi, cap) == heap_binseg(values, xi, self.MSL, cap), (xi, cap)
+
+    def test_path_is_not_monotone_on_a_bump(self):
+        stats = [pop[0] for pop in self.full_path(bump_series())._pops]
+        assert stats[1] > stats[0]
+
+    def test_child_scanned_only_when_a_threshold_accepts_its_parent(self, monkeypatch):
+        values = path_cases()["piecewise"]
+        scanned = []
+
+        def counting(values, lo, hi, msl):
+            scanned.append((lo, hi))
+            return _best_split(values, lo, hi, msl)
+
+        monkeypatch.setattr(segmentation, "_best_split", counting)
+        path = _SplitPath(values, self.MSL)
+        assert path.changes(np.inf, 50) == [] and scanned == [(0, 300)]
+        (j,) = path.changes(0.0, 1)
+        assert scanned == [(0, 300), (0, j), (j, 300)]
+
+
+def old_best_split(values, lo, hi, msl):
+    """The scan as first written: divide every entry, then take row maxima."""
+    m = hi - lo
+    if m < 2 * msl:
+        return None
+    cs = np.cumsum(values[lo:hi], axis=0)
+    total = cs[-1]
+    ks = np.arange(msl, m - msl + 1)
+    u = (cs[ks - 1] - np.outer(ks / m, total)) / np.sqrt(m)
+    stats = np.abs(u).max(axis=1)
+    best = int(np.argmax(stats))
+    return float(stats[best]), lo + int(ks[best])
+
+
+class TestBestSplit:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fused_scan_is_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(157, 7)) * rng.uniform(1e-3, 1e3)
+        for lo, hi, msl in ((0, 157, 5), (13, 140, 20), (3, 45, 21), (0, 157, 1), (10, 50, 21)):
+            assert _best_split(values, lo, hi, msl) == old_best_split(values, lo, hi, msl)
+
+    def test_ties_take_the_smallest_index(self):
+        # a bump of equal steps up and down, at dyadic fractions so both ends
+        # give exactly the same statistic
+        values = np.zeros((128, 3))
+        values[32:96] = 1.0
+        stat, j = _best_split(values, 0, 128, 10)
+        assert (stat, j) == old_best_split(values, 0, 128, 10)
+        assert j == 32
+        # integer-valued data with many equal row maxima
+        values = np.random.default_rng(3).integers(-2, 3, size=(90, 2)).astype(float)
+        for msl in (1, 5, 30):
+            assert _best_split(values, 0, 90, msl) == old_best_split(values, 0, 90, msl)
+
+
+def test_auto_threshold_scans_each_interval_once(monkeypatch):
+    # the pilot and the final threshold read one split path, so no interval
+    # is scanned twice
+    grid_size = 8
+    x = jump_series(
+        600,
+        grid_size,
+        [(0.25, np.full(grid_size, 2.0)), (0.5, np.linspace(-2, 2, grid_size)), (0.75, np.full(grid_size, -1.5))],
+        noise_sd=1.0,
+        seed=8,
+    )
+    scanned = Counter()
+
+    def counting(values, lo, hi, msl):
+        scanned[lo, hi] += 1
+        return _best_split(values, lo, hi, msl)
+
+    monkeypatch.setattr(segmentation, "_best_split", counting)
+    cps = detect_change_points(x)
+    assert cps.m == 3
+    assert len(scanned) == 2 * cps.m + 1
+    assert max(scanned.values()) == 1
