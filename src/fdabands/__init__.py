@@ -15,7 +15,6 @@ from .bootstrap import (
     BootstrapConfig,
     BootstrapResult,
     auto_block_length,
-    bootstrap_segment_mean,
     run_bootstrap,
 )
 from .core import (
@@ -32,19 +31,7 @@ from .core import (
     segments_from_locations,
     sup_norm,
 )
-from .lrv import (
-    BARTLETT,
-    FLAT_TOP,
-    KERNELS,
-    PARZEN,
-    Kernel,
-    LrvConfig,
-    LrvEstimate,
-    auto_bandwidth,
-    estimate_lrv,
-    get_kernel,
-    lag_covariance,
-)
+from .lrv import KERNELS, LrvConfig, LrvEstimate, auto_bandwidth, estimate_lrv
 from .pipeline import AnalysisResult, PipelineConfig, analyze
 from .segmentation import (
     ChangePointSet,

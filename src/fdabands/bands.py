@@ -2,12 +2,15 @@
 
 `build_bands` reads the segment means mu_hat_i and lengths n_hat_i from the
 SegmentFit that the relevant filter built, so no second copy of the means
-is made on the way to the bands.
+is made on the way to the bands.  The quantile q and sigma_hat come from
+`run_bootstrap` and `estimate_lrv`; the definitional bootstrap segment mean
+and lag covariance that the tests check them against are in
+tests/oracles.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +31,6 @@ class ConfidenceBandSet:
     bands: tuple
     quantile: float
     alpha: float
-    metadata: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,6 @@ def build_bands(
     sigma2: Curve,
     q: float,
     alpha: float,
-    metadata=None,
 ) -> ConfidenceBandSet:
     """Band i is mu_hat_i(t) +/- sigma_hat(t) * q / sqrt(n_hat_i) for each i in
     `indices`, with mu_hat_i = fit.means[i] and n_hat_i the length of
@@ -68,9 +69,7 @@ def build_bands(
                 upper=Curve(mean + half, fit.grid),
             )
         )
-    return ConfidenceBandSet(
-        bands=tuple(bands), quantile=float(q), alpha=float(alpha), metadata=dict(metadata or {})
-    )
+    return ConfidenceBandSet(bands=tuple(bands), quantile=float(q), alpha=float(alpha))
 
 
 def check_containment(band_set: ConfidenceBandSet, truth) -> ContainmentResult:

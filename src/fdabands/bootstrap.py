@@ -10,7 +10,9 @@ no (R, n) multiplier matrix.  The empirical (1 - alpha)-quantile of the
 replicates of T* = max_i sqrt(n_i) * sup_t |mu_i*(t) / sigma_hat(t)|
 calibrates the bands.
 `bootstrap_margin` draws the relevant filter's jump-estimate fluctuation
-between two adjacent segments the same way.
+between two adjacent segments the same way.  The definitional bootstrap
+segment mean that the tests compare against is `bootstrap_segment_mean` in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Curve, InvalidInputError, ResidualSeries, Segment
+from .core import Curve, InvalidInputError, ResidualSeries, Segment, check_integer
 
+# the bit generator of every draw, named in diagnostics.txt
 RNG_ALGORITHM = "philox"
 
 
@@ -35,8 +38,9 @@ class BootstrapConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise InvalidInputError("alpha must lie in (0, 1)")
-        if self.block_length != "auto" and int(self.block_length) < 1:
-            raise InvalidInputError("block length must be a positive integer or 'auto'")
+        check_integer("block_length", self.block_length, 1, auto=True)
+        check_integer("replications", self.replications, 1)
+        check_integer("rng_seed", self.rng_seed, 0)
 
 
 @dataclass(frozen=True)
@@ -45,9 +49,6 @@ class BootstrapResult:
     quantile: float
     alpha: float
     block_length: int
-    replications: int
-    rng_seed: int
-    rng_algorithm: str
     segment_diagnostics: dict = field(default_factory=dict)
 
 
@@ -74,29 +75,6 @@ def _block_averages(y_values: np.ndarray, L: int) -> np.ndarray:
     out[:full] /= np.sqrt(L)
     out[full:] /= np.sqrt(np.arange(L - 1, 0, -1))[:, None]
     return out
-
-
-def bootstrap_segment_mean(
-    y: ResidualSeries, seg: Segment, L: int, multipliers
-) -> Curve:
-    """One bootstrap segment mean: n_i^(-1) * sum_j nu_j * (block average at j).
-
-    `multipliers` supplies one standard-normal weight per index j in the
-    segment, in order.
-    """
-    if L < 1:
-        raise InvalidInputError("block length must be >= 1")
-    if L > seg.length:
-        raise InvalidInputError(
-            f"block length {L} exceeds segment length {seg.length}"
-        )
-    nu = np.asarray(multipliers, dtype=float)
-    if nu.shape != (seg.length,):
-        raise InvalidInputError(
-            f"need {seg.length} multipliers, got shape {nu.shape}"
-        )
-    B = _block_averages(y.values, L)[seg.start : seg.end]
-    return Curve(nu @ B / seg.length, y.grid)
 
 
 def _gaussian_draws(
@@ -159,13 +137,11 @@ def run_bootstrap(
     segments = list(segments)
     if not segments:
         raise InvalidInputError("need at least one segment (index 0 is always relevant)")
-    R = int(cfg.replications)
-    if R < 1:
-        raise InvalidInputError("replications must be >= 1")
+    R = cfg.replications
     if R < 100:
         warnings.warn("fewer than 100 bootstrap replications: quantile unstable", stacklevel=2)
     n_min = min(seg.length for seg in segments)
-    L = auto_block_length(n_min) if cfg.block_length == "auto" else int(cfg.block_length)
+    L = auto_block_length(n_min) if cfg.block_length == "auto" else cfg.block_length
     if not 1 <= L <= n_min:
         raise InvalidInputError(
             f"block length {L} must lie in [1, {n_min}] (shortest segment)"
@@ -199,8 +175,5 @@ def run_bootstrap(
         quantile=q,
         alpha=cfg.alpha,
         block_length=L,
-        replications=R,
-        rng_seed=cfg.rng_seed,
-        rng_algorithm=RNG_ALGORITHM,
         segment_diagnostics=diagnostics,
     )

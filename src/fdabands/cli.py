@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .bootstrap import RNG_ALGORITHM
 from .core import (
     FunctionalTimeSeries,
     Grid,
@@ -26,7 +27,7 @@ from .core import (
     InvalidInputError,
     check_field_value,
 )
-from .lrv import LrvConfig, get_kernel
+from .lrv import LrvConfig
 from .pipeline import AnalysisResult, PipelineConfig, analyze
 from .segmentation import RelevantChangeConfig, SegmentationConfig
 from .simulate import ScenarioSpec, generate, run_coverage_study
@@ -206,7 +207,6 @@ class RunConfig:
     xi: float | str = "auto"
     min_segment_length: int | None = None
     max_changes: int = 50
-    band_quantile_mode: str = "alpha_half"
 
     def pipeline_config(self) -> PipelineConfig:
         return PipelineConfig(
@@ -217,11 +217,10 @@ class RunConfig:
                 max_changes=self.max_changes,
             ),
             relevant=RelevantChangeConfig(delta=self.delta),
-            lrv=LrvConfig(bandwidth=self.bandwidth, kernel=get_kernel(self.kernel)),
+            lrv=LrvConfig(bandwidth=self.bandwidth, kernel=self.kernel),
             block_length=self.block_length,
             replications=self.replications,
             rng_seed=self.seed,
-            band_quantile_mode=self.band_quantile_mode,
         )
 
 
@@ -266,20 +265,31 @@ def read_bands(path) -> dict:
 
 
 def write_diagnostics(path, result: AnalysisResult) -> None:
+    """One `key = value` line per run fact, keys sorted, floats to 12
+    significant digits."""
+    cfg = result.config
     sigma2 = result.lrv.sigma2.values
-    entries = dict(result.bands.metadata)
-    entries.update(
-        {
-            "version": __version__,
-            "quantile": result.bands.quantile,
-            "segmentation_threshold": result.change_points.threshold,
-            "num_changes": result.change_points.m,
-            "relevant_indices": ",".join(str(i) for i in result.relevant.indices),
-            "sigma2_min": _fmt(sigma2.min()),
-            "sigma2_median": _fmt(np.median(sigma2)),
-            "sigma2_max": _fmt(sigma2.max()),
-        }
-    )
+    entries = {
+        "version": __version__,
+        "n": result.change_points.n,
+        "grid_size": sigma2.size,
+        "alpha": cfg.alpha,
+        "beta": cfg.relevant.beta,
+        "delta": result.delta,
+        "kernel": cfg.lrv.kernel,
+        "bandwidth": result.lrv.bandwidth,
+        "block_length": result.bootstrap.block_length,
+        "replications": cfg.replications,
+        "rng_seed": cfg.rng_seed,
+        "rng_algorithm": RNG_ALGORITHM,
+        "quantile": result.bands.quantile,
+        "segmentation_threshold": result.change_points.threshold,
+        "num_changes": result.change_points.m,
+        "relevant_indices": ",".join(str(i) for i in result.relevant.indices),
+        "sigma2_min": _fmt(sigma2.min()),
+        "sigma2_median": _fmt(np.median(sigma2)),
+        "sigma2_max": _fmt(sigma2.max()),
+    }
     with open(path, "w") as fh:
         for key in sorted(entries):
             value = entries[key]
@@ -322,7 +332,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--xi", type=_auto_or(float), default=None, help="segmentation threshold or 'auto'")
     p.add_argument("--min-segment-length", type=int, default=None)
     p.add_argument("--max-changes", type=int, default=None)
-    p.add_argument("--band-quantile-mode", choices=["alpha", "alpha_half"], default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -386,7 +395,7 @@ def _cmd_analyze(args) -> int:
     cfg = _run_config(args)
     result = run_pipeline(cfg)
     print(
-        f"n={result.bands.metadata['n']} changes={result.change_points.m} "
+        f"n={result.change_points.n} changes={result.change_points.m} "
         f"relevant={len(result.relevant.indices)} quantile={_fmt(result.bands.quantile)} "
         f"delta={_fmt(result.delta)}"
     )

@@ -6,6 +6,8 @@ read-only) and safe to share across parallel workers.
 
 from __future__ import annotations
 
+import math
+import numbers
 import typing
 from dataclasses import dataclass
 
@@ -39,6 +41,27 @@ def check_field_value(cls, key: str, value, what: str) -> None:
         expected = str(cls.__dataclass_fields__[key].type)
         expected = expected.replace("str", "'auto'") if numeric else expected
         raise InvalidInputError(f"{what} {key!r} must be {expected}, got {value!r}")
+
+
+def check_positive_or_auto(name: str, value) -> None:
+    """A threshold is "auto" or a finite positive number: every comparison
+    with NaN is false, so a NaN threshold would accept every split."""
+    if value == "auto":
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        math.isfinite(value) and value > 0.0
+    ):
+        raise InvalidInputError(f"{name} must be a finite positive number or 'auto', got {value!r}")
+
+
+def check_integer(name: str, value, minimum: int, auto: bool = False) -> None:
+    """An integer setting is an integer (not a bool) >= `minimum`, or "auto"
+    where `auto` allows it; a float would be truncated where it is used."""
+    if auto and value == "auto":
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        expected = f"an integer >= {minimum}" + (" or 'auto'" if auto else "")
+        raise InvalidInputError(f"{name} must be {expected}, got {value!r}")
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:

@@ -11,29 +11,18 @@ sum_j e_j * e_{j+a} plus the boundary correction sum_j e_j * (mu_{j+a} - mu_j),
 and lag -a is the same main sum minus sum_j e_{j+a} * (mu_{j+a} - mu_j).  The
 corrections vanish except on the rows j where mu_hat changes between j and
 j+a, near the change points, so `estimate_lrv` forms one main sum per |a| and
-corrects it on those rows only; `lag_covariance` keeps the definition.
+corrects it on those rows only.  The definitional lag covariance that the
+tests compare against is `lag_covariance` in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .core import Curve, FunctionalTimeSeries, InvalidInputError
-
-
-@dataclass(frozen=True)
-class Kernel:
-    """Symmetric lag-window weight function with K(0)=1, K(1)=0, K=0 outside [-1,1]."""
-
-    name: str
-    evaluate: Callable[[float], float]
-
-    def __call__(self, x):
-        return self.evaluate(x)
+from .core import Curve, FunctionalTimeSeries, InvalidInputError, check_integer
 
 
 def _bartlett(x):
@@ -54,63 +43,31 @@ def _flat_top(x):
     return np.clip(np.minimum(1.0, 2.0 * (1.0 - x)), 0.0, 1.0)
 
 
-BARTLETT = Kernel("bartlett", _bartlett)
-PARZEN = Kernel("parzen", _parzen)
-FLAT_TOP = Kernel("flat_top", _flat_top)
-
-KERNELS = {k.name: k for k in (BARTLETT, PARZEN, FLAT_TOP)}
-
-
-def get_kernel(name: str) -> Kernel:
-    try:
-        return KERNELS[name]
-    except KeyError:
-        raise InvalidInputError(
-            f"unknown kernel {name!r}; choose from {sorted(KERNELS)}"
-        ) from None
+# Lag-window kernels by name: symmetric weight functions with K(0)=1, K(1)=0
+# and K=0 outside [-1, 1].
+KERNELS = {"bartlett": _bartlett, "parzen": _parzen, "flat_top": _flat_top}
 
 
 @dataclass(frozen=True)
 class LrvConfig:
     bandwidth: int | str = "auto"
-    kernel: Kernel = BARTLETT
+    kernel: str = "bartlett"  # a name in KERNELS
 
     def __post_init__(self):
-        if self.bandwidth != "auto":
-            if int(self.bandwidth) < 1:
-                raise InvalidInputError("bandwidth must be a positive integer or 'auto'")
+        check_integer("bandwidth", self.bandwidth, 1, auto=True)
+        if not isinstance(self.kernel, str) or self.kernel not in KERNELS:
+            raise InvalidInputError(
+                f"unknown kernel {self.kernel!r}; choose from {sorted(KERNELS)}"
+            )
 
 
 @dataclass(frozen=True)
 class LrvEstimate:
-    """Floored pointwise long-run variance plus the settings that built it."""
+    """Floored pointwise long-run variance, the bandwidth c it used and its floor."""
 
     sigma2: Curve
-    config: LrvConfig
     bandwidth: int
     floor: float
-
-
-def lag_covariance(x: FunctionalTimeSeries, seg_means: np.ndarray, l: int) -> Curve:
-    """Empirical lag-l covariance curve with both factors centered at mu_hat^(j).
-
-    For l >= 0 the sum runs over j = 0..n-l-1; for l < 0 over j = -l..n-1.
-    Divisor is n in both cases.
-    """
-    mu = np.asarray(seg_means, dtype=float)
-    n = x.n
-    if mu.shape != x.values.shape:
-        raise InvalidInputError("mean assignment shape must match the series")
-    if abs(l) >= n:
-        raise InvalidInputError(f"|lag| = {abs(l)} must be < n = {n}")
-    if l >= 0:
-        left = x.values[: n - l] - mu[: n - l]
-        right = x.values[l:] - mu[: n - l]
-    else:
-        a = -l
-        left = x.values[a:] - mu[a:]
-        right = x.values[: n - a] - mu[a:]
-    return Curve((left * right).sum(axis=0) / n, x.grid)
 
 
 def auto_bandwidth(n: int) -> int:
@@ -130,12 +87,12 @@ def estimate_lrv(
     residual e = x - seg_means is formed once; lags +a and -a share the main
     sum sum_j e_j * e_{j+a}, and each adds its boundary correction over the
     rows j where seg_means changes between j and j+a (see the module
-    docstring).  Equal to the kernel-weighted sum of `lag_covariance` up to
-    rounding; bit-reproducible for fixed inputs.
+    docstring).  Equal to the kernel-weighted sum of definitional lag
+    covariances up to rounding; bit-reproducible for fixed inputs.
     """
     cfg = cfg or LrvConfig()
     n = x.n
-    c = auto_bandwidth(n) if cfg.bandwidth == "auto" else int(cfg.bandwidth)
+    c = auto_bandwidth(n) if cfg.bandwidth == "auto" else cfg.bandwidth
     if c >= n:
         raise InvalidInputError(f"bandwidth c = {c} must be < n = {n}")
     if c**3 / n >= 1.0:
@@ -149,7 +106,8 @@ def estimate_lrv(
     e = x.values - mu
     # mu changes between rows i and i + 1 exactly for i in `changes`
     changes = np.flatnonzero(np.any(mu[1:] != mu[:-1], axis=1))
-    total = float(cfg.kernel(0.0)) * np.einsum("ij,ij->j", e, e)
+    kernel = KERNELS[cfg.kernel]
+    total = float(kernel(0.0)) * np.einsum("ij,ij->j", e, e)
     for a in range(1, c + 1):
         main = np.einsum("ij,ij->j", e[: n - a], e[a:])
         # rows j whose lag-a partner j + a lies past a change of mu
@@ -158,10 +116,10 @@ def estimate_lrv(
         step = mu[j + a] - mu[j]
         plus = main + np.einsum("ij,ij->j", e[j], step)
         minus = main - np.einsum("ij,ij->j", e[j + a], step)
-        total += float(cfg.kernel(a / c)) * plus + float(cfg.kernel(-a / c)) * minus
+        total += float(kernel(a / c)) * plus + float(kernel(-a / c)) * minus
     total /= n
     floor = 1e-8 * max(float(total.max()), 0.0)
     if floor <= 0.0:
         floor = float(np.finfo(float).tiny)
     sigma2 = Curve(np.maximum(total, floor), x.grid)
-    return LrvEstimate(sigma2=sigma2, config=cfg, bandwidth=c, floor=floor)
+    return LrvEstimate(sigma2=sigma2, bandwidth=c, floor=floor)

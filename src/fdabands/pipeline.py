@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .bands import ConfidenceBandSet, build_bands
 from .bootstrap import BootstrapConfig, BootstrapResult, run_bootstrap
-from .core import FunctionalTimeSeries, InvalidInputError
+from .core import FunctionalTimeSeries, InvalidInputError, check_integer
 from .lrv import LrvConfig, LrvEstimate, estimate_lrv
 from .segmentation import (
     ChangePointSet,
@@ -28,17 +28,13 @@ class PipelineConfig:
     block_length: int | str = "auto"
     replications: int = 2000
     rng_seed: int = 0
-    # "alpha_half": bands use the (1 - alpha/2)-quantile of T*; "alpha" the
-    # (1 - alpha)-quantile.  The default tracks the band definition; the
-    # asymptotically tighter alpha mode undercovers at moderate n because the
-    # block bootstrap scale is biased low for short blocks.
-    band_quantile_mode: str = "alpha_half"
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise InvalidInputError("alpha must lie in (0, 1)")
-        if self.band_quantile_mode not in ("alpha", "alpha_half"):
-            raise InvalidInputError("band_quantile_mode must be 'alpha' or 'alpha_half'")
+        check_integer("block_length", self.block_length, 1, auto=True)
+        check_integer("replications", self.replications, 1)
+        check_integer("rng_seed", self.rng_seed, 0)
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,9 @@ def analyze(x: FunctionalTimeSeries, cfg: PipelineConfig | None = None) -> Analy
     fit = rel.fit
     lrv_est = estimate_lrv(x, fit.fitted(), cfg.lrv)
 
-    level_alpha = cfg.alpha if cfg.band_quantile_mode == "alpha" else cfg.alpha / 2.0
+    # The bands use the (1 - alpha/2)-quantile of T*, not the (1 - alpha)-
+    # quantile: at moderate n the block bootstrap scale is biased low for
+    # short blocks, and the (1 - alpha)-quantile undercovers.
     boot = run_bootstrap(
         fit.residuals(x),
         [fit.segments[i] for i in rel.indices],
@@ -68,28 +66,12 @@ def analyze(x: FunctionalTimeSeries, cfg: PipelineConfig | None = None) -> Analy
         BootstrapConfig(
             block_length=cfg.block_length,
             replications=cfg.replications,
-            alpha=level_alpha,
+            alpha=cfg.alpha / 2.0,
             rng_seed=cfg.rng_seed,
         ),
     )
 
-    metadata = {
-        "n": x.n,
-        "grid_size": len(x.grid),
-        "alpha": cfg.alpha,
-        "beta": cfg.relevant.beta,
-        "delta": rel.delta,
-        "band_quantile_mode": cfg.band_quantile_mode,
-        "block_length": boot.block_length,
-        "replications": cfg.replications,
-        "bandwidth": lrv_est.bandwidth,
-        "kernel": lrv_est.config.kernel.name,
-        "rng_seed": cfg.rng_seed,
-        "rng_algorithm": boot.rng_algorithm,
-    }
-    bands = build_bands(
-        fit, rel.indices, lrv_est.sigma2, boot.quantile, cfg.alpha, metadata=metadata
-    )
+    bands = build_bands(fit, rel.indices, lrv_est.sigma2, boot.quantile, cfg.alpha)
 
     return AnalysisResult(
         change_points=cps,

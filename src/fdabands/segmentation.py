@@ -18,8 +18,6 @@ A change i is relevant when the plug-in jump estimate
 from __future__ import annotations
 
 import heapq
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +27,8 @@ from .core import (
     FunctionalTimeSeries,
     InvalidInputError,
     SegmentFit,
+    check_integer,
+    check_positive_or_auto,
     fit_segments,
     segments_from_indices,
     sup_norm,
@@ -43,17 +43,6 @@ AUTO_FRACTION = 0.05
 AUTO_DIVISOR = 3.0
 
 
-def _check_positive_or_auto(name: str, value) -> None:
-    """A threshold is "auto" or a finite positive number: every comparison
-    with NaN is false, so a NaN threshold would accept every split."""
-    if value == "auto":
-        return
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-        math.isfinite(value) and value > 0.0
-    ):
-        raise InvalidInputError(f"{name} must be a finite positive number or 'auto', got {value!r}")
-
-
 @dataclass(frozen=True)
 class SegmentationConfig:
     threshold: float | str = "auto"  # xi_n
@@ -61,11 +50,10 @@ class SegmentationConfig:
     max_changes: int = 50
 
     def __post_init__(self):
-        _check_positive_or_auto("threshold", self.threshold)
-        if self.min_segment_length is not None and self.min_segment_length < 2:
-            raise InvalidInputError("min_segment_length must be >= 2")
-        if self.max_changes < 0:
-            raise InvalidInputError("max_changes must be >= 0")
+        check_positive_or_auto("threshold", self.threshold)
+        if self.min_segment_length is not None:
+            check_integer("min_segment_length", self.min_segment_length, 2)
+        check_integer("max_changes", self.max_changes, 0)
 
 
 @dataclass(frozen=True)
@@ -100,9 +88,11 @@ class RelevantChangeConfig:
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise InvalidInputError("beta must lie in (0, 1)")
-        _check_positive_or_auto("delta", self.delta)
+        check_positive_or_auto("delta", self.delta)
         if self.method not in ("plugin", "bootstrap"):
             raise InvalidInputError("method must be 'plugin' or 'bootstrap'")
+        check_integer("calibration_replications", self.calibration_replications, 1)
+        check_integer("rng_seed", self.rng_seed, 0)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .core import (
     InternalInvariantError,
     InvalidInputError,
     check_field_value,
+    check_integer,
     segments_from_locations,
     sup_norm,
 )
@@ -117,8 +118,9 @@ class ScenarioSpec:
     def __post_init__(self):
         object.__setattr__(self, "means", tuple(self.means))
         object.__setattr__(self, "change_locations", tuple(self.change_locations))
-        if self.n < 1:
-            raise InvalidInputError("n must be >= 1")
+        check_integer("n", self.n, 1)
+        check_integer("grid_size", self.grid_size, 2)
+        check_integer("rng_seed", self.rng_seed, 0)
         if len(self.means) != len(self.change_locations) + 1:
             raise InvalidInputError("need exactly one mean spec per segment")
         locs = self.change_locations
@@ -281,8 +283,7 @@ def run_coverage_study(
     covered.  Per-replication seeds derive from the scenario seed, so the
     aggregate is identical however replications are scheduled.
     """
-    if replications < 1:
-        raise InvalidInputError("replications must be >= 1")
+    check_integer("replications", replications, 1)
     pipeline_cfg = pipeline_cfg or PipelineConfig()
 
     contained, widths, m_ok_list, i_ok_list, loc_errs = [], [], [], [], []

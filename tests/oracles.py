@@ -1,0 +1,67 @@
+"""Definitional forms of two estimators the library computes another way.
+
+The tests compare the library against these: `lag_covariance` sums one lag
+covariance as defined, where `estimate_lrv` shares one main sum between lags
++a and -a; `bootstrap_segment_mean` forms one multiplier-bootstrap segment
+mean from explicit multipliers, where `run_bootstrap` draws its exact
+Gaussian law without them.
+"""
+
+import numpy as np
+
+from fdabands import Curve, FunctionalTimeSeries, InvalidInputError, ResidualSeries, Segment
+
+
+def lag_covariance(x: FunctionalTimeSeries, seg_means: np.ndarray, l: int) -> Curve:
+    """Empirical lag-l covariance curve with both factors centered at mu_hat^(j).
+
+    For l >= 0 the sum runs over j = 0..n-l-1; for l < 0 over j = -l..n-1.
+    Divisor is n in both cases.
+    """
+    mu = np.asarray(seg_means, dtype=float)
+    n = x.n
+    if mu.shape != x.values.shape:
+        raise InvalidInputError("mean assignment shape must match the series")
+    if abs(l) >= n:
+        raise InvalidInputError(f"|lag| = {abs(l)} must be < n = {n}")
+    if l >= 0:
+        left = x.values[: n - l] - mu[: n - l]
+        right = x.values[l:] - mu[: n - l]
+    else:
+        a = -l
+        left = x.values[a:] - mu[a:]
+        right = x.values[: n - a] - mu[a:]
+    return Curve((left * right).sum(axis=0) / n, x.grid)
+
+
+def block_averages_by_index(y_values, L):
+    """B_j from the index formula: padded[j + len_j] - padded[j] over sqrt(len_j),
+    with len_j = min(L, n - j) the block length truncated at the series end."""
+    n = y_values.shape[0]
+    padded = np.vstack([np.zeros((1, y_values.shape[1])), np.cumsum(y_values, axis=0)])
+    lengths = np.minimum(L, n - np.arange(n))
+    sums = padded[np.arange(n) + lengths] - padded[np.arange(n)]
+    return sums / np.sqrt(lengths)[:, None]
+
+
+def bootstrap_segment_mean(
+    y: ResidualSeries, seg: Segment, L: int, multipliers
+) -> Curve:
+    """One bootstrap segment mean: n_i^(-1) * sum_j nu_j * (block average at j).
+
+    `multipliers` supplies one standard-normal weight per index j in the
+    segment, in order.
+    """
+    if L < 1:
+        raise InvalidInputError("block length must be >= 1")
+    if L > seg.length:
+        raise InvalidInputError(
+            f"block length {L} exceeds segment length {seg.length}"
+        )
+    nu = np.asarray(multipliers, dtype=float)
+    if nu.shape != (seg.length,):
+        raise InvalidInputError(
+            f"need {seg.length} multipliers, got shape {nu.shape}"
+        )
+    B = block_averages_by_index(y.values, L)[seg.start : seg.end]
+    return Curve(nu @ B / seg.length, y.grid)

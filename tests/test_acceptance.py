@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from fdabands import (
-    FLAT_TOP,
     BootstrapConfig,
     ChangePointSet,
     Curve,
@@ -25,7 +24,6 @@ from fdabands import (
     analyze,
     auto_delta,
     build_bands,
-    bootstrap_segment_mean,
     detect_change_points,
     estimate_lrv,
     fit_segments,
@@ -35,6 +33,7 @@ from fdabands import (
     run_coverage_study,
     segments_from_locations,
 )
+from oracles import bootstrap_segment_mean
 
 # Standard normal quantiles: P(|Z| <= 1.6449) = 0.9 and, for the max of two
 # independent half-normals, (2 * Phi(1.9545) - 1)^2 = 0.9.
@@ -88,7 +87,7 @@ def test_criterion_2_lrv_consistency():
         )
         x, _ = generate(spec)
         mu = fit_segments(x, segments_from_locations(x.n, [])).fitted()
-        est = estimate_lrv(x, mu, LrvConfig(kernel=FLAT_TOP))
+        est = estimate_lrv(x, mu, LrvConfig(kernel="flat_top"))
         errors.append(float(np.max(np.abs(est.sigma2.values - true)) / true))
     share = float(np.mean([e <= 0.15 for e in errors]))
     ok = share >= 0.90

@@ -101,13 +101,6 @@ class TestBuildBands:
         assert [b.segment for b in bs.bands] == [Segment(0, 10), Segment(35, 42)]
         assert np.array_equal(bs.bands[1].center.values, [9.0, 10.0, 11.0])
 
-    def test_metadata_copied(self):
-        fit, grid = make_fit([[0.0, 0.0]], [5])
-        meta = {"n": 5}
-        bs = build_bands(fit, [0], Curve(np.ones(2), grid), q=1.0, alpha=0.1, metadata=meta)
-        meta["n"] = 99
-        assert bs.metadata == {"n": 5}
-
     def test_bands_from_series_fit(self):
         # n_hat_i is the segment length and the center the segment mean
         rng = np.random.default_rng(2)

@@ -16,7 +16,6 @@ from fdabands import (
     ScenarioSpec,
     Segment,
     auto_block_length,
-    bootstrap_segment_mean,
     estimate_lrv,
     fit_segments,
     generate,
@@ -25,6 +24,7 @@ from fdabands import (
 )
 import fdabands.bootstrap as bootstrap
 from fdabands.bootstrap import _block_averages, _gaussian_draws, bootstrap_margin
+from oracles import block_averages_by_index, bootstrap_segment_mean
 
 
 def make_series(values):
@@ -103,15 +103,6 @@ class TestBootstrapSegmentMean:
         y = ResidualSeries(np.zeros((6, 2)), Grid.uniform(2))
         with pytest.raises(InvalidInputError):
             bootstrap_segment_mean(y, Segment(0, 3), L=4, multipliers=np.zeros(3))
-
-
-def block_averages_by_index(y_values, L):
-    """B_j from the index formula: padded[j + len_j] - padded[j] over sqrt(len_j)."""
-    n = y_values.shape[0]
-    padded = np.vstack([np.zeros((1, y_values.shape[1])), np.cumsum(y_values, axis=0)])
-    lengths = np.minimum(L, n - np.arange(n))
-    sums = padded[np.arange(n) + lengths] - padded[np.arange(n)]
-    return sums / np.sqrt(lengths)[:, None]
 
 
 class TestBlockAverages:
@@ -251,7 +242,7 @@ class TestRunBootstrap:
         assert set(res.segment_diagnostics) == {0, 1}
         shares = [d["max_share"] for d in res.segment_diagnostics.values()]
         assert sum(shares) == pytest.approx(1.0)
-        assert res.rng_algorithm == "philox"
+        assert bootstrap.RNG_ALGORITHM == "philox"
 
 
 class _BasisNormals:

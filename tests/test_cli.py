@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import re
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 from fdabands import __version__
-from fdabands.cli import ingest, main, read_bands
+from fdabands.cli import RunConfig, _build_parser, ingest, main, read_bands
 
 from fdabands import InvalidInputError
 
@@ -285,6 +287,88 @@ class TestAnalyzeCommand:
     def test_bad_alpha_is_exit_2(self, tmp_path):
         data = jump_dataset(tmp_path)
         assert main(analyze_args(data, tmp_path / "o", "--alpha", "1.5")) == 2
+
+    def test_diagnostics_key_set(self, tmp_path):
+        data = jump_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert main(analyze_args(data, out)) == 0
+        lines = (out / "diagnostics.txt").read_text().splitlines()
+        record = dict(line.split(" = ", 1) for line in lines)
+        assert list(record) == sorted(DIAGNOSTICS_KEYS)
+        assert record["n"] == "120"
+        assert record["kernel"] == "bartlett"
+        assert record["replications"] == "300"
+        assert record["rng_seed"] == "0"
+        assert record["rng_algorithm"] == "philox"
+
+    def test_removed_band_quantile_mode_is_exit_2(self, tmp_path, capsys):
+        data = jump_dataset(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(analyze_args(data, tmp_path / "o", "--band-quantile-mode", "alpha"))
+        assert exc.value.code == 2
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(
+            {"input": str(data), "output_dir": str(tmp_path / "o"), "band_quantile_mode": "alpha"}
+        ))
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        assert "unknown config keys: ['band_quantile_mode']" in capsys.readouterr().err
+
+
+# The keys of diagnostics.txt, as documented in the README.
+DIAGNOSTICS_KEYS = {
+    "alpha", "bandwidth", "beta", "block_length", "delta", "grid_size", "kernel", "n",
+    "num_changes", "quantile", "relevant_indices", "replications", "rng_algorithm",
+    "rng_seed", "segmentation_threshold", "sigma2_max", "sigma2_median", "sigma2_min",
+    "version",
+}
+
+
+def flag_dests(command):
+    """The argument names (dests) of one verb's flags."""
+    parser = _build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in verbs.choices[command]._actions if a.dest != "help"}
+
+
+# flags that are not RunConfig fields
+NON_PIPELINE_FLAGS = {"config", "spec", "study_replications"}
+
+
+@pytest.mark.parametrize("command", ["analyze", "coverage"])
+def test_every_flag_sets_a_run_config_field(command):
+    # _run_config copies only the flags named after a RunConfig field
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert sorted(flag_dests(command) - NON_PIPELINE_FLAGS - fields) == []
+
+
+def test_every_run_config_field_has_a_flag():
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert sorted(fields - flag_dests("analyze")) == []
+
+
+class TestSeeds:
+    def test_negative_analyze_seed_is_exit_2(self, tmp_path, capsys):
+        data = jump_dataset(tmp_path)
+        assert main(analyze_args(data, tmp_path / "o", "--seed", "-1")) == 2
+        assert "rng_seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+    def test_negative_config_seed_is_exit_2(self, tmp_path, capsys):
+        data = jump_dataset(tmp_path)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"input": str(data), "output_dir": str(tmp_path / "o"), "seed": -1}))
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        assert "rng_seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["simulate", "coverage"])
+    def test_negative_spec_seed_is_exit_2(self, tmp_path, capsys, verb):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"n": 100, "rng_seed": -1}))
+        args = [verb, "--spec", str(spec_file)]
+        if verb == "simulate":
+            args += ["--output-dir", str(tmp_path / "o")]
+        assert main(args) == 2
+        assert "rng_seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

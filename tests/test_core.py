@@ -4,12 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdabands import (
+    BootstrapConfig,
     Curve,
     FunctionalTimeSeries,
     Grid,
     InternalInvariantError,
     InvalidInputError,
+    LrvConfig,
+    PipelineConfig,
+    RelevantChangeConfig,
+    ScenarioSpec,
     Segment,
+    SegmentationConfig,
     fit_segments,
     segments_from_locations,
     sup_norm,
@@ -172,3 +178,42 @@ class TestSegmentsFromLocations:
     def test_empty_segment_rejected(self):
         with pytest.raises(InvalidInputError):
             segments_from_locations(10, [0.05])
+
+
+# (config class, keyword arguments); the last argument is the bad integer
+BAD_INTEGER_SETTINGS = [
+    (PipelineConfig, {"replications": 2.5}),
+    (PipelineConfig, {"replications": 0}),
+    (PipelineConfig, {"block_length": 0}),
+    (PipelineConfig, {"rng_seed": 1.5}),
+    (PipelineConfig, {"rng_seed": -1}),
+    (SegmentationConfig, {"max_changes": 2.5}),
+    (SegmentationConfig, {"max_changes": -1}),
+    (SegmentationConfig, {"min_segment_length": 2.5}),
+    (SegmentationConfig, {"min_segment_length": 1}),
+    (RelevantChangeConfig, {"method": "bootstrap", "calibration_replications": 0}),
+    (RelevantChangeConfig, {"method": "bootstrap", "calibration_replications": -3}),
+    (RelevantChangeConfig, {"rng_seed": -1}),
+    (LrvConfig, {"bandwidth": "abc"}),
+    (LrvConfig, {"bandwidth": 2.5}),
+    (LrvConfig, {"bandwidth": True}),
+    (LrvConfig, {"bandwidth": 0}),
+    (BootstrapConfig, {"block_length": "abc"}),
+    (BootstrapConfig, {"replications": 2.5}),
+    (BootstrapConfig, {"rng_seed": -1}),
+    (ScenarioSpec, {"n": 10.5}),
+    (ScenarioSpec, {"n": True}),
+    (ScenarioSpec, {"n": 10, "grid_size": 2.5}),
+    (ScenarioSpec, {"n": 10, "rng_seed": -1}),
+    (ScenarioSpec, {"n": 10, "rng_seed": 1.5}),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs",
+    BAD_INTEGER_SETTINGS,
+    ids=[f"{cls.__name__}-{list(kw)[-1]}={list(kw.values())[-1]!r}" for cls, kw in BAD_INTEGER_SETTINGS],
+)
+def test_integer_settings_are_checked_as_integers(cls, kwargs):
+    with pytest.raises(InvalidInputError, match=f"^{list(kwargs)[-1]} must be an integer >= "):
+        cls(**kwargs)

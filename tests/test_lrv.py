@@ -2,25 +2,20 @@ import numpy as np
 import pytest
 
 from fdabands import (
-    BARTLETT,
-    FLAT_TOP,
     KERNELS,
-    PARZEN,
     FunctionalTimeSeries,
     Grid,
     InvalidInputError,
-    Kernel,
     LrvConfig,
     ScenarioSpec,
     auto_bandwidth,
     estimate_lrv,
     fit_segments,
     generate,
-    get_kernel,
-    lag_covariance,
     segments_from_indices,
     segments_from_locations,
 )
+from oracles import lag_covariance
 
 
 def error_series(n, grid_size, process, param, seed, tau2=1.0):
@@ -44,8 +39,9 @@ def single_segment_means(x):
 
 
 class TestKernels:
-    @pytest.mark.parametrize("kernel", [BARTLETT, PARZEN, FLAT_TOP])
+    @pytest.mark.parametrize("kernel", list(KERNELS.items()))  # (name, function)
     def test_axioms(self, kernel):
+        _, kernel = kernel
         assert kernel(0.0) == 1.0
         assert kernel(1.0) == 0.0
         assert kernel(-1.0) == 0.0
@@ -55,9 +51,10 @@ class TestKernels:
         assert np.allclose(kernel(xs), kernel(-xs))  # symmetry
 
     def test_lookup(self):
-        assert get_kernel("parzen") is PARZEN
-        with pytest.raises(InvalidInputError):
-            get_kernel("gaussian")
+        assert LrvConfig(kernel="parzen").kernel == "parzen"
+        for name in ("gaussian", KERNELS["bartlett"], None):
+            with pytest.raises(InvalidInputError, match="unknown kernel"):
+                LrvConfig(kernel=name)
         assert set(KERNELS) == {"bartlett", "parzen", "flat_top"}
 
 
@@ -125,7 +122,7 @@ class TestEstimateLrv:
         # AR(1): long-run variance tau^2 / (1 - rho)^2
         x, truth = error_series(10000, 20, "ar1", 0.4, seed=5)
         est = estimate_lrv(
-            x, single_segment_means(x), LrvConfig(bandwidth="auto", kernel=FLAT_TOP)
+            x, single_segment_means(x), LrvConfig(bandwidth="auto", kernel="flat_top")
         )
         assert est.bandwidth == 10
         rel = np.abs(est.sigma2.values - truth.lrv.values) / truth.lrv.values
@@ -150,16 +147,20 @@ class TestEstimateLrv:
         est_scaled = estimate_lrv(scaled, 3.0 * mu, LrvConfig(bandwidth=4))
         assert np.allclose(est_scaled.sigma2.values, 9.0 * est.sigma2.values, rtol=1e-12)
 
-    def test_indicator_kernel_recovers_lag0(self):
+    def test_indicator_kernel_recovers_lag0(self, monkeypatch):
         x, _ = error_series(300, 6, "ar1", 0.5, seed=9)
         mu = single_segment_means(x)
-        indicator = Kernel("indicator", lambda v: np.where(np.asarray(v) == 0.0, 1.0, 0.0))
-        est = estimate_lrv(x, mu, LrvConfig(bandwidth=3, kernel=indicator))
+
+        def indicator(v):
+            return np.where(np.asarray(v) == 0.0, 1.0, 0.0)
+
+        monkeypatch.setitem(KERNELS, "indicator", indicator)
+        est = estimate_lrv(x, mu, LrvConfig(bandwidth=3, kernel="indicator"))
         assert np.allclose(est.sigma2.values, lag_covariance(x, mu, 0).values)
 
-    @pytest.mark.parametrize("kernel", [BARTLETT, PARZEN, FLAT_TOP], ids=lambda k: k.name)
+    @pytest.mark.parametrize("name", ["bartlett", "parzen", "flat_top"])
     @pytest.mark.parametrize("trend", [False, True], ids=["piecewise_constant", "non_constant"])
-    def test_matches_lag_covariance_sum(self, kernel, trend):
+    def test_matches_lag_covariance_sum(self, name, trend):
         # segment [100, 103) is shorter than c = 5, so lags 4 and 5 reach
         # across both of its change rows
         x, _ = error_series(300, 7, "ar1", 0.5, seed=10)
@@ -167,11 +168,12 @@ class TestEstimateLrv:
         if trend:
             mu = mu + 0.3 * np.sin(np.arange(x.n) / 7.0)[:, None]
         c = 5
+        kernel = KERNELS[name]
         expected = sum(
             float(kernel(l / c)) * lag_covariance(x, mu, l).values for l in range(-c, c + 1)
         )
         assert expected.min() > 0.0
-        est = estimate_lrv(x, mu, LrvConfig(bandwidth=c, kernel=kernel))
+        est = estimate_lrv(x, mu, LrvConfig(bandwidth=c, kernel=name))
         assert np.allclose(est.sigma2.values, expected, rtol=1e-12, atol=0.0)
 
     def test_floor_on_degenerate_data(self):
@@ -188,7 +190,7 @@ class TestEstimateLrv:
             for seed in range(5):
                 x, _ = error_series(n, 10, "ar1", 0.4, seed=100 + seed)
                 est = estimate_lrv(
-                    x, single_segment_means(x), LrvConfig(kernel=FLAT_TOP)
+                    x, single_segment_means(x), LrvConfig(kernel="flat_top")
                 )
                 errs.append(np.max(np.abs(est.sigma2.values - true)))
             mean_errs.append(np.mean(errs))

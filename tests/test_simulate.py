@@ -262,8 +262,9 @@ class TestRunCoverageStudy:
         assert len(report.contained) == 19
 
     def test_replication_validation(self):
-        with pytest.raises(InvalidInputError):
-            run_coverage_study(small_study_spec(), small_pipeline(), replications=0)
+        for replications in (0, 2.5):
+            with pytest.raises(InvalidInputError, match="replications must be an integer >= 1"):
+                run_coverage_study(small_study_spec(), small_pipeline(), replications=replications)
 
     def test_summary_rows(self, monkeypatch):
         fix_quantile(monkeypatch, 1.0)
