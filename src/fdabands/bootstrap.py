@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Curve, InvalidInputError, ResidualSeries, Segment, check_integer
+from .core import Curve, InvalidInputError, ResidualSeries, Segment, check_float, check_integer
 
 # the bit generator of every draw, named in diagnostics.txt
 RNG_ALGORITHM = "philox"
@@ -36,8 +36,7 @@ class BootstrapConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidInputError("alpha must lie in (0, 1)")
+        check_float("alpha", self.alpha, (0, 1))
         check_integer("block_length", self.block_length, 1, auto=True)
         check_integer("replications", self.replications, 1)
         check_integer("rng_seed", self.rng_seed, 0)

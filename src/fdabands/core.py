@@ -64,6 +64,15 @@ def check_integer(name: str, value, minimum: int, auto: bool = False) -> None:
         raise InvalidInputError(f"{name} must be {expected}, got {value!r}")
 
 
+def check_float(name: str, value, interval: tuple | None = None) -> None:
+    """A float setting is a finite real number (not a bool), inside the open
+    `interval` (lo, hi) where one is given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise InvalidInputError(f"{name} must be a finite number, got {value!r}")
+    if interval is not None and not interval[0] < value < interval[1]:
+        raise InvalidInputError(f"{name} must lie in ({interval[0]:g}, {interval[1]:g})")
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     a = np.array(values, dtype=dtype)
     a.setflags(write=False)
@@ -209,22 +218,18 @@ class ResidualSeries:
 class SegmentFit:
     """Mean curves of a series over a partition of [0, n).
 
-    Only the k mean curves are stored.  The (n, T) fitted and residual
-    matrices are built on request, so a fit kept in a result (as
-    RelevantSet.fit) holds no (n, T) matrix.
+    Only the k mean curves are stored.  The (n, T) residual matrix is built
+    on request, so a fit kept in a result (as RelevantSet.fit) holds no
+    (n, T) matrix.
     """
 
     segments: tuple  # partition of [0, n), in order
     means: np.ndarray  # (k, T): row i is the mean curve of segments[i]
     grid: Grid
 
-    def fitted(self) -> np.ndarray:
-        """(n, T) matrix whose row j is the mean of the segment holding j."""
-        return np.repeat(self.means, [seg.length for seg in self.segments], axis=0)
-
     def residuals(self, x: FunctionalTimeSeries) -> ResidualSeries:
-        """`x`, the series the fit was built from, minus the fitted matrix."""
-        y = x.values - self.fitted()
+        """`x`, the series the fit was built from, minus each row's segment mean."""
+        y = x.values - np.repeat(self.means, [seg.length for seg in self.segments], axis=0)
         y.setflags(write=False)
         return ResidualSeries(y, x.grid)
 

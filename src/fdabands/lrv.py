@@ -5,14 +5,15 @@ error autocovariances at t.  It is estimated by a weighted sum of empirical
 lag covariances, sigma2_hat = sum_{l=-c}^{c} sigma2_hat_l * K(l/c), where K
 is a kernel with K(0)=1, K(1)=0, K symmetric and vanishing outside [-1, 1].
 
-Both factors of a lag covariance are centred at mu_hat of the left index j,
-so with the residual e = x - mu_hat, taken once, lag +a is
-sum_j e_j * e_{j+a} plus the boundary correction sum_j e_j * (mu_{j+a} - mu_j),
-and lag -a is the same main sum minus sum_j e_{j+a} * (mu_{j+a} - mu_j).  The
-corrections vanish except on the rows j where mu_hat changes between j and
-j+a, near the change points, so `estimate_lrv` forms one main sum per |a| and
-corrects it on those rows only.  The definitional lag covariance that the
-tests compare against is `lag_covariance` in tests/oracles.py.
+Both factors of a lag covariance are centred at the estimated segment mean
+of the left index j, so with the residual e = x - mu_hat of the segment fit,
+lag +a is sum_j e_j * e_{j+a} plus the boundary correction
+sum_j e_j * (mu_{j+a} - mu_j), and lag -a is the same main sum minus
+sum_j e_{j+a} * (mu_{j+a} - mu_j).  The corrections vanish unless j and j+a
+lie in different segments, which happens only on the a rows before each
+segment boundary, so `estimate_lrv` forms one main sum per |a| and corrects
+it on those rows only.  The definitional lag covariance that the tests
+compare against is `lag_covariance` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Curve, FunctionalTimeSeries, InvalidInputError, check_integer
+from .core import Curve, InvalidInputError, ResidualSeries, SegmentFit, check_integer
 
 
 def _bartlett(x):
@@ -63,11 +64,10 @@ class LrvConfig:
 
 @dataclass(frozen=True)
 class LrvEstimate:
-    """Floored pointwise long-run variance, the bandwidth c it used and its floor."""
+    """Floored pointwise long-run variance and the bandwidth c it used."""
 
     sigma2: Curve
     bandwidth: int
-    floor: float
 
 
 def auto_bandwidth(n: int) -> int:
@@ -77,21 +77,20 @@ def auto_bandwidth(n: int) -> int:
     return max(1, int(np.floor(n**0.25 + 1e-9)))
 
 
-def estimate_lrv(
-    x: FunctionalTimeSeries, seg_means: np.ndarray, cfg: LrvConfig | None = None
-) -> LrvEstimate:
-    """Lag-window long-run variance estimate on the grid.
+def estimate_lrv(y: ResidualSeries, fit: SegmentFit, cfg: LrvConfig | None = None) -> LrvEstimate:
+    """Lag-window long-run variance estimate from `y`, the residuals of `fit`.
 
     Sums kernel-weighted lag covariances for l = -c..c, then floors the result
-    at 1e-8 times its maximum so later divisions by sigma_hat are safe.  The
-    residual e = x - seg_means is formed once; lags +a and -a share the main
-    sum sum_j e_j * e_{j+a}, and each adds its boundary correction over the
-    rows j where seg_means changes between j and j+a (see the module
-    docstring).  Equal to the kernel-weighted sum of definitional lag
-    covariances up to rounding; bit-reproducible for fixed inputs.
+    at 1e-8 times its maximum so later divisions by sigma_hat are safe.  Lags
+    +a and -a share the main sum sum_j y_j * y_{j+a}; each adds its boundary
+    correction over the rows j just before a segment boundary of `fit` (see
+    the module docstring).  Equal to the kernel-weighted sum of definitional
+    lag covariances up to rounding; bit-reproducible for fixed inputs.
     """
     cfg = cfg or LrvConfig()
-    n = x.n
+    n = y.n
+    if fit.segments[-1].end != n or fit.grid != y.grid:
+        raise InvalidInputError("segment fit does not match the residual series")
     c = auto_bandwidth(n) if cfg.bandwidth == "auto" else cfg.bandwidth
     if c >= n:
         raise InvalidInputError(f"bandwidth c = {c} must be < n = {n}")
@@ -100,20 +99,18 @@ def estimate_lrv(
             f"bandwidth c = {c} violates c^3/n < 1 (n = {n}); estimate may be unstable",
             stacklevel=2,
         )
-    mu = np.asarray(seg_means, dtype=float)
-    if mu.shape != x.values.shape:
-        raise InvalidInputError("mean assignment shape must match the series")
-    e = x.values - mu
-    # mu changes between rows i and i + 1 exactly for i in `changes`
-    changes = np.flatnonzero(np.any(mu[1:] != mu[:-1], axis=1))
+    e = y.values
+    # row j lies in segment k[j]; segment i + 1 starts after row changes[i]
+    k = np.repeat(np.arange(len(fit.segments)), [seg.length for seg in fit.segments])
+    changes = np.array([seg.start - 1 for seg in fit.segments[1:]], dtype=int)
     kernel = KERNELS[cfg.kernel]
     total = float(kernel(0.0)) * np.einsum("ij,ij->j", e, e)
     for a in range(1, c + 1):
         main = np.einsum("ij,ij->j", e[: n - a], e[a:])
-        # rows j whose lag-a partner j + a lies past a change of mu
+        # rows j whose lag-a partner j + a lies past a segment boundary
         j = np.unique(changes[:, None] - np.arange(a))
         j = j[(j >= 0) & (j < n - a)]
-        step = mu[j + a] - mu[j]
+        step = fit.means[k[j + a]] - fit.means[k[j]]
         plus = main + np.einsum("ij,ij->j", e[j], step)
         minus = main - np.einsum("ij,ij->j", e[j + a], step)
         total += float(kernel(a / c)) * plus + float(kernel(-a / c)) * minus
@@ -121,5 +118,4 @@ def estimate_lrv(
     floor = 1e-8 * max(float(total.max()), 0.0)
     if floor <= 0.0:
         floor = float(np.finfo(float).tiny)
-    sigma2 = Curve(np.maximum(total, floor), x.grid)
-    return LrvEstimate(sigma2=sigma2, bandwidth=c, floor=floor)
+    return LrvEstimate(sigma2=Curve(np.maximum(total, floor), y.grid), bandwidth=c)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .bands import ConfidenceBandSet, build_bands
 from .bootstrap import BootstrapConfig, BootstrapResult, run_bootstrap
-from .core import FunctionalTimeSeries, InvalidInputError, check_integer
+from .core import FunctionalTimeSeries, check_float, check_integer
 from .lrv import LrvConfig, LrvEstimate, estimate_lrv
 from .segmentation import (
     ChangePointSet,
@@ -30,8 +30,7 @@ class PipelineConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidInputError("alpha must lie in (0, 1)")
+        check_float("alpha", self.alpha, (0, 1))
         check_integer("block_length", self.block_length, 1, auto=True)
         check_integer("replications", self.replications, 1)
         check_integer("rng_seed", self.rng_seed, 0)
@@ -54,13 +53,14 @@ def analyze(x: FunctionalTimeSeries, cfg: PipelineConfig | None = None) -> Analy
     cps = detect_change_points(x, cfg.segmentation)
     rel = relevant_set(x, cps, cfg.relevant)
     fit = rel.fit
-    lrv_est = estimate_lrv(x, fit.fitted(), cfg.lrv)
+    y = fit.residuals(x)
+    lrv_est = estimate_lrv(y, fit, cfg.lrv)
 
     # The bands use the (1 - alpha/2)-quantile of T*, not the (1 - alpha)-
     # quantile: at moderate n the block bootstrap scale is biased low for
     # short blocks, and the (1 - alpha)-quantile undercovers.
     boot = run_bootstrap(
-        fit.residuals(x),
+        y,
         [fit.segments[i] for i in rel.indices],
         lrv_est.sigma2,
         BootstrapConfig(

@@ -27,6 +27,7 @@ from .core import (
     FunctionalTimeSeries,
     InvalidInputError,
     SegmentFit,
+    check_float,
     check_integer,
     check_positive_or_auto,
     fit_segments,
@@ -86,8 +87,7 @@ class RelevantChangeConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise InvalidInputError("beta must lie in (0, 1)")
+        check_float("beta", self.beta, (0, 1))
         check_positive_or_auto("delta", self.delta)
         if self.method not in ("plugin", "bootstrap"):
             raise InvalidInputError("method must be 'plugin' or 'bootstrap'")
@@ -179,7 +179,8 @@ def _auto_threshold(x: FunctionalTimeSeries, path: _SplitPath, max_changes: int)
     The LRV needs segment means, so a pilot segmentation breaks the circular
     dependency: its threshold uses a first-difference variance proxy, which is
     robust to mean shifts.  The pilot reads its changes off the caller's split
-    path, which the final threshold then reuses.
+    path, which the final threshold then reuses.  The pilot LRV always uses
+    the default LrvConfig, whatever kernel and bandwidth the analysis asks for.
     """
     n = x.n
     scale = np.sqrt(2.0 * np.log(n))
@@ -190,7 +191,8 @@ def _auto_threshold(x: FunctionalTimeSeries, path: _SplitPath, max_changes: int)
     pilot_xi = max(XI_SCALE * float(np.median(np.sqrt(proxy))) * scale, floor)
     pilot = path.changes(pilot_xi, max_changes)
 
-    lrv = estimate_lrv(x, fit_segments(x, segments_from_indices(n, pilot)).fitted())
+    fit = fit_segments(x, segments_from_indices(n, pilot))
+    lrv = estimate_lrv(fit.residuals(x), fit)
     sigma_bar = float(np.median(np.sqrt(lrv.sigma2.values)))
     return max(XI_SCALE * sigma_bar * scale, floor)
 

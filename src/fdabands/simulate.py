@@ -24,6 +24,7 @@ from .core import (
     InternalInvariantError,
     InvalidInputError,
     check_field_value,
+    check_float,
     check_integer,
     segments_from_locations,
     sup_norm,
@@ -54,7 +55,8 @@ def curve_values(spec, grid: Grid) -> np.ndarray:
     dict: {"kind": "constant", "value": v}, {"kind": "linear", "intercept": a,
     "slope": b}, {"kind": "sine", "amplitude": a, "frequency": k}, or
     {"kind": "hat", "peak": h, "center": c}.  Keys with a default may be left
-    out; any other problem raises InvalidInputError naming it.
+    out and no other key may be added; any problem raises InvalidInputError
+    naming it.
     """
     t = grid.points
     if isinstance(spec, Curve):
@@ -83,6 +85,9 @@ def _kind_values(spec: dict, t: np.ndarray) -> np.ndarray:
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in _CURVE_KINDS:
         raise InvalidInputError(f"unknown curve spec kind {kind!r}")
+    unknown = sorted(set(spec) - set(_CURVE_KINDS[kind]) - {"kind"}, key=str)
+    if unknown:
+        raise InvalidInputError(f"curve spec {spec!r} has unknown keys {unknown!r}")
     p = {}
     for key, default in _CURVE_KINDS[kind].items():
         if key not in spec and default is None:
@@ -132,15 +137,16 @@ class ScenarioSpec:
             raise InvalidInputError("change locations must be strictly increasing in (0, 1)")
         if self.error_process not in ERROR_PROCESSES:
             raise InvalidInputError(f"error_process must be one of {ERROR_PROCESSES}")
+        check_float("error parameter", self.error_param)
         if self.error_process == "ar1" and not abs(self.error_param) < 1.0:
             raise InvalidInputError("AR(1) coefficient must satisfy |rho| < 1")
-        if not np.isfinite(self.error_param):
-            raise InvalidInputError("error parameter must be finite")
         grid = Grid.uniform(self.grid_size)
         for key, specs in (("means", self.means), ("tau2", (self.tau2,))):
             for spec in specs:
                 try:
-                    curve_values(spec, grid)
+                    vals = curve_values(spec, grid)
+                    if key == "tau2" and vals.min() < 0.0:
+                        raise InvalidInputError(f"variance must be >= 0, got {vals.min():g}")
                 except InvalidInputError as exc:
                     raise InvalidInputError(f"scenario key {key!r}: {exc}") from None
 
@@ -199,7 +205,7 @@ def _innovations(rng, count: int, grid: Grid, tau2_vals: np.ndarray) -> np.ndarr
 def generate(spec: ScenarioSpec):
     """Draw one series from the scenario; returns (series, ground truth)."""
     grid = Grid.uniform(spec.grid_size)
-    tau2_vals = np.clip(curve_values(spec.tau2, grid), 0.0, None)
+    tau2_vals = curve_values(spec.tau2, grid)
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.rng_seed)))
     n = spec.n

@@ -86,8 +86,8 @@ def test_criterion_2_lrv_consistency():
             n=10000, grid_size=20, error_process="ar1", error_param=0.4, rng_seed=seed
         )
         x, _ = generate(spec)
-        mu = fit_segments(x, segments_from_locations(x.n, [])).fitted()
-        est = estimate_lrv(x, mu, LrvConfig(kernel="flat_top"))
+        fit = fit_segments(x, segments_from_locations(x.n, []))
+        est = estimate_lrv(fit.residuals(x), fit, LrvConfig(kernel="flat_top"))
         errors.append(float(np.max(np.abs(est.sigma2.values - true)) / true))
     share = float(np.mean([e <= 0.15 for e in errors]))
     ok = share >= 0.90

@@ -129,8 +129,9 @@ def residuals_fixture(n=80, grid_size=6, seed=5, changes=(0.5,)):
     x = make_series(rng.normal(size=(n, grid_size)))
     segs = segments_from_locations(n, list(changes))
     fit = fit_segments(x, segs)
-    sigma2 = estimate_lrv(x, fit.fitted(), LrvConfig(bandwidth=2)).sigma2
-    return x, segs, fit.residuals(x), sigma2
+    y = fit.residuals(x)
+    sigma2 = estimate_lrv(y, fit, LrvConfig(bandwidth=2)).sigma2
+    return x, segs, y, sigma2
 
 
 class TestRunBootstrap:
@@ -159,7 +160,7 @@ class TestRunBootstrap:
         segs = segments_from_locations(x.n, [])
         fit = fit_segments(x, segs)
         y = fit.residuals(x)
-        sigma2 = estimate_lrv(x, fit.fitted()).sigma2
+        sigma2 = estimate_lrv(y, fit).sigma2
         wiggle = 1.0 + 1e-15 * np.random.default_rng(6).choice([-1.0, 1.0], size=len(sigma2.grid))
         cfg = BootstrapConfig(replications=500, rng_seed=7)
         q = run_bootstrap(y, segs, sigma2, cfg).quantile
@@ -175,7 +176,7 @@ class TestRunBootstrap:
         segs = segments_from_locations(x.n, [0.5])
         fit = fit_segments(x, segs)
         y = fit.residuals(x)
-        sigma2 = estimate_lrv(x, fit.fitted()).sigma2
+        sigma2 = estimate_lrv(y, fit).sigma2
         cfg = BootstrapConfig(replications=500, rng_seed=7)
         q = run_bootstrap(y, segs, sigma2, cfg).quantile
         for seed in range(3):
@@ -200,8 +201,9 @@ class TestRunBootstrap:
         lam = 3.7
         x2 = make_series(lam * np.array(x.values))
         fit2 = fit_segments(x2, segs)
-        sigma2_scaled = estimate_lrv(x2, fit2.fitted(), LrvConfig(bandwidth=2)).sigma2
-        scaled = run_bootstrap(fit2.residuals(x2), segs, sigma2_scaled, cfg)
+        y2 = fit2.residuals(x2)
+        sigma2_scaled = estimate_lrv(y2, fit2, LrvConfig(bandwidth=2)).sigma2
+        scaled = run_bootstrap(y2, segs, sigma2_scaled, cfg)
         assert np.allclose(scaled.statistics, base.statistics, rtol=1e-10)
 
     def test_constant_shift_invariance(self):

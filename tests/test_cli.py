@@ -412,6 +412,10 @@ class TestSimulateCommand:
                 "scenario key 'means': curve spec {'kind': 'constant'} needs key 'value'",
             ),
             ({"n": 100, "means": [{"kind": "wave"}]}, "unknown curve spec kind 'wave'"),
+            (
+                {"n": 100, "means": [{"kind": "sine", "amplitude": 1, "frequncy": 3}]},
+                "has unknown keys ['frequncy']",
+            ),
         ):
             spec_file.write_text(json.dumps(spec))
             for args in (

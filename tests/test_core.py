@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,3 +219,33 @@ BAD_INTEGER_SETTINGS = [
 def test_integer_settings_are_checked_as_integers(cls, kwargs):
     with pytest.raises(InvalidInputError, match=f"^{list(kwargs)[-1]} must be an integer >= "):
         cls(**kwargs)
+
+
+# (config class, keyword arguments, message start); the last argument is the bad float
+BAD_FLOAT_SETTINGS = [
+    (PipelineConfig, {"alpha": "0.1"}, "alpha must be a finite number"),
+    (PipelineConfig, {"alpha": True}, "alpha must be a finite number"),
+    (PipelineConfig, {"alpha": float("nan")}, "alpha must be a finite number"),
+    (PipelineConfig, {"alpha": 1.0}, "alpha must lie in (0, 1)"),
+    (BootstrapConfig, {"alpha": "0.1"}, "alpha must be a finite number"),
+    (BootstrapConfig, {"alpha": np.float64(0.0)}, "alpha must lie in (0, 1)"),
+    (RelevantChangeConfig, {"beta": "x"}, "beta must be a finite number"),
+    (RelevantChangeConfig, {"beta": 1.5}, "beta must lie in (0, 1)"),
+    (ScenarioSpec, {"n": 10, "error_param": "x"}, "error parameter must be a finite number"),
+    (ScenarioSpec, {"n": 10, "error_param": True}, "error parameter must be a finite number"),
+    (ScenarioSpec, {"n": 10, "error_param": float("inf")}, "error parameter must be a finite"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, message",
+    BAD_FLOAT_SETTINGS,
+    ids=[
+        f"{cls.__name__}-{list(kw)[-1]}={list(kw.values())[-1]!r}"
+        for cls, kw, _ in BAD_FLOAT_SETTINGS
+    ],
+)
+def test_float_settings_are_checked_as_floats(cls, kwargs, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}"):
+        cls(**kwargs)
+    cls(**{**kwargs, list(kwargs)[-1]: np.float64(0.5)})  # numpy floats pass

@@ -34,8 +34,18 @@ def error_series(n, grid_size, process, param, seed, tau2=1.0):
     return x, truth
 
 
+def single_segment_fit(x):
+    return fit_segments(x, segments_from_locations(x.n, []))
+
+
+def mean_matrix(fit):
+    """(n, T) matrix whose row j is the mean of the segment holding j, the
+    mean assignment that the oracle `lag_covariance` takes."""
+    return np.repeat(fit.means, [seg.length for seg in fit.segments], axis=0)
+
+
 def single_segment_means(x):
-    return fit_segments(x, segments_from_locations(x.n, [])).fitted()
+    return mean_matrix(single_segment_fit(x))
 
 
 class TestKernels:
@@ -114,71 +124,85 @@ class TestEstimateLrv:
     def test_iid_matches_pointwise_variance(self):
         tau2_spec = {"kind": "linear", "intercept": 0.5, "slope": 1.0}  # 0.5 + t
         x, truth = error_series(5000, 20, "iid", 0.0, seed=13, tau2=tau2_spec)
-        est = estimate_lrv(x, single_segment_means(x), LrvConfig(bandwidth=10))
+        fit = single_segment_fit(x)
+        est = estimate_lrv(fit.residuals(x), fit, LrvConfig(bandwidth=10))
         rel = np.abs(est.sigma2.values - truth.lrv.values) / truth.lrv.values
         assert rel.max() < 0.10
 
     def test_ar1_long_run_variance(self):
         # AR(1): long-run variance tau^2 / (1 - rho)^2
         x, truth = error_series(10000, 20, "ar1", 0.4, seed=5)
-        est = estimate_lrv(
-            x, single_segment_means(x), LrvConfig(bandwidth="auto", kernel="flat_top")
-        )
+        fit = single_segment_fit(x)
+        est = estimate_lrv(fit.residuals(x), fit, LrvConfig(bandwidth="auto", kernel="flat_top"))
         assert est.bandwidth == 10
         rel = np.abs(est.sigma2.values - truth.lrv.values) / truth.lrv.values
         assert rel.max() < 0.15
 
     def test_bandwidth_warning(self):
         x, _ = error_series(60, 5, "iid", 0.0, seed=6)
+        fit = single_segment_fit(x)
         with pytest.warns(UserWarning, match="c\\^3/n"):
-            est = estimate_lrv(x, single_segment_means(x), LrvConfig(bandwidth=5))
+            est = estimate_lrv(fit.residuals(x), fit, LrvConfig(bandwidth=5))
         assert est.sigma2.values.shape == (5,)
 
     def test_bandwidth_too_large(self):
         x, _ = error_series(20, 5, "iid", 0.0, seed=7)
+        fit = single_segment_fit(x)
         with pytest.raises(InvalidInputError):
-            estimate_lrv(x, single_segment_means(x), LrvConfig(bandwidth=20))
+            estimate_lrv(fit.residuals(x), fit, LrvConfig(bandwidth=20))
+
+    def test_mismatched_fit(self):
+        x, _ = error_series(40, 5, "iid", 0.0, seed=7)
+        fit = single_segment_fit(x)
+        shorter = FunctionalTimeSeries(x.values[:30], x.grid)
+        other_grid = FunctionalTimeSeries(x.values, Grid(np.linspace(0.0, 0.5, 5)))
+        for other in (shorter, other_grid):
+            with pytest.raises(InvalidInputError, match="segment fit does not match"):
+                estimate_lrv(single_segment_fit(other).residuals(other), fit)
 
     def test_scaling_by_lambda_squared(self):
         x, _ = error_series(400, 8, "ma1", 0.3, seed=8)
-        mu = single_segment_means(x)
-        est = estimate_lrv(x, mu, LrvConfig(bandwidth=4))
+        fit = single_segment_fit(x)
+        est = estimate_lrv(fit.residuals(x), fit, LrvConfig(bandwidth=4))
         scaled = FunctionalTimeSeries(3.0 * np.array(x.values), x.grid)
-        est_scaled = estimate_lrv(scaled, 3.0 * mu, LrvConfig(bandwidth=4))
+        fit_scaled = single_segment_fit(scaled)
+        est_scaled = estimate_lrv(fit_scaled.residuals(scaled), fit_scaled, LrvConfig(bandwidth=4))
         assert np.allclose(est_scaled.sigma2.values, 9.0 * est.sigma2.values, rtol=1e-12)
 
     def test_indicator_kernel_recovers_lag0(self, monkeypatch):
         x, _ = error_series(300, 6, "ar1", 0.5, seed=9)
-        mu = single_segment_means(x)
+        fit = single_segment_fit(x)
 
         def indicator(v):
             return np.where(np.asarray(v) == 0.0, 1.0, 0.0)
 
         monkeypatch.setitem(KERNELS, "indicator", indicator)
-        est = estimate_lrv(x, mu, LrvConfig(bandwidth=3, kernel="indicator"))
-        assert np.allclose(est.sigma2.values, lag_covariance(x, mu, 0).values)
+        est = estimate_lrv(fit.residuals(x), fit, LrvConfig(bandwidth=3, kernel="indicator"))
+        assert np.allclose(est.sigma2.values, lag_covariance(x, mean_matrix(fit), 0).values)
 
     @pytest.mark.parametrize("name", ["bartlett", "parzen", "flat_top"])
-    @pytest.mark.parametrize("trend", [False, True], ids=["piecewise_constant", "non_constant"])
-    def test_matches_lag_covariance_sum(self, name, trend):
-        # segment [100, 103) is shorter than c = 5, so lags 4 and 5 reach
-        # across both of its change rows
+    # segment [100, 103) is shorter than c = 5, so lags 4 and 5 reach across
+    # both of its boundaries; one segment has no boundary to correct at
+    @pytest.mark.parametrize(
+        "cuts", [[100, 103, 200], []], ids=["piecewise_constant", "one_segment"]
+    )
+    def test_matches_lag_covariance_sum(self, name, cuts):
         x, _ = error_series(300, 7, "ar1", 0.5, seed=10)
-        mu = fit_segments(x, segments_from_indices(x.n, [100, 103, 200])).fitted()
-        if trend:
-            mu = mu + 0.3 * np.sin(np.arange(x.n) / 7.0)[:, None]
+        fit = fit_segments(x, segments_from_indices(x.n, cuts))
+        mu = mean_matrix(fit)
         c = 5
         kernel = KERNELS[name]
         expected = sum(
             float(kernel(l / c)) * lag_covariance(x, mu, l).values for l in range(-c, c + 1)
         )
         assert expected.min() > 0.0
-        est = estimate_lrv(x, mu, LrvConfig(bandwidth=c, kernel=name))
+        est = estimate_lrv(fit.residuals(x), fit, LrvConfig(bandwidth=c, kernel=name))
         assert np.allclose(est.sigma2.values, expected, rtol=1e-12, atol=0.0)
 
     def test_floor_on_degenerate_data(self):
         x = FunctionalTimeSeries(np.ones((50, 4)), Grid.uniform(4))
-        est = estimate_lrv(x, single_segment_means(x), LrvConfig(bandwidth=2))
+        fit = single_segment_fit(x)
+        est = estimate_lrv(fit.residuals(x), fit, LrvConfig(bandwidth=2))
         assert np.all(est.sigma2.values > 0.0)
 
     def test_consistency_trend(self):
@@ -189,9 +213,8 @@ class TestEstimateLrv:
             errs = []
             for seed in range(5):
                 x, _ = error_series(n, 10, "ar1", 0.4, seed=100 + seed)
-                est = estimate_lrv(
-                    x, single_segment_means(x), LrvConfig(kernel="flat_top")
-                )
+                fit = single_segment_fit(x)
+                est = estimate_lrv(fit.residuals(x), fit, LrvConfig(kernel="flat_top"))
                 errs.append(np.max(np.abs(est.sigma2.values - true)))
             mean_errs.append(np.mean(errs))
         assert mean_errs[0] > mean_errs[1] > mean_errs[2]

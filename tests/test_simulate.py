@@ -78,6 +78,12 @@ class TestScenarioSpec:
         with pytest.raises(InvalidInputError):
             ScenarioSpec(n=100, error_process="ar1", error_param=1.0)
 
+    def test_negative_tau2_rejected(self):
+        for tau2 in (-1.0, {"kind": "linear", "intercept": 1.0, "slope": -2.0}):
+            with pytest.raises(InvalidInputError, match="^scenario key 'tau2': variance must be >="):
+                ScenarioSpec(n=100, tau2=tau2)
+        assert ScenarioSpec(n=100, tau2=0.0).tau2 == 0.0
+
     def test_dict_roundtrip(self):
         spec = ScenarioSpec(
             n=400,
