@@ -43,7 +43,30 @@ def _fmt(x) -> str:
 # ingestion
 
 
-def _sniff_delimiter(sample: str) -> str:
+# the ingest reads this much of a file to find its delimiter, first line and
+# layout; the csv sniffer sees the first _SNIFF_CHARS of it
+_HEAD_CHARS = 65536
+_SNIFF_CHARS = 4096
+
+
+def _read_text(path: Path, size: int = -1) -> str:
+    """The first `size` characters of the file (all of it by default)."""
+    try:
+        with open(path) as fh:
+            return fh.read(size)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"cannot read {path} as {exc.encoding} text") from None
+
+
+def _sniff_delimiter(head: str) -> str:
+    """The delimiter csv.Sniffer finds in whole lines of the file's `head`:
+    a line cut at the sample's end has fewer delimiters than the rest, and
+    fails the sniffer's consistency test."""
+    sample = head[:_SNIFF_CHARS]
+    if head[_SNIFF_CHARS : _SNIFF_CHARS + 1] not in ("", "\n"):
+        sample = sample.rpartition("\n")[0] or sample
     try:
         return csv.Sniffer().sniff(sample, delimiters=",;\t ").delimiter
     except csv.Error:
@@ -64,28 +87,43 @@ def ingest(path, grid_size: int = 100) -> FunctionalTimeSeries:
 
     Two layouts are accepted: matrix (one row per cycle, columns are equally
     spaced phases) and long (columns cycle_id, phase, value; arbitrary
-    per-cycle sampling).  Cycle order is preserved.  Lines whose cells are all
-    blank are skipped, and rows are numbered among the rest.
+    per-cycle sampling).  Cycle order is preserved.  Rows end at line ends
+    (LF, CRLF or CR) only.  Lines whose cells are all blank are skipped, and
+    rows are numbered among the rest.
 
-    The matrix layout is parsed in one `np.loadtxt` call (C parser, the sniffed
-    delimiter, '"' quoting, no comment character); when it fails, the rows are
-    read again with `csv` only to name the first ragged row or unparseable
-    cell.  The long layout is read with `csv`.
+    Only a bounded head of the file is read as text up front, for the
+    delimiter, the layout and a header row.  A matrix whose first line is
+    not blank is then parsed by one `np.loadtxt` call on the path (C parser
+    reading the file in chunks, the sniffed delimiter, '"' quoting, no
+    comment character).  `np.loadtxt` skips empty lines and rejects a line
+    of blank cells, so a file it accepts has no line the line path would
+    skip.  Every other file, and every file it rejects, takes the line path:
+    the whole text, split into its non-blank lines, goes to `np.loadtxt` or,
+    for the long layout, to `csv`; when the matrix parse fails there, the
+    rows are read again with `csv` only to name the first ragged row or
+    unparseable cell.
     """
     path = Path(path)
     if not path.exists():
         raise InvalidInputError(f"input file not found: {path}")
-    text = path.read_text()
-    delimiter = _sniff_delimiter(text[:4096])
-    lines = [line for line in text.splitlines() if not _blank_line(line, delimiter)]
-    if not lines:
-        raise InvalidInputError(f"input file is empty: {path}")
-    first = _cells(lines[0], delimiter)
-    header = [c.strip().lower() for c in first]
+    head = _read_text(path, _HEAD_CHARS)
+    delimiter = _sniff_delimiter(head)
     grid = Grid.uniform(grid_size)
-    if "cycle_id" in header:
-        return _ingest_long(list(csv.reader(lines, delimiter=delimiter)), header, grid)
-    return _ingest_matrix(lines, delimiter, first, grid)
+    values = _parse_matrix_file(path, head, delimiter)
+    if values is None:
+        # the line path; a file that cannot be decoded raises here
+        text = _read_text(path)
+        lines = [line for line in text.split("\n") if not _blank_line(line, delimiter)]
+        if not lines:
+            raise InvalidInputError(f"input file is empty: {path}")
+        first = _cells(lines[0], delimiter)
+        header = [c.strip().lower() for c in first]
+        if "cycle_id" in header:
+            return _ingest_long(list(csv.reader(lines, delimiter=delimiter)), header, grid)
+        values = _parse_matrix_lines(lines, delimiter, first)
+    if values.shape[1] != len(grid):
+        values = _resample(values, grid.points)
+    return FunctionalTimeSeries(values, grid)
 
 
 def _cells(line: str, delimiter: str) -> list:
@@ -133,23 +171,47 @@ def _ingest_long(rows, header, grid: Grid) -> FunctionalTimeSeries:
     return FunctionalTimeSeries(np.stack(curves), grid)
 
 
-def _ingest_matrix(lines, delimiter: str, first, grid: Grid) -> FunctionalTimeSeries:
-    start = 0
+def _has_header(cells) -> bool:
     try:
-        [float(c) for c in first]
+        [float(c) for c in cells]
     except ValueError:
-        start = 1  # header row
-        if len(lines) == 1:
-            raise InvalidInputError("matrix layout has a header but no data rows") from None
+        return True
+    return False
+
+
+def _parse_matrix_file(path: Path, head: str, delimiter: str):
+    """The matrix parsed straight from the file, or None when the line path
+    must read it: the first line is blank, or runs past the head; it is the
+    long layout's header; a header row has nothing after it in the head
+    (which `np.loadtxt` would meet with a warning, not an error); or
+    `np.loadtxt` rejects the file."""
+    first, newline, rest = head.partition("\n")
+    if not (newline or len(head) < _HEAD_CHARS) or _blank_line(first, delimiter):
+        return None
+    cells = _cells(first, delimiter)
+    if "cycle_id" in (c.strip().lower() for c in cells):
+        return None
+    start = int(_has_header(cells))
+    if start and not rest.strip():
+        return None
     try:
-        values = np.loadtxt(
+        return np.loadtxt(
+            str(path), delimiter=delimiter, comments=None, quotechar='"', ndmin=2, skiprows=start
+        )
+    except ValueError:  # also UnicodeDecodeError, which the line path's read reports
+        return None
+
+
+def _parse_matrix_lines(lines, delimiter: str, first) -> np.ndarray:
+    start = int(_has_header(first))
+    if start and len(lines) == 1:
+        raise InvalidInputError("matrix layout has a header but no data rows")
+    try:
+        return np.loadtxt(
             lines[start:], delimiter=delimiter, comments=None, quotechar='"', ndmin=2
         )
     except ValueError as exc:
         _raise_matrix_error(lines, delimiter, start, exc)
-    if values.shape[1] != len(grid):
-        values = _resample(values, grid.points)
-    return FunctionalTimeSeries(values, grid)
 
 
 def _raise_matrix_error(lines, delimiter: str, start: int, exc: ValueError):
@@ -180,9 +242,13 @@ def _resample(values: np.ndarray, t: np.ndarray) -> np.ndarray:
     # take() keeps the result C-ordered like the rows np.interp fills, so
     # later reductions over cycles add in the same order
     left = values.take(k, axis=1)
+    out = values.take(k + 1, axis=1)
+    # slope * (t - xp[k]) + left formed in place, rounded at the same steps
     with np.errstate(all="ignore"):  # np.interp computes in C without warnings
-        slope = (values.take(k + 1, axis=1) - left) / (xp[k + 1] - xp[k])
-        out = slope * (t - xp[k]) + left
+        np.subtract(out, left, out=out)
+        out /= xp[k + 1] - xp[k]
+        out *= t - xp[k]
+        out += left
     at_phase = (j == width - 1) | (xp[j] == t)
     out[:, at_phase] = values.take(j[at_phase], axis=1)
     return out
@@ -365,7 +431,7 @@ def _load_json(path) -> dict:
     if not path.exists():
         raise InvalidInputError(f"file not found: {path}")
     try:
-        return json.loads(path.read_text())
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"cannot parse {path}: {exc}") from None
 

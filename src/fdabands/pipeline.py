@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .bands import ConfidenceBandSet, build_bands
 from .bootstrap import BootstrapConfig, BootstrapResult, run_bootstrap
-from .core import FunctionalTimeSeries, check_float, check_integer
+from .core import FunctionalTimeSeries, check_float, check_integer, fit_segments
 from .lrv import LrvConfig, LrvEstimate, estimate_lrv
 from .segmentation import (
     ChangePointSet,
@@ -51,9 +51,9 @@ def analyze(x: FunctionalTimeSeries, cfg: PipelineConfig | None = None) -> Analy
     cfg = cfg or PipelineConfig()
 
     cps = detect_change_points(x, cfg.segmentation)
-    rel = relevant_set(x, cps, cfg.relevant)
-    fit = rel.fit
+    fit = fit_segments(x, cps.segments)
     y = fit.residuals(x)
+    rel = relevant_set(x, cps, cfg.relevant, fit=fit, residuals=y)
     lrv_est = estimate_lrv(y, fit, cfg.lrv)
 
     # The bands use the (1 - alpha/2)-quantile of T*, not the (1 - alpha)-

@@ -26,6 +26,7 @@ from .bootstrap import bootstrap_margin
 from .core import (
     FunctionalTimeSeries,
     InvalidInputError,
+    ResidualSeries,
     SegmentFit,
     check_float,
     check_integer,
@@ -230,11 +231,16 @@ def relevant_set(
     x: FunctionalTimeSeries,
     cps: ChangePointSet,
     cfg: RelevantChangeConfig | None = None,
+    *,
+    fit: SegmentFit | None = None,
+    residuals: ResidualSeries | None = None,
 ) -> RelevantSet:
     """Filter detected changes down to those with jump sup-norm > Delta.
 
     Index 0 is always included.  In the default plug-in mode the comparison
-    margin is 0; method='bootstrap' adds a beta-calibrated margin.
+    margin is 0; method='bootstrap' adds a beta-calibrated margin.  A caller
+    that has formed the fit of `x` over cps.segments, or that fit's
+    residuals, passes them in so they are not formed twice.
     """
     cfg = cfg or RelevantChangeConfig()
     if cps.n != x.n:
@@ -244,12 +250,12 @@ def relevant_set(
         raise InvalidInputError(
             "auto delta is zero (identical end windows); supply an explicit delta"
         )
-    fit = fit_segments(x, cps.segments)
+    fit = fit or fit_segments(x, cps.segments)
     jumps = [sup_norm(fit.means[i] - fit.means[i - 1]) for i in range(1, len(fit.means))]
 
     margins = [0.0] * len(jumps)
     if cfg.method == "bootstrap":
-        resid = fit.residuals(x).values
+        resid = (residuals or fit.residuals(x)).values
         margins = [
             bootstrap_margin(
                 resid,

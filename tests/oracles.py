@@ -1,11 +1,15 @@
-"""Definitional forms of two estimators the library computes another way.
+"""Definitional forms of what the library computes another way.
 
 The tests compare the library against these: `lag_covariance` sums one lag
 covariance as defined, where `estimate_lrv` shares one main sum between lags
 +a and -a; `bootstrap_segment_mean` forms one multiplier-bootstrap segment
 mean from explicit multipliers, where `run_bootstrap` draws its exact
-Gaussian law without them.
+Gaussian law without them; `matrix_by_lines` reads a matrix-layout file line
+by line and resamples it row by row, where `cli.ingest` parses the file in
+one call and resamples all rows at once.
 """
+
+import csv
 
 import numpy as np
 
@@ -65,3 +69,37 @@ def bootstrap_segment_mean(
         )
     B = block_averages_by_index(y.values, L)[seg.start : seg.end]
     return Curve(nu @ B / seg.length, y.grid)
+
+
+def matrix_by_lines(text: str, grid_size: int) -> np.ndarray:
+    """A matrix-layout file's cycles on the uniform grid of `grid_size` points.
+
+    The delimiter is the one csv.Sniffer finds in the first 4096 characters
+    (',' when it finds none).  The lines whose cells are all blank are
+    dropped; a first line with a cell that is not a number is a header;
+    np.loadtxt parses the list of the remaining lines, and each row of width
+    W is interpolated from the phases linspace(0, 1, W) by np.interp.
+    Raises ValueError where the file is not such a matrix.
+    """
+    try:
+        delimiter = csv.Sniffer().sniff(text[:4096], delimiters=",;\t ").delimiter
+    except csv.Error:
+        delimiter = ","
+    rows = [next(csv.reader([line], delimiter=delimiter), []) for line in text.splitlines()]
+    lines = [line for line, row in zip(text.splitlines(), rows) if any(c.strip() for c in row)]
+    if not lines:
+        raise ValueError("no rows")
+    first = next(csv.reader([lines[0]], delimiter=delimiter))
+    try:
+        [float(c) for c in first]
+        start = 0
+    except ValueError:
+        start = 1
+    if len(lines) == start:
+        raise ValueError("a header and no rows")
+    values = np.loadtxt(lines[start:], delimiter=delimiter, comments=None, quotechar='"', ndmin=2)
+    if values.shape[1] == grid_size:
+        return values
+    t = np.linspace(0.0, 1.0, grid_size)
+    xp = np.linspace(0.0, 1.0, values.shape[1])
+    return np.stack([np.interp(t, xp, row) for row in values])

@@ -2,12 +2,19 @@ import argparse
 import dataclasses
 import json
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fdabands.cli as cli
 from fdabands import __version__
 from fdabands.cli import RunConfig, _build_parser, ingest, main, read_bands
+from oracles import matrix_by_lines
 
 from fdabands import InvalidInputError
 
@@ -107,8 +114,13 @@ class TestIngest:
             "\n1,2,3\n\n   \n\t\n,,\n4,5,6\n\n",
             "1,2,3\r\n4,5,6\r\n",
             "# phase 0, 0.5, 1\n1,2,3\n4,5,6\n",
+            # rows end at line ends only; other whitespace is part of a cell,
+            # in the path parse and the line path alike
+            "1\f,2,3\n4,5,6\n",
+            "1\f,2,3\n,,\n4,5,6\n",
         ],
-        ids=["spaces", "quotes", "tabs", "space_delimiter", "blank_lines", "crlf", "hash_header"],
+        ids=["spaces", "quotes", "tabs", "space_delimiter", "blank_lines", "crlf", "hash_header",
+             "form_feed", "form_feed_line_path"],
     )
     def test_matrix_text_forms(self, tmp_path, text):
         f = tmp_path / "data.csv"
@@ -147,6 +159,104 @@ class TestIngest:
         f.write_text("cycle_id,phase,value\nc,0.5,1.0\nc,0.5,2.0\n")
         with pytest.raises(InvalidInputError, match="duplicate"):
             ingest(f, grid_size=3)
+
+
+@st.composite
+def matrix_files(draw):
+    """Matrix-layout text: repr values, quoted or padded, delimited by
+    ',', ';', tab or space, an optional header, blank lines anywhere (the
+    first line included), LF or CRLF line ends."""
+    delimiter = draw(st.sampled_from([",", ";", "\t", " "]))
+    width = draw(st.integers(2, 9))
+    n_rows = draw(st.integers(1, 6))
+    number = st.floats(-1e6, 1e6, allow_subnormal=True).map(repr)
+    pad = st.just("") if delimiter == " " else st.sampled_from(["", " ", "  "])
+    # a quote next to a space reads to csv.Sniffer as a space delimiter
+    cell = number.map(lambda v: f'"{v}"') | st.tuples(pad, number, pad).map("".join)
+    lines = [delimiter.join(draw(st.lists(cell, min_size=width, max_size=width))) for _ in range(n_rows)]
+    if draw(st.booleans()):
+        lines.insert(0, delimiter.join(f"p{j}" for j in range(width)))
+    blank = st.sampled_from(["", " ", "\t", '""', delimiter * (width - 1)])
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(blank))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from([newline, ""]))
+    return newline.join(lines) + end
+
+
+class TestIngestEquivalence:
+    """`ingest` against the line-by-line reading of tests/oracles.py."""
+
+    GRID = 6
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrix_files())
+    def test_matches_line_by_line_oracle(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            f = Path(tmp) / "data.csv"
+            f.write_text(text, newline="")
+            try:
+                expected = matrix_by_lines(f.read_text(), self.GRID)
+            except ValueError:  # e.g. a quoted space-delimited row sniffed as ','
+                with pytest.raises(InvalidInputError):
+                    ingest(f, grid_size=self.GRID)
+                return
+            x = ingest(f, grid_size=self.GRID)
+        assert x.values.tobytes() == expected.tobytes()
+
+    def test_first_line_longer_than_the_head(self, tmp_path):
+        vals = np.random.default_rng(1).normal(size=(3, 5000))
+        f = tmp_path / "data.csv"
+        write_matrix(f, vals)
+        assert len(f.read_text().partition("\n")[0]) > cli._HEAD_CHARS
+        expected = matrix_by_lines(f.read_text(), self.GRID)
+        assert ingest(f, grid_size=self.GRID).values.tobytes() == expected.tobytes()
+
+    def test_clean_file_is_parsed_from_its_path(self, tmp_path, monkeypatch):
+        # a clean file is read once by np.loadtxt on its path; only the head
+        # is read as text, and no list of lines is built
+        vals = np.random.default_rng(2).normal(size=(40, 7))
+        f = tmp_path / "data.csv"
+        write_matrix(f, vals, header=[f"p{j}" for j in range(7)])
+        parsed, read = [], []
+        loadtxt, read_text = np.loadtxt, cli._read_text
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def loadtxt(self, fname, *args, **kwargs):
+                parsed.append(fname)
+                return loadtxt(fname, *args, **kwargs)
+
+        def recording_read(path, size=-1):
+            read.append(size)
+            return read_text(path, size)
+
+        monkeypatch.setattr(cli, "np", RecordingNumpy())
+        monkeypatch.setattr(cli, "_read_text", recording_read)
+        x = ingest(f, grid_size=7)
+        assert np.array_equal(x.values, vals)
+        assert parsed == [str(f)]
+        assert read == [cli._HEAD_CHARS]
+
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t", " "], ids=["comma", "semicolon", "tab", "space"])
+    def test_sniffs_the_delimiter_from_whole_lines(self, tmp_path, delimiter):
+        # 50 columns: the sniffer's sample ends inside a line
+        vals = np.random.default_rng(3).normal(size=(30, 50))
+        f = tmp_path / "data.csv"
+        np.savetxt(f, vals, fmt="%.12g", delimiter=delimiter)
+        expected = np.loadtxt(f, delimiter=delimiter, ndmin=2)
+        assert np.array_equal(ingest(f, grid_size=50).values, expected)
+
+    @pytest.mark.parametrize("tail", ["", "\n\n", " \n,,\n", "\n" * 70_000], ids=["none", "empty", "blank", "past_head"])
+    def test_header_only(self, tmp_path, tail):
+        f = tmp_path / "data.csv"
+        f.write_text("p0,p1,p2\n" + tail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="header but no data rows"):
+                ingest(f, grid_size=3)
 
 
 def jump_dataset(tmp_path, n=120, grid_size=12, jump=8.0, noise_sd=0.3, seed=0):
@@ -369,6 +479,32 @@ class TestSeeds:
             args += ["--output-dir", str(tmp_path / "o")]
         assert main(args) == 2
         assert "rng_seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+
+def unreadable_file(tmp_path, kind):
+    if kind == "directory":
+        path = tmp_path / "data"
+        path.mkdir()
+        return path
+    # a Latin-1 byte, on the first line or past the head that ingest sniffs
+    path = tmp_path / "data.csv"
+    clean = b"1.0,2.0,3.0\n" * (10_000 if kind == "latin1_past_head" else 0)
+    path.write_bytes(clean + b"4.0,\xe9,6.0\n")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["directory", "latin1", "latin1_past_head"])
+@pytest.mark.parametrize("option", ["analyze --input", "analyze --config", "simulate --spec", "coverage --spec"])
+def test_unreadable_file_is_exit_2(tmp_path, capsys, option, kind):
+    path = unreadable_file(tmp_path, kind)
+    args = {
+        "analyze --input": analyze_args(path, tmp_path / "out"),
+        "analyze --config": ["analyze", "--config", str(path), "--output-dir", str(tmp_path / "out")],
+        "simulate --spec": ["simulate", "--spec", str(path), "--output-dir", str(tmp_path / "out")],
+        "coverage --spec": ["coverage", "--spec", str(path)],
+    }[option]
+    assert main(args) == 2
+    assert f"cannot read {path}" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

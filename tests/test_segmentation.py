@@ -10,8 +10,11 @@ from fdabands import (
     FunctionalTimeSeries,
     Grid,
     InvalidInputError,
+    PipelineConfig,
     RelevantChangeConfig,
     SegmentationConfig,
+    SegmentFit,
+    analyze,
     auto_delta,
     detect_change_points,
     relevant_set,
@@ -396,3 +399,27 @@ def test_auto_threshold_scans_each_interval_once(monkeypatch):
     assert cps.m == 3
     assert len(scanned) == 2 * cps.m + 1
     assert max(scanned.values()) == 1
+
+
+def test_analyze_forms_each_fits_residuals_once(monkeypatch):
+    # the bootstrap margin reads the residuals that analyze forms for the
+    # LRV and the bootstrap; only the pilot fit forms its own
+    grid_size = 8
+    x = jump_series(400, grid_size, [(0.5, np.full(grid_size, 3.0))], noise_sd=1.0, seed=4)
+    cfg = PipelineConfig(
+        relevant=RelevantChangeConfig(delta=2.0, method="bootstrap", calibration_replications=200),
+        replications=200,
+    )
+    formed = Counter()
+    residuals = SegmentFit.residuals
+
+    def counting(fit, series):
+        formed[id(fit)] += 1
+        return residuals(fit, series)
+
+    monkeypatch.setattr(SegmentFit, "residuals", counting)
+    res = analyze(x, cfg)
+    assert sum(formed.values()) == 2
+    assert max(formed.values()) == 1
+    alone = relevant_set(x, res.change_points, cfg.relevant)
+    assert (alone.indices, alone.all_jumps) == (res.relevant.indices, res.relevant.all_jumps)
