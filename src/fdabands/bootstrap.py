@@ -13,11 +13,23 @@ calibrates the bands.
 between two adjacent segments the same way.  The definitional bootstrap
 segment mean that the tests compare against is `bootstrap_segment_mean` in
 tests/oracles.py.
+
+Every segment's (or pair's) R replicates are split into DRAW_BLOCKS row
+blocks, and each block is drawn from its own Philox substream, keyed by the
+seed, the purpose, the segment or pair and the block.  The blocks run on one
+thread pool of up to DRAW_BLOCKS workers, no more than the CPUs this process
+may run on; with one CPU they run inline.  numpy releases the interpreter
+lock while it fills and multiplies the arrays, so the blocks run in parallel,
+and since no block depends on another, the replicates are bit-identical for
+any number of workers.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +38,12 @@ from .core import Curve, InvalidInputError, ResidualSeries, Segment, check_float
 
 # the bit generator of every draw, named in diagnostics.txt
 RNG_ALGORITHM = "philox"
+# row blocks per segment or pair, each from its own substream; the draws
+# depend on this number, never on the number of workers
+DRAW_BLOCKS = 2
+# the first spawn-key entry of each substream: SeedSequence pads short
+# entropy with zeros, so keys of one length plus a purpose never collide
+_QUANTILE, _MARGIN = 0, 1
 
 
 @dataclass(frozen=True)
@@ -76,13 +94,11 @@ def _block_averages(y_values: np.ndarray, L: int) -> np.ndarray:
     return out
 
 
-def _gaussian_draws(
-    mat: np.ndarray, replications: int, rng: np.random.Generator, scale=1.0
-) -> np.ndarray:
-    """Rows drawn from N(0, M^T M) with M = mat / scale (columns divided by a
-    positive `scale`), the law of nu @ M for standard normal nu: with S the
-    symmetric square root of mat^T mat, r = S / scale has r^T r = M^T M, also
-    when mat is rank-deficient or zero.
+def _sqrt_factor(mat: np.ndarray, scale=1.0) -> np.ndarray:
+    """r with r^T r = M^T M for M = mat / scale (columns divided by a
+    positive `scale`): with S the symmetric square root of mat^T mat,
+    r = S / scale, also when mat is rank-deficient or zero.  z @ r for
+    standard normal z then has the law of nu @ M for standard normal nu.
 
     S is continuous in mat: a change of eps in mat^T mat moves S by at most
     about sqrt(eps), where a QR factor of a block matrix of low numerical rank
@@ -91,8 +107,72 @@ def _gaussian_draws(
     rescales the draws.
     """
     lam, v = np.linalg.eigh(mat.T @ mat)
-    r = (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.T / scale
-    return rng.standard_normal((replications, r.shape[0])) @ r
+    return (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.T / scale
+
+
+# the draw pool, one per process, started by the first draw on two or more CPUs
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    # a forked child inherits the executor but none of its worker threads,
+    # and the lock as it was, possibly held by a thread that is gone
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _executor() -> ThreadPoolExecutor | None:
+    """The draw pool, started on first use; None where one CPU is available."""
+    global _pool
+    workers = min(DRAW_BLOCKS, _cpu_count())
+    if workers < 2:
+        return None
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="fdabands-draw")
+        return _pool
+
+
+def _substream(seed: int, key: tuple) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def _fill_block(r: np.ndarray, seed: int, key: tuple, out: np.ndarray) -> None:
+    w = _substream(seed, key).standard_normal((out.shape[0], r.shape[0])) @ r
+    np.abs(w, out=w).max(axis=1, out=out)
+
+
+def _draw_sups(factors, replications: int, seed: int, keys) -> np.ndarray:
+    """(len(factors), R) array whose row k holds sup_t |z @ factors[k]| for
+    R draws z ~ N(0, I).  Rows [b*R // DRAW_BLOCKS, (b+1)*R // DRAW_BLOCKS)
+    of row k come from the substream of `seed` keyed (*keys[k], b)."""
+    out = np.empty((len(factors), replications))
+    bounds = [b * replications // DRAW_BLOCKS for b in range(DRAW_BLOCKS + 1)]
+    tasks = [
+        (r, seed, (*key, b), out[k, lo:hi])
+        for k, (r, key) in enumerate(zip(factors, keys))
+        for b, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
+    pool = _executor()
+    if pool is None:
+        for task in tasks:
+            _fill_block(*task)
+    else:
+        for future in [pool.submit(_fill_block, *task) for task in tasks]:
+            future.result()
+    return out
 
 
 def _empirical_quantile(values: np.ndarray, level: float) -> float:
@@ -104,21 +184,27 @@ def _empirical_quantile(values: np.ndarray, level: float) -> float:
 
 
 def bootstrap_margin(
-    residuals: np.ndarray, left: Segment, right: Segment, beta: float, replications: int, seed
+    residuals: np.ndarray,
+    left: Segment,
+    right: Segment,
+    beta: float,
+    replications: int,
+    seed: int,
+    pair: int,
 ) -> float:
     """(1 - beta)-quantile of the bootstrapped jump-estimate fluctuation.
 
     Reuses the multiplier block bootstrap on the residuals of the two segments
     adjacent to a change to calibrate how far a jump estimate can stray from
     its target under the null; the jump difference nu @ [-B_left / n_left;
-    B_right / n_right] is Gaussian given the data and is drawn exactly.
+    B_right / n_right] is Gaussian given the data and is drawn exactly, from
+    the substreams of change `pair`.
     """
     resid = residuals[left.start : right.end]
     L = auto_block_length(min(left.length, right.length))
     B = _block_averages(resid, L)
     diff = np.vstack([-B[: left.length] / left.length, B[left.length :] / right.length])
-    rng = np.random.Generator(np.random.Philox(seed))  # seed: an int or (rng_seed, i)
-    draws = np.abs(_gaussian_draws(diff, replications, rng)).max(axis=1)
+    (draws,) = _draw_sups([_sqrt_factor(diff)], replications, seed, [(_MARGIN, pair)])
     return _empirical_quantile(draws, 1.0 - beta)
 
 
@@ -130,8 +216,9 @@ def run_bootstrap(
 ) -> BootstrapResult:
     """R replicate statistics T* and their empirical (1 - alpha)-quantile.
 
-    Segments draw their replicates in order from one Philox stream seeded
-    with cfg.rng_seed, so results are bit-identical for a fixed seed.
+    Segment k's replicates come from the DRAW_BLOCKS Philox substreams of
+    cfg.rng_seed keyed by k, drawn on the module's thread pool, so results
+    are bit-identical for a fixed seed whatever the number of workers.
     """
     segments = list(segments)
     if not segments:
@@ -150,20 +237,16 @@ def run_bootstrap(
     sigma = np.sqrt(sigma2.values)
 
     B = _block_averages(y.values, L)
-    rng = np.random.Generator(np.random.Philox(cfg.rng_seed))
-    per_segment = np.empty((R, len(segments)))
-    for k, seg in enumerate(segments):
-        # nu @ block / (sqrt(n_i) * sigma) is sqrt(n_i) * mu_i* / sigma
-        block = B[seg.start : seg.end]
-        draws = _gaussian_draws(block, R, rng, np.sqrt(seg.length) * sigma)
-        per_segment[:, k] = np.abs(draws).max(axis=1)
-    stats = per_segment.max(axis=1)
+    # nu @ block / (sqrt(n_i) * sigma) is sqrt(n_i) * mu_i* / sigma
+    factors = [_sqrt_factor(B[seg.start : seg.end], np.sqrt(seg.length) * sigma) for seg in segments]
+    per_segment = _draw_sups(factors, R, cfg.rng_seed, [(_QUANTILE, k) for k in range(len(segments))])
+    stats = per_segment.max(axis=0)
     q = _empirical_quantile(stats, 1.0 - cfg.alpha)
 
-    argmax = per_segment.argmax(axis=1)
+    argmax = per_segment.argmax(axis=0)
     diagnostics = {
         k: {
-            "quantile": _empirical_quantile(per_segment[:, k], 1.0 - cfg.alpha),
+            "quantile": _empirical_quantile(per_segment[k], 1.0 - cfg.alpha),
             "max_share": float(np.mean(argmax == k)),
         }
         for k in range(len(segments))

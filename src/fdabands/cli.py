@@ -50,9 +50,10 @@ _SNIFF_CHARS = 4096
 
 
 def _read_text(path: Path, size: int = -1) -> str:
-    """The first `size` characters of the file (all of it by default)."""
+    """The first `size` characters of the file (all of it by default), read
+    as UTF-8 without a leading byte-order mark."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read(size)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc.strerror}") from None
@@ -196,7 +197,13 @@ def _parse_matrix_file(path: Path, head: str, delimiter: str):
         return None
     try:
         return np.loadtxt(
-            str(path), delimiter=delimiter, comments=None, quotechar='"', ndmin=2, skiprows=start
+            str(path),
+            delimiter=delimiter,
+            comments=None,
+            quotechar='"',
+            ndmin=2,
+            skiprows=start,
+            encoding="utf-8-sig",
         )
     except ValueError:  # also UnicodeDecodeError, which the line path's read reports
         return None

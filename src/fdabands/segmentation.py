@@ -263,7 +263,8 @@ def relevant_set(
                 fit.segments[i],
                 cfg.beta,
                 cfg.calibration_replications,
-                (cfg.rng_seed, i),
+                cfg.rng_seed,
+                i,
             )
             for i in range(1, len(fit.segments))
         ]

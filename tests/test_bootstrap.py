@@ -1,5 +1,9 @@
 import dataclasses
+import multiprocessing
+import os
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,9 +16,12 @@ from fdabands import (
     InternalInvariantError,
     InvalidInputError,
     LrvConfig,
+    PipelineConfig,
+    RelevantChangeConfig,
     ResidualSeries,
     ScenarioSpec,
     Segment,
+    analyze,
     auto_block_length,
     estimate_lrv,
     fit_segments,
@@ -23,7 +30,7 @@ from fdabands import (
     segments_from_locations,
 )
 import fdabands.bootstrap as bootstrap
-from fdabands.bootstrap import _block_averages, _gaussian_draws, bootstrap_margin
+from fdabands.bootstrap import _block_averages, _draw_sups, _sqrt_factor, bootstrap_margin
 from oracles import block_averages_by_index, bootstrap_segment_mean
 
 
@@ -247,15 +254,6 @@ class TestRunBootstrap:
         assert bootstrap.RNG_ALGORITHM == "philox"
 
 
-class _BasisNormals:
-    """Stands in for a Generator: its "standard normals" are the rows of the
-    identity, so _gaussian_draws(mat, k, _BasisNormals()) returns the factor r
-    itself."""
-
-    def standard_normal(self, shape):
-        return np.eye(*shape)
-
-
 def basis_rows(y, seg, L, scale=1.0):
     """Row j: scale * bootstrap_segment_mean under the multiplier nu = e_j, so
     nu @ rows is the definitional bootstrap mean for any nu."""
@@ -271,11 +269,6 @@ def margin_rows(resid, left, right):
     L = auto_block_length(min(left.length, right.length))
     lo, mid, hi = 0, left.length, left.length + right.length
     return np.vstack([-basis_rows(y, Segment(lo, mid), L), basis_rows(y, Segment(mid, hi), L)])
-
-
-def factor_of(mat, scale=1.0):
-    k = mat.shape[1]  # the symmetric square root is T x T
-    return _gaussian_draws(mat, k, _BasisNormals(), scale)
 
 
 def assert_same_covariance(r, rows):
@@ -306,7 +299,7 @@ class TestGaussianDraws:
         sigma = np.sqrt(rng.uniform(0.5, 2.0, size=grid_size))
         # the block matrix and column scale run_bootstrap draws this segment from
         block = _block_averages(y.values, L)[seg.start : seg.end]
-        r = factor_of(block, np.sqrt(seg.length) * sigma)
+        r = _sqrt_factor(block, np.sqrt(seg.length) * sigma)
         assert r.shape == (grid_size, grid_size)
         assert_same_covariance(r, basis_rows(y, seg, L, np.sqrt(seg.length) / sigma))
 
@@ -319,13 +312,122 @@ class TestGaussianDraws:
         resid = np.random.default_rng(32).normal(size=(70, 8))
         seen = []
 
-        def record(mat, replications, rng):
-            seen.append(mat)
-            return _gaussian_draws(mat, replications, rng)
+        def record(factors, replications, seed, keys):
+            seen.extend(factors)
+            return _draw_sups(factors, replications, seed, keys)
 
-        monkeypatch.setattr(bootstrap, "_gaussian_draws", record)
-        bootstrap_margin(resid, left, right, 0.1, 50, (0, 1))
-        assert_same_covariance(factor_of(seen[0]), margin_rows(resid, left, right))
+        monkeypatch.setattr(bootstrap, "_draw_sups", record)
+        bootstrap_margin(resid, left, right, 0.1, 50, 0, 1)
+        (r,) = seen
+        assert_same_covariance(r, margin_rows(resid, left, right))
+
+
+def substream_sups(r, replications, seed, key):
+    """The row-block draws by hand: block b's rows from SeedSequence(seed,
+    spawn_key=(*key, b))."""
+    blocks = bootstrap.DRAW_BLOCKS
+    rows = []
+    for b in range(blocks):
+        lo, hi = b * replications // blocks, (b + 1) * replications // blocks
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(*key, b))))
+        rows.append(np.abs(rng.standard_normal((hi - lo, r.shape[0])) @ r).max(axis=1))
+    return np.concatenate(rows)
+
+
+def _draw_in_child(queue, one_cpu):
+    if one_cpu:
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    _, segs, y, sigma2 = residuals_fixture()
+    res = run_bootstrap(y, segs, sigma2, BootstrapConfig(replications=300, rng_seed=2))
+    queue.put((res.statistics.tobytes(), bootstrap._executor() is None))
+
+
+class TestDrawBlocks:
+    """Each (segment or pair, row block) has its own substream, so the draws
+    do not depend on which thread runs a block, or on how many there are."""
+
+    def test_blocks_come_from_their_substreams(self):
+        rng = np.random.default_rng(33)
+        factors = [rng.normal(size=(5, 5)), rng.normal(size=(5, 5))]
+        keys = [(0, 0), (1, 3)]
+        out = _draw_sups(factors, 101, 9, keys)
+        assert out.shape == (2, 101)
+        for r, key, row in zip(factors, keys, out):
+            assert np.array_equal(row, substream_sups(r, 101, 9, key))
+
+    def test_results_independent_of_worker_count(self, monkeypatch):
+        _, segs, y, sigma2 = residuals_fixture()
+        cfg = BootstrapConfig(replications=301, rng_seed=4)
+        on_main = []
+        fill = bootstrap._fill_block
+
+        def record(*args):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            fill(*args)
+
+        monkeypatch.setattr(bootstrap, "_fill_block", record)
+        results = []
+        for workers in ("default", 1, 2, "inline"):
+            pool = ThreadPoolExecutor(workers) if isinstance(workers, int) else None
+            if workers != "default":
+                monkeypatch.setattr(bootstrap, "_executor", lambda: pool)
+            on_main.clear()
+            try:
+                res = run_bootstrap(y, segs, sigma2, cfg)
+                margin = bootstrap_margin(y.values, segs[0], segs[1], 0.1, 301, 4, 1)
+            finally:
+                if pool is not None:
+                    pool.shutdown()
+            assert len(on_main) == 3 * bootstrap.DRAW_BLOCKS
+            if workers != "default":
+                assert set(on_main) == {pool is None}
+            results.append((res.statistics.tobytes(), margin))
+        assert results[1:] == results[:-1]
+
+    def test_substream_keys_are_distinct_in_one_analyze(self, monkeypatch):
+        # Both configs' seeds default to 0, and SeedSequence pads short
+        # entropy with zeros: keys (seed, k, b) for segment k and (seed, i, b)
+        # for change i would give change 1's margin the stream of segment 1.
+        rng = np.random.default_rng(34)
+        values = rng.normal(size=(200, 10)) + np.repeat([0.0, 5.0], 100)[:, None]
+        x = FunctionalTimeSeries(values, Grid.uniform(10))
+        seen = []
+        substream = bootstrap._substream
+
+        def record(seed, key):
+            gen = substream(seed, key)
+            seen.append((key, gen.bit_generator.state["state"]["key"].tobytes()))
+            return gen
+
+        monkeypatch.setattr(bootstrap, "_substream", record)
+        cfg = PipelineConfig(relevant=RelevantChangeConfig(delta=1.0, method="bootstrap"))
+        assert analyze(x, cfg).relevant.indices == (0, 1)
+        keys = [key for key, _ in seen]
+        assert {(0, 1, 0), (1, 1, 0)} <= set(keys)
+        assert len(set(keys)) == len(keys) == len({state for _, state in seen})
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+@pytest.mark.parametrize("one_cpu", [False, True], ids=["all_cpus", "one_cpu"])
+def test_forked_child_draws_on_its_own_pool(one_cpu):
+    # the child inherits the parent's pool object but none of its threads;
+    # drawing on it would wait forever
+    if one_cpu and not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no sched_setaffinity")
+    _, segs, y, sigma2 = residuals_fixture()
+    expected = run_bootstrap(y, segs, sigma2, BootstrapConfig(replications=300, rng_seed=2))
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_draw_in_child, args=(queue, one_cpu))
+    child.start()
+    try:
+        stats, inline = queue.get(timeout=60)
+        child.join(timeout=30)
+        assert not child.is_alive()
+    finally:
+        child.kill()
+    assert stats == expected.statistics.tobytes()
+    assert inline == (one_cpu or bootstrap._cpu_count() < 2)
 
 
 def ar1_fixture(n=120, grid_size=6, rho=0.5, seed=41):
@@ -365,7 +467,7 @@ class TestDistributionalAgreement:
     def test_bootstrap_margin_quantile(self):
         segs, y = ar1_fixture()
         left, right = segs
-        margin = bootstrap_margin(y.values, left, right, 0.1, self.R, (5, 1))
+        margin = bootstrap_margin(y.values, left, right, 0.1, self.R, 5, 1)
         nu = np.random.default_rng(7).standard_normal((self.R, y.n))
         q_def = np.quantile(np.abs(nu @ margin_rows(y.values, left, right)).max(axis=1), 0.9)
         assert margin == pytest.approx(q_def, rel=self.TOL)

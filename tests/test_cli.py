@@ -143,6 +143,22 @@ class TestIngest:
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             ingest(f, grid_size=3)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1.0,2.0,3.0\n4.0,5.0,6.0\n",
+            "p0,p1,p2\n1.0,2.0,3.0\n4.0,5.0,6.0\n",
+            "cycle_id,phase,value\na,0,1\na,0.5,2\na,1,3\nb,0,4\nb,0.5,5\nb,1,6\n",
+        ],
+        ids=["matrix", "matrix_header", "long"],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        # a UTF-8 byte-order mark made the first cell '\ufeff1.0', which
+        # float rejects, so the first cycle was read as a header
+        f = tmp_path / "data.csv"
+        f.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert np.array_equal(ingest(f, grid_size=3).values, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InvalidInputError, match="not found"):
             ingest(tmp_path / "absent.csv")
@@ -355,6 +371,15 @@ class TestAnalyzeCommand:
         diag = (out / "diagnostics.txt").read_text()
         assert "delta = 2" in diag  # flag overrode the config file
         assert "alpha = 0.2" in diag
+
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        data = jump_dataset(tmp_path)
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.json"
+        settings = {"input": str(data), "output_dir": str(out), "grid_size": 12, "replications": 300}
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps(settings).encode())
+        assert main(["analyze", "--config", str(cfg)]) == 0
+        assert "replications = 300" in (out / "diagnostics.txt").read_text()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

@@ -10,9 +10,15 @@ sibling that needs it should get a public function instead.
 The tracer skips a target whose name is gone, so a renamed or moved call
 would make its per-layer metric read 0 without a failure; the last test
 keeps the set of missing targets from growing.
+
+Importing the package starts no thread: the bootstrap's draw pool starts on
+the first draw.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +66,10 @@ def test_trace_targets_exist(monkeypatch):
     import spans
 
     assert set(spans.Tracer().missing) <= STALE_TRACE_TARGETS
+
+
+def test_import_starts_no_thread():
+    code = "import threading, fdabands; print([t.name for t in threading.enumerate()])"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "['MainThread']"
