@@ -1,8 +1,9 @@
 """Simultaneous uniform confidence bands for the relevant segment means.
 
 `build_bands` reads the segment means mu_hat_i and lengths n_hat_i from the
-SegmentFit that the relevant filter built, so no second copy of the means
-is made on the way to the bands.  The quantile q and sigma_hat come from
+SegmentFit that `analyze` forms once over all detected segments and shares
+with the relevant filter and the LRV, so no second copy of the means is
+made on the way to the bands.  The quantile q and sigma_hat come from
 `run_bootstrap` and `estimate_lrv`; the definitional bootstrap segment mean
 and lag covariance that the tests check them against are in
 tests/oracles.py.

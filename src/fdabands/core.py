@@ -219,8 +219,7 @@ class SegmentFit:
     """Mean curves of a series over a partition of [0, n).
 
     Only the k mean curves are stored.  The (n, T) residual matrix is built
-    on request, so a fit kept in a result (as RelevantSet.fit) holds no
-    (n, T) matrix.
+    on request, so a fit that is kept holds no (n, T) matrix.
     """
 
     segments: tuple  # partition of [0, n), in order

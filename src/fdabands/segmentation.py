@@ -3,12 +3,11 @@
 Detection is binary segmentation on the functional CUSUM statistic: within
 an interval, split at the argmax over candidate split points of
 sup_t |U(s, t)|, recursing while the sup exceeds the threshold xi_n.  The
-splits are taken best-first, in an order that does not depend on xi_n, so
-every threshold's change set is a prefix of one split path.  A
-`detect_change_points` call builds that path once, lazily, and reads the
-change sets of both the pilot threshold in `_auto_threshold` and the final
-threshold off it: each interval is scanned at most once.  The detector sits behind this module's
-function interface so an alternative detector can be substituted.
+splits are taken best-first.  A `detect_change_points` call memoizes the
+interval scan, so the pilot threshold in `_auto_threshold` and the final
+threshold run the same loop and no interval is scanned twice.  The detector
+sits behind this module's function interface so an alternative detector can
+be substituted.
 
 A change i is relevant when the plug-in jump estimate
 ||mu_hat_i - mu_hat_{i-1}||_inf strictly exceeds the threshold Delta.  Index
@@ -18,7 +17,8 @@ A change i is relevant when the plug-in jump estimate
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
@@ -101,10 +101,8 @@ class RelevantSet:
     """Indices {0, i_1, ..., i_k} whose jumps strictly exceed delta."""
 
     indices: tuple
-    jump_sizes: dict  # i >= 1 in the set -> ||mu_i - mu_{i-1}||_inf
     delta: float
-    all_jumps: tuple  # jump size at every detected change, in order
-    fit: SegmentFit = field(repr=False, compare=False)  # over all detected segments
+    all_jumps: tuple  # ||mu_i - mu_{i-1}||_inf at every detected change i, in order
 
 
 def _best_split(values: np.ndarray, lo: int, hi: int, msl: int):
@@ -127,60 +125,44 @@ def _best_split(values: np.ndarray, lo: int, hi: int, msl: int):
     return float(stats[best]), lo + int(ks[best])
 
 
-class _SplitPath:
-    """Best-first binary segmentation as one path, extended on demand.
+def _binary_segmentation(scan, n: int, xi: float, max_changes: int) -> list:
+    """Sorted split indices that best-first binary segmentation at xi keeps.
 
-    The heap pops splits by statistic, then by (j, lo, hi), whatever the
-    threshold, so the changes for any xi are the pops before the first one
-    whose statistic is <= xi, capped at max_changes.  A pop's two children
-    are scanned only once some threshold accepts that pop.
+    `scan(lo, hi)` is `_best_split` of the interval.  The heap pops the
+    largest statistic first, ties by (j, lo, hi), and stops at the first pop
+    whose statistic is <= xi or at max_changes changes; each accepted split
+    pushes both of its sides.
     """
+    heap = []
 
-    def __init__(self, values: np.ndarray, msl: int):
-        self._values = values
-        self._msl = msl
-        self._heap = []
-        self._pops = []  # (statistic, j, lo, hi) in pop order
-        self._expanded = 0  # the first _expanded pops have their children pushed
-        self._push(0, values.shape[0])
-
-    def _push(self, lo: int, hi: int) -> None:
-        found = _best_split(self._values, lo, hi, self._msl)
+    def push(lo: int, hi: int) -> None:
+        found = scan(lo, hi)
         if found is not None:
-            stat, j = found
-            heapq.heappush(self._heap, (-stat, j, lo, hi))
+            heapq.heappush(heap, (-found[0], found[1], lo, hi))
 
-    def changes(self, xi: float, max_changes: int) -> list:
-        """Sorted split indices that best-first segmentation at xi keeps."""
-        k = 0
-        while k < max_changes:
-            if k == len(self._pops):
-                if not self._heap:
-                    break
-                neg_stat, j, lo, hi = heapq.heappop(self._heap)
-                self._pops.append((-neg_stat, j, lo, hi))
-            stat, j, lo, hi = self._pops[k]
-            if stat <= xi:
-                break
-            if k == self._expanded:
-                self._push(lo, j)
-                self._push(j, hi)
-                self._expanded += 1
-            k += 1
-        return sorted(pop[1] for pop in self._pops[:k])
+    push(0, n)
+    changes = []
+    while heap and len(changes) < max_changes:
+        neg_stat, j, lo, hi = heapq.heappop(heap)
+        if -neg_stat <= xi:
+            break
+        changes.append(j)
+        push(lo, j)
+        push(j, hi)
+    return sorted(changes)
 
 
 def _default_msl(n: int) -> int:
     return max(20, int(np.ceil(np.sqrt(n))))
 
 
-def _auto_threshold(x: FunctionalTimeSeries, path: _SplitPath, max_changes: int) -> float:
+def _auto_threshold(x: FunctionalTimeSeries, scan, max_changes: int) -> float:
     """xi_n = 1.5 * sigma_bar * sqrt(2 log n), sigma_bar from the lag-window LRV.
 
     The LRV needs segment means, so a pilot segmentation breaks the circular
     dependency: its threshold uses a first-difference variance proxy, which is
-    robust to mean shifts.  The pilot reads its changes off the caller's split
-    path, which the final threshold then reuses.  The pilot LRV always uses
+    robust to mean shifts.  The pilot segments with the caller's memoized
+    `scan`, which the final threshold then reuses.  The pilot LRV always uses
     the default LrvConfig, whatever kernel and bandwidth the analysis asks for.
     """
     n = x.n
@@ -190,7 +172,7 @@ def _auto_threshold(x: FunctionalTimeSeries, path: _SplitPath, max_changes: int)
     diffs = np.diff(x.values, axis=0)
     proxy = (diffs**2).mean(axis=0) / 2.0
     pilot_xi = max(XI_SCALE * float(np.median(np.sqrt(proxy))) * scale, floor)
-    pilot = path.changes(pilot_xi, max_changes)
+    pilot = _binary_segmentation(scan, n, pilot_xi, max_changes)
 
     fit = fit_segments(x, segments_from_indices(n, pilot))
     lrv = estimate_lrv(fit.residuals(x), fit)
@@ -208,12 +190,12 @@ def detect_change_points(
         raise InvalidInputError(
             f"series length {x.n} is below 2 * min_segment_length = {2 * msl}"
         )
-    path = _SplitPath(x.values, msl)
+    scan = cache(partial(_best_split, x.values, msl=msl))
     if cfg.threshold == "auto":
-        xi = _auto_threshold(x, path, cfg.max_changes)
+        xi = _auto_threshold(x, scan, cfg.max_changes)
     else:
         xi = float(cfg.threshold)
-    changes = path.changes(xi, cfg.max_changes)
+    changes = _binary_segmentation(scan, x.n, xi, cfg.max_changes)
     return ChangePointSet(indices=tuple(changes), n=x.n, threshold=xi)
 
 
@@ -269,16 +251,7 @@ def relevant_set(
             for i in range(1, len(fit.segments))
         ]
 
-    indices = [0]
-    jump_sizes = {}
-    for i, (jump, margin) in enumerate(zip(jumps, margins), start=1):
-        if jump > delta + margin:
-            indices.append(i)
-            jump_sizes[i] = jump
-    return RelevantSet(
-        indices=tuple(indices),
-        jump_sizes=jump_sizes,
-        delta=delta,
-        all_jumps=tuple(jumps),
-        fit=fit,
+    indices = (0,) + tuple(
+        i for i, (jump, margin) in enumerate(zip(jumps, margins), start=1) if jump > delta + margin
     )
+    return RelevantSet(indices=indices, delta=delta, all_jumps=tuple(jumps))

@@ -12,7 +12,7 @@ uniform across t, so the pointwise long-run variance has a closed form.
 from __future__ import annotations
 
 import numbers
-from dataclasses import MISSING, dataclass, field, replace
+from dataclasses import MISSING, dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .core import (
     Curve,
     FunctionalTimeSeries,
     Grid,
-    InternalInvariantError,
     InvalidInputError,
     check_field_value,
     check_float,
@@ -286,8 +285,10 @@ def run_coverage_study(
     Containment is evaluated against the true segment means of the truly
     relevant segments; a replication whose detected structure differs from the
     truth (wrong number of changes or wrong relevant set) counts as not
-    covered.  Per-replication seeds derive from the scenario seed, so the
-    aggregate is identical however replications are scheduled.
+    covered.  Each replication's data, bootstrap and relevant-filter margin
+    seeds derive from the scenario seed and the replication index, so the
+    aggregate is identical however replications are scheduled.  More than 5%
+    of replications failing on invalid input raises InvalidInputError.
     """
     check_integer("replications", replications, 1)
     pipeline_cfg = pipeline_cfg or PipelineConfig()
@@ -296,7 +297,11 @@ def run_coverage_study(
     failures = []
     for rep in range(replications):
         spec_r = replace(spec, rng_seed=_derived_seed(spec.rng_seed, rep, 0))
-        cfg_r = replace(pipeline_cfg, rng_seed=_derived_seed(spec.rng_seed, rep, 1))
+        cfg_r = replace(
+            pipeline_cfg,
+            rng_seed=_derived_seed(spec.rng_seed, rep, 1),
+            relevant=replace(pipeline_cfg.relevant, rng_seed=_derived_seed(spec.rng_seed, rep, 2)),
+        )
         try:
             x, truth = generate(spec_r)
             res = analyze(x, cfg_r)
@@ -336,7 +341,7 @@ def run_coverage_study(
             contained.append(False)
 
     if len(failures) > 0.05 * replications:
-        raise InternalInvariantError(
+        raise InvalidInputError(
             f"{len(failures)} of {replications} replications failed: {failures[:3]}"
         )
     n_ok = len(contained)

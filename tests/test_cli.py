@@ -118,9 +118,11 @@ class TestIngest:
             # in the path parse and the line path alike
             "1\f,2,3\n4,5,6\n",
             "1\f,2,3\n,,\n4,5,6\n",
+            # csv.Sniffer alone reads cells padded inside quotes as space-delimited
+            '" 1 "," 2 "," 3 "\n" 4 "," 5 "," 6 "\n',
         ],
         ids=["spaces", "quotes", "tabs", "space_delimiter", "blank_lines", "crlf", "hash_header",
-             "form_feed", "form_feed_line_path"],
+             "form_feed", "form_feed_line_path", "padded_inside_quotes"],
     )
     def test_matrix_text_forms(self, tmp_path, text):
         f = tmp_path / "data.csv"
@@ -179,16 +181,16 @@ class TestIngest:
 
 @st.composite
 def matrix_files(draw):
-    """Matrix-layout text: repr values, quoted or padded, delimited by
-    ',', ';', tab or space, an optional header, blank lines anywhere (the
-    first line included), LF or CRLF line ends."""
+    """Matrix-layout text: repr values, padded, quoted or padded inside
+    quotes, delimited by ',', ';', tab or space, an optional header, blank
+    lines anywhere (the first line included), LF or CRLF line ends."""
     delimiter = draw(st.sampled_from([",", ";", "\t", " "]))
     width = draw(st.integers(2, 9))
     n_rows = draw(st.integers(1, 6))
     number = st.floats(-1e6, 1e6, allow_subnormal=True).map(repr)
     pad = st.just("") if delimiter == " " else st.sampled_from(["", " ", "  "])
-    # a quote next to a space reads to csv.Sniffer as a space delimiter
-    cell = number.map(lambda v: f'"{v}"') | st.tuples(pad, number, pad).map("".join)
+    padded = st.tuples(pad, number, pad).map("".join)
+    cell = padded.map(lambda v: f'"{v}"') | padded
     lines = [delimiter.join(draw(st.lists(cell, min_size=width, max_size=width))) for _ in range(n_rows)]
     if draw(st.booleans()):
         lines.insert(0, delimiter.join(f"p{j}" for j in range(width)))
@@ -615,6 +617,14 @@ class TestCoverageCommand:
         csv_text = (out / "coverage.csv").read_text()
         assert csv_text.startswith("metric,value")
         assert "m_match_rate,1" in csv_text
+
+    def test_scenario_every_replication_rejects_is_exit_2(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"n": 30, "grid_size": 5}))
+        assert main(["coverage", "--spec", str(spec_file), "--study-replications", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 5 of 5 replications failed")
+        assert "series length 30 is below 2 * min_segment_length = 40" in err
 
 
 class TestVersionCommand:

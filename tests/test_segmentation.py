@@ -1,4 +1,4 @@
-import dataclasses
+import functools
 import heapq
 from collections import Counter
 
@@ -20,7 +20,7 @@ from fdabands import (
     relevant_set,
 )
 import fdabands.segmentation as segmentation
-from fdabands.segmentation import _best_split, _SplitPath
+from fdabands.segmentation import _best_split, _binary_segmentation
 
 
 def make_series(values):
@@ -179,14 +179,13 @@ class TestRelevantSet:
         cps = ChangePointSet(indices=(), n=50, threshold=1.0)
         rel = relevant_set(x, cps, RelevantChangeConfig(delta=1.0))
         assert rel.indices == (0,)
-        assert rel.jump_sizes == {}
+        assert rel.all_jumps == ()
 
     def test_plugin_filter(self):
         x = two_jump_series((8.1, 2.0))
         cps = ChangePointSet(indices=(40, 80), n=120, threshold=1.0)
         rel = relevant_set(x, cps, RelevantChangeConfig(delta=6.6))
         assert rel.indices == (0, 1)
-        assert rel.jump_sizes[1] == pytest.approx(8.1, abs=1e-12)
         assert rel.all_jumps == pytest.approx((8.1, 2.0), abs=1e-12)
 
     def test_boundary_jump_excluded(self):
@@ -215,8 +214,7 @@ class TestRelevantSet:
         base = relevant_set(x, cps, RelevantChangeConfig(delta=3.0))
         scaled = relevant_set(x_scaled, cps, RelevantChangeConfig(delta=lam * 3.0))
         assert base.indices == scaled.indices
-        for i in base.jump_sizes:
-            assert scaled.jump_sizes[i] == pytest.approx(lam * base.jump_sizes[i], rel=1e-12)
+        assert scaled.all_jumps == pytest.approx([lam * jump for jump in base.all_jumps], rel=1e-12)
 
     def test_bootstrap_calibrated_mode(self):
         x = two_jump_series((8.1, 2.0), noise_sd=0.5, n=180)
@@ -298,18 +296,34 @@ def path_cases():
 
 
 class TestSplitPath:
+    """`_binary_segmentation` over one memoized scan, as `detect_change_points`
+    runs it for the pilot and the final threshold."""
+
     MSL = 10
 
+    def counting_scan(self, values, scanned):
+        """The memoized scan, with every interval that reaches `_best_split`
+        appended to `scanned`."""
+
+        def counting(lo, hi):
+            scanned.append((lo, hi))
+            return _best_split(values, lo, hi, self.MSL)
+
+        return functools.cache(counting)
+
     def sweep(self, values):
-        """Thresholds at, between and around every statistic on the path."""
-        stats = sorted(pop[0] for pop in self.full_path(values)._pops)
+        """Thresholds at, between and around every statistic the full path
+        scans."""
+        found = {}
+
+        def recording(lo, hi):
+            found[lo, hi] = _best_split(values, lo, hi, self.MSL)
+            return found[lo, hi]
+
+        _binary_segmentation(recording, values.shape[0], 0.0, values.shape[0])
+        stats = sorted(split[0] for split in found.values() if split is not None)
         mids = [(a + b) / 2 for a, b in zip(stats, stats[1:])]
         return sorted({0.0, *stats, *mids, stats[-1] * 2 if stats else 1.0})
-
-    def full_path(self, values):
-        path = _SplitPath(values, self.MSL)
-        path.changes(0.0, values.shape[0])
-        return path
 
     @pytest.mark.parametrize("name", ["noise", "piecewise", "bump", "steps_noise_free"])
     @pytest.mark.parametrize("order", ["increasing", "decreasing"])
@@ -318,26 +332,30 @@ class TestSplitPath:
         queries = [(xi, cap) for xi in self.sweep(values) for cap in (0, 1, 2, 3, 50)]
         if order == "decreasing":
             queries.reverse()
-        path = _SplitPath(values, self.MSL)
+        scanned = []
+        scan = self.counting_scan(values, scanned)
         for xi, cap in queries:
-            assert path.changes(xi, cap) == heap_binseg(values, xi, self.MSL, cap), (xi, cap)
+            expected = heap_binseg(values, xi, self.MSL, cap)
+            assert _binary_segmentation(scan, values.shape[0], xi, cap) == expected, (xi, cap)
+        assert len(set(scanned)) == len(scanned)
 
     def test_path_is_not_monotone_on_a_bump(self):
-        stats = [pop[0] for pop in self.full_path(bump_series())._pops]
-        assert stats[1] > stats[0]
+        # the second split's statistic exceeds the first's
+        values = bump_series()
+        n = values.shape[0]
+        root_stat, j = _best_split(values, 0, n, self.MSL)
+        assert heap_binseg(values, 0.0, self.MSL, 1) == [j]
+        (second,) = set(heap_binseg(values, 0.0, self.MSL, 2)) - {j}
+        lo, hi = (0, j) if second < j else (j, n)
+        child_stat, child_j = _best_split(values, lo, hi, self.MSL)
+        assert child_j == second and child_stat > root_stat
 
-    def test_child_scanned_only_when_a_threshold_accepts_its_parent(self, monkeypatch):
+    def test_child_scanned_only_when_a_threshold_accepts_its_parent(self):
         values = path_cases()["piecewise"]
         scanned = []
-
-        def counting(values, lo, hi, msl):
-            scanned.append((lo, hi))
-            return _best_split(values, lo, hi, msl)
-
-        monkeypatch.setattr(segmentation, "_best_split", counting)
-        path = _SplitPath(values, self.MSL)
-        assert path.changes(np.inf, 50) == [] and scanned == [(0, 300)]
-        (j,) = path.changes(0.0, 1)
+        scan = self.counting_scan(values, scanned)
+        assert _binary_segmentation(scan, 300, np.inf, 50) == [] and scanned == [(0, 300)]
+        (j,) = _binary_segmentation(scan, 300, 0.0, 1)
         assert scanned == [(0, 300), (0, j), (j, 300)]
 
 

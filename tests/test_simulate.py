@@ -7,7 +7,6 @@ import pytest
 from fdabands import (
     Curve,
     Grid,
-    InternalInvariantError,
     InvalidInputError,
     PipelineConfig,
     RelevantChangeConfig,
@@ -16,7 +15,7 @@ from fdabands import (
     generate,
     run_coverage_study,
 )
-from fdabands import pipeline, simulate
+from fdabands import pipeline, segmentation, simulate
 
 
 class TestCurveValues:
@@ -233,14 +232,27 @@ class TestRunCoverageStudy:
 
     def test_failure_rate_guard(self):
         # constant noise-free scenario: auto delta is 0, every replication
-        # fails, and the study refuses to report
+        # fails on invalid input, and the study refuses to report
         spec = small_study_spec(means=[1.0], change_locations=[], tau2=0.0)
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(InvalidInputError, match="5 of 5 replications failed"):
             run_coverage_study(
                 spec,
                 small_pipeline(relevant=RelevantChangeConfig(delta="auto")),
                 replications=5,
             )
+
+    def test_each_replication_draws_its_own_margin(self, monkeypatch):
+        seeds = []
+        real_margin = segmentation.bootstrap_margin
+
+        def spy(resid, left, right, beta, replications, seed, pair):
+            seeds.append(seed)
+            return real_margin(resid, left, right, beta, replications, seed, pair)
+
+        monkeypatch.setattr(segmentation, "bootstrap_margin", spy)
+        relevant = RelevantChangeConfig(delta=2.0, method="bootstrap", calibration_replications=50)
+        run_coverage_study(small_study_spec(), small_pipeline(relevant=relevant), replications=4)
+        assert len(seeds) == 4 and len(set(seeds)) == 4
 
     def test_only_invalid_input_is_recorded(self, monkeypatch):
         real_analyze = simulate.analyze
