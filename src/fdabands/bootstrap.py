@@ -84,7 +84,9 @@ def _block_averages(y_values: np.ndarray, L: int) -> np.ndarray:
     1 <= L <= n.
     """
     n = y_values.shape[0]
-    padded = np.vstack([np.zeros((1,) + y_values.shape[1:]), np.cumsum(y_values, axis=0)])
+    padded = np.empty((n + 1,) + y_values.shape[1:])
+    padded[0] = 0.0
+    np.cumsum(y_values, axis=0, out=padded[1:])
     full = n + 1 - L  # blocks j < full hold L indices, block j >= full holds n - j
     out = np.empty_like(padded[1:])
     np.subtract(padded[L:], padded[:full], out=out[:full])

@@ -62,20 +62,21 @@ def _read_text(path: Path, size: int = -1) -> str:
 
 
 def _sniff_delimiter(head: str) -> str:
-    """The delimiter of the whole lines of the file's `head`: ',' when every
-    non-blank one splits under ',' into the same number (at least 2) of
-    cells, else what csv.Sniffer finds in them.  The sniffer reads a cell
-    padded inside its quotes, such as " 1.5 ", as space-delimited, hence the
-    ',' rule first.  Only whole lines are read: a line cut at the sample's
-    end has fewer delimiters than the rest."""
+    """The delimiter of the whole lines of the file's `head`: the first of
+    ',', ';' and tab under which every non-blank one splits into the same
+    number (at least 2) of cells, else what csv.Sniffer finds in them.  The
+    sniffer reads a cell padded inside its quotes, such as " 1.5 ", as
+    space-delimited, hence the width rule first.  Only whole lines are read:
+    a line cut at the sample's end has fewer delimiters than the rest."""
     sample = head[:_SNIFF_CHARS]
     if head[_SNIFF_CHARS : _SNIFF_CHARS + 1] not in ("", "\n"):
         sample = sample.rpartition("\n")[0] or sample
     try:
-        rows = csv.reader(sample.split("\n"), delimiter=",")
-        widths = {len(row) for row in rows if any(c.strip() for c in row)}
-        if len(widths) == 1 and min(widths) >= 2:
-            return ","
+        for delimiter in ",;\t":
+            rows = csv.reader(sample.split("\n"), delimiter=delimiter)
+            widths = {len(row) for row in rows if any(c.strip() for c in row)}
+            if len(widths) == 1 and min(widths) >= 2:
+                return delimiter
         return csv.Sniffer().sniff(sample, delimiters=",;\t ").delimiter
     except csv.Error:
         return ","

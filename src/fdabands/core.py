@@ -228,7 +228,9 @@ class SegmentFit:
 
     def residuals(self, x: FunctionalTimeSeries) -> ResidualSeries:
         """`x`, the series the fit was built from, minus each row's segment mean."""
-        y = x.values - np.repeat(self.means, [seg.length for seg in self.segments], axis=0)
+        y = np.empty(x.values.shape)
+        for seg, mean in zip(self.segments, self.means):
+            np.subtract(x.values[seg.start : seg.end], mean, out=y[seg.start : seg.end])
         y.setflags(write=False)
         return ResidualSeries(y, x.grid)
 

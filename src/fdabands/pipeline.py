@@ -48,13 +48,23 @@ class AnalysisResult:
 
 
 def analyze(x: FunctionalTimeSeries, cfg: PipelineConfig | None = None) -> AnalysisResult:
+    """Bands for the relevant segments of `x`.
+
+    One fit over the detected changes and its residuals feed the relevant
+    filter, the LRV and the bootstrap.  When the auto threshold's pilot found
+    the same changes and the analysis asks for the default LrvConfig, the
+    pilot's LRV is the LRV of this fit and is not estimated again.
+    """
     cfg = cfg or PipelineConfig()
 
     cps = detect_change_points(x, cfg.segmentation)
     fit = fit_segments(x, cps.segments)
     y = fit.residuals(x)
     rel = relevant_set(x, cps, cfg.relevant, fit=fit, residuals=y)
-    lrv_est = estimate_lrv(y, fit, cfg.lrv)
+    if cps.pilot_lrv is not None and cfg.lrv == LrvConfig():
+        lrv_est = cps.pilot_lrv
+    else:
+        lrv_est = estimate_lrv(y, fit, cfg.lrv)
 
     # The bands use the (1 - alpha/2)-quantile of T*, not the (1 - alpha)-
     # quantile: at moderate n the block bootstrap scale is biased low for

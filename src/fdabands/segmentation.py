@@ -3,11 +3,14 @@
 Detection is binary segmentation on the functional CUSUM statistic: within
 an interval, split at the argmax over candidate split points of
 sup_t |U(s, t)|, recursing while the sup exceeds the threshold xi_n.  The
-splits are taken best-first.  A `detect_change_points` call memoizes the
-interval scan, so the pilot threshold in `_auto_threshold` and the final
-threshold run the same loop and no interval is scanned twice.  The detector
-sits behind this module's function interface so an alternative detector can
-be substituted.
+splits are taken best-first.  A `detect_change_points` call makes one
+transposed (T, n) copy of the series, so each interval's running sums run
+along contiguous rows, and memoizes the interval scan over it: the pilot
+threshold in `_auto_threshold` and the final threshold run the same loop and
+no interval is scanned twice.  When the final threshold keeps the pilot's
+changes, the pilot's default-config LRV is handed on with the result, so
+`analyze` need not estimate it again.  The detector sits behind this
+module's function interface so an alternative detector can be substituted.
 
 A change i is relevant when the plug-in jump estimate
 ||mu_hat_i - mu_hat_{i-1}||_inf strictly exceeds the threshold Delta.  Index
@@ -17,7 +20,7 @@ A change i is relevant when the plug-in jump estimate
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, partial
 
 import numpy as np
@@ -35,7 +38,7 @@ from .core import (
     segments_from_indices,
     sup_norm,
 )
-from .lrv import estimate_lrv
+from .lrv import LrvEstimate, estimate_lrv
 
 # Gaussian-maximum scaling constant in the auto threshold
 XI_SCALE = 1.5
@@ -65,6 +68,9 @@ class ChangePointSet:
     indices: tuple
     n: int
     threshold: float
+    # the default-config LRV of the fit over these indices, when the auto
+    # threshold's pilot segmentation found the same indices and estimated it
+    pilot_lrv: LrvEstimate | None = field(default=None, compare=False, repr=False)
 
     @property
     def locations(self) -> tuple:
@@ -105,22 +111,24 @@ class RelevantSet:
     all_jumps: tuple  # ||mu_i - mu_{i-1}||_inf at every detected change i, in order
 
 
-def _best_split(values: np.ndarray, lo: int, hi: int, msl: int):
+def _best_split(columns: np.ndarray, lo: int, hi: int, msl: int):
     """Max over admissible splits of the interval CUSUM; ties -> smallest index.
 
-    Returns (statistic, global split index) or None when no split leaves both
-    sides with at least msl curves.  Only the row maxima are divided by
-    sqrt(m): rounding x / s is monotone in x, so this gives the same bits as
-    dividing every entry first.
+    `columns` is the series transposed to a C-ordered (T, n) array, so the
+    running sums of [lo, hi) run along contiguous rows.  Returns (statistic,
+    global split index) or None when no split leaves both sides with at least
+    msl curves.  Only the column maxima are divided by sqrt(m): rounding
+    x / s is monotone in x, so this gives the same bits as dividing every
+    entry first.
     """
     m = hi - lo
     if m < 2 * msl:
         return None
-    cs = np.cumsum(values[lo:hi], axis=0)
+    cs = np.cumsum(columns[:, lo:hi], axis=1)
     ks = np.arange(msl, m - msl + 1)
-    u = np.multiply.outer(ks / m, cs[-1])
-    np.subtract(cs[msl - 1 : m - msl], u, out=u)
-    stats = np.abs(u, out=u).max(axis=1) / np.sqrt(m)
+    u = np.multiply.outer(cs[:, -1], ks / m)
+    np.subtract(cs[:, msl - 1 : m - msl], u, out=u)
+    stats = np.abs(u, out=u).max(axis=0) / np.sqrt(m)
     best = int(np.argmax(stats))  # first max: smallest split index
     return float(stats[best]), lo + int(ks[best])
 
@@ -156,7 +164,7 @@ def _default_msl(n: int) -> int:
     return max(20, int(np.ceil(np.sqrt(n))))
 
 
-def _auto_threshold(x: FunctionalTimeSeries, scan, max_changes: int) -> float:
+def _auto_threshold(x: FunctionalTimeSeries, scan, max_changes: int) -> tuple:
     """xi_n = 1.5 * sigma_bar * sqrt(2 log n), sigma_bar from the lag-window LRV.
 
     The LRV needs segment means, so a pilot segmentation breaks the circular
@@ -164,39 +172,51 @@ def _auto_threshold(x: FunctionalTimeSeries, scan, max_changes: int) -> float:
     robust to mean shifts.  The pilot segments with the caller's memoized
     `scan`, which the final threshold then reuses.  The pilot LRV always uses
     the default LrvConfig, whatever kernel and bandwidth the analysis asks for.
+    Returns xi_n, the pilot's change indices and the pilot LRV.
     """
     n = x.n
     scale = np.sqrt(2.0 * np.log(n))
     floor = 1e-10 * max(1.0, float(np.abs(x.values).max()))
 
     diffs = np.diff(x.values, axis=0)
-    proxy = (diffs**2).mean(axis=0) / 2.0
+    proxy = np.square(diffs, out=diffs).mean(axis=0) / 2.0
     pilot_xi = max(XI_SCALE * float(np.median(np.sqrt(proxy))) * scale, floor)
     pilot = _binary_segmentation(scan, n, pilot_xi, max_changes)
 
     fit = fit_segments(x, segments_from_indices(n, pilot))
     lrv = estimate_lrv(fit.residuals(x), fit)
     sigma_bar = float(np.median(np.sqrt(lrv.sigma2.values)))
-    return max(XI_SCALE * sigma_bar * scale, floor)
+    return max(XI_SCALE * sigma_bar * scale, floor), pilot, lrv
 
 
 def detect_change_points(
     x: FunctionalTimeSeries, cfg: SegmentationConfig | None = None
 ) -> ChangePointSet:
-    """Estimate the number and rescaled locations of mean change points."""
+    """Estimate the number and rescaled locations of mean change points.
+
+    The scans read one C-ordered transposed copy of the series per call.
+    With the auto threshold, a result whose indices equal the pilot's
+    carries the pilot's default-config LRV as `pilot_lrv`.
+    """
     cfg = cfg or SegmentationConfig()
     msl = cfg.min_segment_length or _default_msl(x.n)
     if x.n < 2 * msl:
         raise InvalidInputError(
             f"series length {x.n} is below 2 * min_segment_length = {2 * msl}"
         )
-    scan = cache(partial(_best_split, x.values, msl=msl))
+    scan = cache(partial(_best_split, np.ascontiguousarray(x.values.T), msl=msl))
+    pilot, pilot_lrv = None, None
     if cfg.threshold == "auto":
-        xi = _auto_threshold(x, scan, cfg.max_changes)
+        xi, pilot, pilot_lrv = _auto_threshold(x, scan, cfg.max_changes)
     else:
         xi = float(cfg.threshold)
     changes = _binary_segmentation(scan, x.n, xi, cfg.max_changes)
-    return ChangePointSet(indices=tuple(changes), n=x.n, threshold=xi)
+    return ChangePointSet(
+        indices=tuple(changes),
+        n=x.n,
+        threshold=xi,
+        pilot_lrv=pilot_lrv if changes == pilot else None,
+    )
 
 
 def auto_delta(x: FunctionalTimeSeries) -> float:

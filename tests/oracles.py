@@ -74,26 +74,27 @@ def bootstrap_segment_mean(
 def matrix_by_lines(text: str, grid_size: int) -> np.ndarray:
     """A matrix-layout file's cycles on the uniform grid of `grid_size` points.
 
-    The delimiter is ',' when every whole line of the first 4096 characters
-    that has a non-blank cell under ',' has the same number (at least 2) of
-    cells there; otherwise it is the one csv.Sniffer finds in those
-    characters (',' when it finds none).  The lines whose cells are all
-    blank are dropped; a first line with a cell that is not a number is a
-    header; np.loadtxt parses the list of the remaining lines, and each row
-    of width W is interpolated from the phases linspace(0, 1, W) by
+    The delimiter is the first of ',', ';' and tab under which every whole
+    line of the first 4096 characters that has a non-blank cell has the same
+    number (at least 2) of cells; otherwise it is the one csv.Sniffer finds
+    in those characters (',' when it finds none).  The lines whose cells are
+    all blank are dropped; a first line with a cell that is not a number is
+    a header; np.loadtxt parses the list of the remaining lines, and each
+    row of width W is interpolated from the phases linspace(0, 1, W) by
     np.interp.
     Raises ValueError where the file is not such a matrix.
     """
     head = text[:4096].split("\n")
     if text[4096:4097] not in ("", "\n"):
         head = head[:-1] or head  # the line cut at the 4096th character
-    widths = set()
-    for line in head:
-        cells = next(csv.reader([line], delimiter=","), [])
-        if any(c.strip() for c in cells):
-            widths.add(len(cells))
-    if len(widths) == 1 and min(widths) >= 2:
-        delimiter = ","
+    for delimiter in (",", ";", "\t"):
+        widths = set()
+        for line in head:
+            cells = next(csv.reader([line], delimiter=delimiter), [])
+            if any(c.strip() for c in cells):
+                widths.add(len(cells))
+        if len(widths) == 1 and min(widths) >= 2:
+            break
     else:
         try:
             delimiter = csv.Sniffer().sniff(text[:4096], delimiters=",;\t ").delimiter

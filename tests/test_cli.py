@@ -120,9 +120,12 @@ class TestIngest:
             "1\f,2,3\n,,\n4,5,6\n",
             # csv.Sniffer alone reads cells padded inside quotes as space-delimited
             '" 1 "," 2 "," 3 "\n" 4 "," 5 "," 6 "\n',
+            '" 1 ";" 2 ";" 3 "\n" 4 ";" 5 ";" 6 "\n',
+            '" 1 "\t" 2 "\t" 3 "\n" 4 "\t" 5 "\t" 6 "\n',
         ],
         ids=["spaces", "quotes", "tabs", "space_delimiter", "blank_lines", "crlf", "hash_header",
-             "form_feed", "form_feed_line_path", "padded_inside_quotes"],
+             "form_feed", "form_feed_line_path", "padded_inside_quotes",
+             "padded_inside_quotes_semicolon", "padded_inside_quotes_tab"],
     )
     def test_matrix_text_forms(self, tmp_path, text):
         f = tmp_path / "data.csv"

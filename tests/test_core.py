@@ -121,6 +121,15 @@ class TestSegmentMean:
         with pytest.raises(InvalidInputError):
             Segment(3, 3)
 
+    def test_residuals_are_the_rows_minus_their_repeated_means(self):
+        vals = np.random.default_rng(43).normal(scale=3.0, size=(50, 7))
+        x = series_from(vals)
+        fit = fit_segments(x, [Segment(0, 1), Segment(1, 18), Segment(18, 49), Segment(49, 50)])
+        y = fit.residuals(x)
+        expected = vals - np.repeat(fit.means, [1, 17, 31, 1], axis=0)
+        assert y.values.tobytes() == expected.tobytes()
+        assert y.values.flags["C_CONTIGUOUS"] and not y.values.flags["WRITEABLE"]
+
 
 finite_curves = st.integers(0, 2**32 - 1).map(
     lambda seed: np.random.default_rng(seed).normal(scale=5.0, size=11)

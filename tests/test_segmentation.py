@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import heapq
 from collections import Counter
@@ -10,6 +11,7 @@ from fdabands import (
     FunctionalTimeSeries,
     Grid,
     InvalidInputError,
+    LrvConfig,
     PipelineConfig,
     RelevantChangeConfig,
     SegmentationConfig,
@@ -17,8 +19,11 @@ from fdabands import (
     analyze,
     auto_delta,
     detect_change_points,
+    estimate_lrv,
+    fit_segments,
     relevant_set,
 )
+import fdabands.pipeline as pipeline
 import fdabands.segmentation as segmentation
 from fdabands.segmentation import _best_split, _binary_segmentation
 
@@ -249,13 +254,19 @@ class TestConfigValidation:
             RelevantChangeConfig(delta=value)
 
 
+def columns(values):
+    """The C-ordered (T, n) copy of an (n, T) series that `_best_split` scans."""
+    return np.ascontiguousarray(np.asarray(values).T)
+
+
 def heap_binseg(values, xi, msl, max_changes):
     """The definition: one best-first heap run per threshold, splitting while
     the popped CUSUM sup exceeds xi."""
     heap = []
+    cols = columns(values)
 
     def push(lo, hi):
-        found = _best_split(values, lo, hi, msl)
+        found = _best_split(cols, lo, hi, msl)
         if found is not None:
             stat, j = found
             heapq.heappush(heap, (-stat, j, lo, hi))
@@ -304,10 +315,11 @@ class TestSplitPath:
     def counting_scan(self, values, scanned):
         """The memoized scan, with every interval that reaches `_best_split`
         appended to `scanned`."""
+        cols = columns(values)
 
         def counting(lo, hi):
             scanned.append((lo, hi))
-            return _best_split(values, lo, hi, self.MSL)
+            return _best_split(cols, lo, hi, self.MSL)
 
         return functools.cache(counting)
 
@@ -315,9 +327,10 @@ class TestSplitPath:
         """Thresholds at, between and around every statistic the full path
         scans."""
         found = {}
+        cols = columns(values)
 
         def recording(lo, hi):
-            found[lo, hi] = _best_split(values, lo, hi, self.MSL)
+            found[lo, hi] = _best_split(cols, lo, hi, self.MSL)
             return found[lo, hi]
 
         _binary_segmentation(recording, values.shape[0], 0.0, values.shape[0])
@@ -343,11 +356,11 @@ class TestSplitPath:
         # the second split's statistic exceeds the first's
         values = bump_series()
         n = values.shape[0]
-        root_stat, j = _best_split(values, 0, n, self.MSL)
+        root_stat, j = _best_split(columns(values), 0, n, self.MSL)
         assert heap_binseg(values, 0.0, self.MSL, 1) == [j]
         (second,) = set(heap_binseg(values, 0.0, self.MSL, 2)) - {j}
         lo, hi = (0, j) if second < j else (j, n)
-        child_stat, child_j = _best_split(values, lo, hi, self.MSL)
+        child_stat, child_j = _best_split(columns(values), lo, hi, self.MSL)
         assert child_j == second and child_stat > root_stat
 
     def test_child_scanned_only_when_a_threshold_accepts_its_parent(self):
@@ -360,7 +373,8 @@ class TestSplitPath:
 
 
 def old_best_split(values, lo, hi, msl):
-    """The scan as first written: divide every entry, then take row maxima."""
+    """The scan as first written, on the (n, T) rows: divide every entry,
+    then take row maxima."""
     m = hi - lo
     if m < 2 * msl:
         return None
@@ -378,21 +392,31 @@ class TestBestSplit:
     def test_fused_scan_is_bit_identical(self, seed):
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(157, 7)) * rng.uniform(1e-3, 1e3)
+        cols = columns(values)
         for lo, hi, msl in ((0, 157, 5), (13, 140, 20), (3, 45, 21), (0, 157, 1), (10, 50, 21)):
-            assert _best_split(values, lo, hi, msl) == old_best_split(values, lo, hi, msl)
+            assert _best_split(cols, lo, hi, msl) == old_best_split(values, lo, hi, msl)
+
+    def test_random_intervals_of_a_larger_series(self):
+        rng = np.random.default_rng(30)
+        values = rng.normal(size=(3000, 40)) + np.repeat(rng.normal(size=(6, 40)), 500, axis=0)
+        cols = columns(values)
+        for _ in range(50):
+            lo, hi = sorted(int(v) for v in rng.choice(3001, size=2, replace=False))
+            msl = int(rng.integers(1, 60))
+            assert _best_split(cols, lo, hi, msl) == old_best_split(values, lo, hi, msl), (lo, hi, msl)
 
     def test_ties_take_the_smallest_index(self):
         # a bump of equal steps up and down, at dyadic fractions so both ends
         # give exactly the same statistic
         values = np.zeros((128, 3))
         values[32:96] = 1.0
-        stat, j = _best_split(values, 0, 128, 10)
+        stat, j = _best_split(columns(values), 0, 128, 10)
         assert (stat, j) == old_best_split(values, 0, 128, 10)
         assert j == 32
         # integer-valued data with many equal row maxima
         values = np.random.default_rng(3).integers(-2, 3, size=(90, 2)).astype(float)
         for msl in (1, 5, 30):
-            assert _best_split(values, 0, 90, msl) == old_best_split(values, 0, 90, msl)
+            assert _best_split(columns(values), 0, 90, msl) == old_best_split(values, 0, 90, msl)
 
 
 def test_auto_threshold_scans_each_interval_once(monkeypatch):
@@ -408,9 +432,10 @@ def test_auto_threshold_scans_each_interval_once(monkeypatch):
     )
     scanned = Counter()
 
-    def counting(values, lo, hi, msl):
+    def counting(cols, lo, hi, msl):
+        assert cols.shape == (grid_size, x.n) and cols.flags["C_CONTIGUOUS"]
         scanned[lo, hi] += 1
-        return _best_split(values, lo, hi, msl)
+        return _best_split(cols, lo, hi, msl)
 
     monkeypatch.setattr(segmentation, "_best_split", counting)
     cps = detect_change_points(x)
@@ -441,3 +466,88 @@ def test_analyze_forms_each_fits_residuals_once(monkeypatch):
     assert max(formed.values()) == 1
     alone = relevant_set(x, res.change_points, cfg.relevant)
     assert (alone.indices, alone.all_jumps) == (res.relevant.indices, res.relevant.all_jumps)
+
+
+def ar_jump_series(seed, n=300, grid_size=6, rho=0.6, jump=3.0):
+    """AR(1) errors with one jump at n/2.  The pilot's first-difference
+    proxy underestimates the long-run variance of such errors, so the pilot
+    threshold may keep a change that the final threshold drops."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, grid_size))
+    vals = np.empty_like(z)
+    vals[0] = z[0]
+    for j in range(1, n):
+        vals[j] = rho * vals[j - 1] + z[j]
+    vals[n // 2 :] += jump
+    return make_series(vals)
+
+
+def pilot_indices(x):
+    """The changes that the auto threshold's pilot keeps, at the defaults."""
+    msl = segmentation._default_msl(x.n)
+    scan = functools.cache(functools.partial(_best_split, columns(x.values), msl=msl))
+    return tuple(segmentation._auto_threshold(x, scan, SegmentationConfig().max_changes)[1])
+
+
+@pytest.mark.parametrize(
+    "seed, cfg, calls",
+    [
+        (0, PipelineConfig(replications=200), 1),
+        (0, PipelineConfig(lrv=LrvConfig(kernel="flat_top"), replications=200), 2),
+        (0, PipelineConfig(segmentation=SegmentationConfig(threshold=5.0), replications=200), 1),
+        (3, PipelineConfig(replications=200), 2),
+    ],
+    ids=["auto", "flat_top", "fixed_threshold", "pilot_differs"],
+)
+def test_analyze_estimates_the_lrv_once_when_the_pilot_fit_is_final(monkeypatch, seed, cfg, calls):
+    # the auto threshold's pilot estimates the default-config LRV; analyze
+    # reuses it only when the final changes are the pilot's and it asks for
+    # the default config
+    x = ar_jump_series(seed)
+    differs = seed == 3
+    assert (pilot_indices(x) != detect_change_points(x).indices) == differs
+    counted = []
+
+    def counting(y, fit, cfg=None):
+        counted.append(cfg)
+        return estimate_lrv(y, fit, cfg)
+
+    monkeypatch.setattr(pipeline, "estimate_lrv", counting)
+    monkeypatch.setattr(segmentation, "estimate_lrv", counting)
+    res = analyze(x, cfg)
+    assert len(counted) == calls
+    assert (res.change_points.pilot_lrv is None) == (differs or cfg.segmentation.threshold != "auto")
+    fit = fit_segments(x, res.change_points.segments)
+    fresh = estimate_lrv(fit.residuals(x), fit, cfg.lrv)
+    assert res.lrv.sigma2.values.tobytes() == fresh.sigma2.values.tobytes()
+    assert res.lrv.bandwidth == fresh.bandwidth
+
+
+def test_analysis_result_holds_no_series_sized_array():
+    # the result is kept by callers (the bench holds the previous one), so
+    # no (n, T) matrix such as the pilot's residuals may ride along on it
+    x = ar_jump_series(0)
+    res = analyze(x, PipelineConfig(replications=200))
+    assert res.change_points.pilot_lrv is res.lrv
+    seen, arrays = set(), []
+
+    def walk(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif dataclasses.is_dataclass(obj):
+            for f in dataclasses.fields(obj):
+                walk(getattr(obj, f.name))
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                walk(item)
+        elif isinstance(obj, dict):
+            for key, item in obj.items():
+                walk(key)
+                walk(item)
+
+    walk(res)
+    assert any(a is res.lrv.sigma2.values for a in arrays)
+    assert arrays and all(a.ndim == 0 or a.shape[0] != x.n for a in arrays)
