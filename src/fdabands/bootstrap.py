@@ -34,7 +34,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Curve, InvalidInputError, ResidualSeries, Segment, check_float, check_integer
+from .core import (
+    Curve,
+    InvalidInputError,
+    ResidualSeries,
+    Segment,
+    check_float,
+    check_integer,
+    row_blocks,
+)
 
 # the bit generator of every draw, named in diagnostics.txt
 RNG_ALGORITHM = "philox"
@@ -76,23 +84,41 @@ def auto_block_length(n_min: int) -> int:
     return min(n_min, max(1, int(np.floor(np.cbrt(n_min) + 1e-9))))
 
 
-def _block_averages(y_values: np.ndarray, L: int) -> np.ndarray:
-    """B_j = len_j^(-1/2) * sum_{l<L} Y_{j+l}, truncated at the series end.
+def _block_averages(y_values: np.ndarray, L: int, stop: int | None = None) -> np.ndarray:
+    """B_j = len_j^(-1/2) * sum_{l<L} Y_{j+l} for j < stop (default n),
+    truncated at the series end.
 
     Blocks that would run past the last index use the available indices only
-    and rescale by the square root of the actual block length.  Needs
-    1 <= L <= n.
+    and rescale by the square root of the actual block length.  B_j is
+    P_{j+len_j} - P_j for the prefix sums P_i = sum_{l<i} Y_l, formed in row
+    blocks of about `core._BLOCK_ENTRIES` entries instead of one (n + 1, T)
+    array: a window holds the P rows that one block of B reads, and each
+    block's running sums carry the previous block's last prefix sum in as
+    their first row, so every P_i is P_{i-1} + Y_{i-1} in the same order as
+    one cumsum over the whole series.  Y is read up to row stop + L - 2
+    only.  Needs 1 <= L <= n and 1 <= stop <= n.
     """
-    n = y_values.shape[0]
-    padded = np.empty((n + 1,) + y_values.shape[1:])
-    padded[0] = 0.0
-    np.cumsum(y_values, axis=0, out=padded[1:])
+    n, width = y_values.shape
+    stop = n if stop is None else stop
     full = n + 1 - L  # blocks j < full hold L indices, block j >= full holds n - j
-    out = np.empty_like(padded[1:])
-    np.subtract(padded[L:], padded[:full], out=out[:full])
-    np.subtract(padded[n], padded[full:n], out=out[full:])
-    out[:full] /= np.sqrt(L)
-    out[full:] /= np.sqrt(np.arange(L - 1, 0, -1))[:, None]
+    out = np.empty((stop, width))
+    blocks = row_blocks(min(stop, full), width)
+    window = np.empty((blocks[0][1] + L, width))  # P_{a + i} in row i for block [a, b)
+    window[0] = 0.0
+    np.cumsum(y_values[: blocks[0][1] + L - 1], axis=0, out=window[1 : blocks[0][1] + L])
+    last = 0  # the first row of the previous block
+    for a, b in blocks:
+        if a:
+            # keep P_a .. P_{a+L-1}, then continue the sums from P_{a+L-1}
+            window[:L] = window[a - last : a - last + L]
+            window[L : b - a + L] = y_values[a + L - 1 : b + L - 1]
+            np.cumsum(window[L - 1 : b - a + L], axis=0, out=window[L - 1 : b - a + L])
+        np.subtract(window[L : b - a + L], window[: b - a], out=out[a:b])
+        out[a:b] /= np.sqrt(L)
+        last = a
+    if stop > full:  # the window ends at P_n
+        np.subtract(window[n - last], window[full - last : stop - last], out=out[full:])
+        out[full:] /= np.sqrt(n - np.arange(full, stop))[:, None]  # len_j = n - j
     return out
 
 
@@ -238,7 +264,8 @@ def run_bootstrap(
         raise InvalidInputError("sigma^2 must be floored strictly positive")
     sigma = np.sqrt(sigma2.values)
 
-    B = _block_averages(y.values, L)
+    # no relevant segment reads a block average past the last one's end
+    B = _block_averages(y.values, L, max(seg.end for seg in segments))
     # nu @ block / (sqrt(n_i) * sigma) is sqrt(n_i) * mu_i* / sigma
     factors = [_sqrt_factor(B[seg.start : seg.end], np.sqrt(seg.length) * sigma) for seg in segments]
     per_segment = _draw_sups(factors, R, cfg.rng_seed, [(_QUANTILE, k) for k in range(len(segments))])

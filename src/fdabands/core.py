@@ -73,6 +73,19 @@ def check_float(name: str, value, interval: tuple | None = None) -> None:
         raise InvalidInputError(f"{name} must lie in ({interval[0]:g}, {interval[1]:g})")
 
 
+# float64 entries per row block of the passes over a whole series: 512 KB,
+# so a block and its temporaries stay in a 2 MB L2 cache
+_BLOCK_ENTRIES = 1 << 16
+
+
+def row_blocks(n: int, width: int) -> list:
+    """(start, stop) of the consecutive row blocks that cover [0, n) when a
+    row holds `width` entries: _BLOCK_ENTRIES // width rows each, at least
+    one, the last block shorter."""
+    rows = max(1, _BLOCK_ENTRIES // width)
+    return [(a, min(a + rows, n)) for a in range(0, n, rows)]
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     a = np.array(values, dtype=dtype)
     a.setflags(write=False)

@@ -52,14 +52,20 @@ def analyze(x: FunctionalTimeSeries, cfg: PipelineConfig | None = None) -> Analy
 
     One fit over the detected changes and its residuals feed the relevant
     filter, the LRV and the bootstrap.  When the auto threshold's pilot found
-    the same changes and the analysis asks for the default LrvConfig, the
-    pilot's LRV is the LRV of this fit and is not estimated again.
+    the same changes, the pilot's fit and residuals are this fit and its
+    residuals and are taken over, and when the analysis also asks for the
+    default LrvConfig, the pilot's LRV is the LRV of this fit and is not
+    estimated again.
     """
     cfg = cfg or PipelineConfig()
 
-    cps = detect_change_points(x, cfg.segmentation)
-    fit = fit_segments(x, cps.segments)
-    y = fit.residuals(x)
+    pilot = []
+    cps = detect_change_points(x, cfg.segmentation, pilot_out=pilot)
+    if pilot:
+        fit, y = pilot
+    else:
+        fit = fit_segments(x, cps.segments)
+        y = fit.residuals(x)
     rel = relevant_set(x, cps, cfg.relevant, fit=fit, residuals=y)
     if cps.pilot_lrv is not None and cfg.lrv == LrvConfig():
         lrv_est = cps.pilot_lrv

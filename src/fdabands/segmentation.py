@@ -7,10 +7,17 @@ splits are taken best-first.  A `detect_change_points` call makes one
 transposed (T, n) copy of the series, so each interval's running sums run
 along contiguous rows, and memoizes the interval scan over it: the pilot
 threshold in `_auto_threshold` and the final threshold run the same loop and
-no interval is scanned twice.  When the final threshold keeps the pilot's
-changes, the pilot's default-config LRV is handed on with the result, so
-`analyze` need not estimate it again.  The detector sits behind this
-module's function interface so an alternative detector can be substituted.
+no interval is scanned twice.  A scan cumsums a few rows of that copy at a
+time (blocks of about `core._BLOCK_ENTRIES` entries) and keeps a running
+maximum, and the pilot's first-difference proxy sums its squares in row
+blocks with the running sum carried in as each block's first row: max is
+exact and every addition runs in the same order as over the whole series,
+so the blocks do not change the bits.  When the final threshold keeps the
+pilot's changes, the pilot's default-config LRV is handed on with the
+result, and the pilot's fit and residuals to a caller that asks for them,
+so `analyze` neither estimates the LRV nor forms the residuals again.  The
+detector sits behind this module's function interface so an alternative
+detector can be substituted.
 
 A change i is relevant when the plug-in jump estimate
 ||mu_hat_i - mu_hat_{i-1}||_inf strictly exceeds the threshold Delta.  Index
@@ -35,6 +42,7 @@ from .core import (
     check_integer,
     check_positive_or_auto,
     fit_segments,
+    row_blocks,
     segments_from_indices,
     sup_norm,
 )
@@ -115,20 +123,33 @@ def _best_split(columns: np.ndarray, lo: int, hi: int, msl: int):
     """Max over admissible splits of the interval CUSUM; ties -> smallest index.
 
     `columns` is the series transposed to a C-ordered (T, n) array, so the
-    running sums of [lo, hi) run along contiguous rows.  Returns (statistic,
-    global split index) or None when no split leaves both sides with at least
-    msl curves.  Only the column maxima are divided by sqrt(m): rounding
-    x / s is monotone in x, so this gives the same bits as dividing every
-    entry first.
+    running sums of [lo, hi) run along contiguous rows.  The rows are scanned
+    in blocks of about `core._BLOCK_ENTRIES` entries, keeping a running
+    np.maximum of each block's column maxima, so the (T, m) sums and their
+    products never leave the cache; every row's sums are the same IEEE sums,
+    and max is exact, so blocking does not change the bits.  Returns
+    (statistic, global split index) or None when no split leaves both sides
+    with at least msl curves.  Only the column maxima are divided by
+    sqrt(m): rounding x / s is monotone in x, so this gives the same bits as
+    dividing every entry first.
     """
     m = hi - lo
     if m < 2 * msl:
         return None
-    cs = np.cumsum(columns[:, lo:hi], axis=1)
     ks = np.arange(msl, m - msl + 1)
-    u = np.multiply.outer(cs[:, -1], ks / m)
-    np.subtract(cs[:, msl - 1 : m - msl], u, out=u)
-    stats = np.abs(u, out=u).max(axis=0) / np.sqrt(m)
+    fractions = ks / m
+    blocks = row_blocks(columns.shape[0], m)
+    sums = np.empty((blocks[0][1], m))
+    u = np.empty((blocks[0][1], ks.size))
+    stats, block_max = np.full(ks.size, -np.inf), np.empty(ks.size)
+    for a, b in blocks:
+        cs, ub = sums[: b - a], u[: b - a]
+        np.cumsum(columns[a:b, lo:hi], axis=1, out=cs)
+        np.multiply.outer(cs[:, -1], fractions, out=ub)
+        np.subtract(cs[:, msl - 1 : m - msl], ub, out=ub)
+        np.abs(ub, out=ub).max(axis=0, out=block_max)
+        np.maximum(stats, block_max, out=stats)
+    stats /= np.sqrt(m)
     best = int(np.argmax(stats))  # first max: smallest split index
     return float(stats[best]), lo + int(ks[best])
 
@@ -164,6 +185,33 @@ def _default_msl(n: int) -> int:
     return max(20, int(np.ceil(np.sqrt(n))))
 
 
+def _mean_square_diff(values: np.ndarray) -> np.ndarray:
+    """np.square(np.diff(values, axis=0)).mean(axis=0), bit for bit, without
+    the (n - 1, T) temporary.
+
+    numpy sums a C-ordered matrix over axis 0 one row after another, so the
+    squared differences are formed in row blocks of about
+    `core._BLOCK_ENTRIES` entries, and each block is summed with the running
+    sum carried in as its first row: every addition runs in the same order
+    as on the whole matrix (the first block starts from 0.0, and 0.0 + s is
+    s for every square s >= +0.0).  Other layouts are summed pairwise along
+    the columns and take the whole-matrix path.
+    """
+    n, width = values.shape
+    if not values.flags.c_contiguous:
+        return np.square(np.diff(values, axis=0)).mean(axis=0)
+    blocks = row_blocks(n - 1, width)
+    buf = np.empty((blocks[0][1] + 1, width))
+    total = np.zeros(width)
+    for a, b in blocks:
+        squares = buf[1 : b - a + 1]
+        np.subtract(values[a + 1 : b + 1], values[a:b], out=squares)
+        np.square(squares, out=squares)
+        buf[0] = total
+        buf[: b - a + 1].sum(axis=0, out=total)
+    return total / (n - 1)
+
+
 def _auto_threshold(x: FunctionalTimeSeries, scan, max_changes: int) -> tuple:
     """xi_n = 1.5 * sigma_bar * sqrt(2 log n), sigma_bar from the lag-window LRV.
 
@@ -172,31 +220,36 @@ def _auto_threshold(x: FunctionalTimeSeries, scan, max_changes: int) -> tuple:
     robust to mean shifts.  The pilot segments with the caller's memoized
     `scan`, which the final threshold then reuses.  The pilot LRV always uses
     the default LrvConfig, whatever kernel and bandwidth the analysis asks for.
-    Returns xi_n, the pilot's change indices and the pilot LRV.
+    Returns xi_n, the pilot's change indices, the pilot LRV, and the pilot's
+    fit and residuals.
     """
     n = x.n
     scale = np.sqrt(2.0 * np.log(n))
-    floor = 1e-10 * max(1.0, float(np.abs(x.values).max()))
+    # max |x| without an (n, T) array of absolute values
+    floor = 1e-10 * max(1.0, float(x.values.max()), -float(x.values.min()))
 
-    diffs = np.diff(x.values, axis=0)
-    proxy = np.square(diffs, out=diffs).mean(axis=0) / 2.0
+    proxy = _mean_square_diff(x.values) / 2.0
     pilot_xi = max(XI_SCALE * float(np.median(np.sqrt(proxy))) * scale, floor)
     pilot = _binary_segmentation(scan, n, pilot_xi, max_changes)
 
     fit = fit_segments(x, segments_from_indices(n, pilot))
-    lrv = estimate_lrv(fit.residuals(x), fit)
+    residuals = fit.residuals(x)
+    lrv = estimate_lrv(residuals, fit)
     sigma_bar = float(np.median(np.sqrt(lrv.sigma2.values)))
-    return max(XI_SCALE * sigma_bar * scale, floor), pilot, lrv
+    return max(XI_SCALE * sigma_bar * scale, floor), pilot, lrv, fit, residuals
 
 
 def detect_change_points(
-    x: FunctionalTimeSeries, cfg: SegmentationConfig | None = None
+    x: FunctionalTimeSeries, cfg: SegmentationConfig | None = None, *, pilot_out: list | None = None
 ) -> ChangePointSet:
     """Estimate the number and rescaled locations of mean change points.
 
     The scans read one C-ordered transposed copy of the series per call.
     With the auto threshold, a result whose indices equal the pilot's
-    carries the pilot's default-config LRV as `pilot_lrv`.
+    carries the pilot's default-config LRV as `pilot_lrv`, and the pilot's
+    `SegmentFit` and its residuals are appended to `pilot_out` when the
+    caller passes a list there.  They go to the caller, not onto the result,
+    so a kept result holds no (n, T) matrix.
     """
     cfg = cfg or SegmentationConfig()
     msl = cfg.min_segment_length or _default_msl(x.n)
@@ -205,18 +258,17 @@ def detect_change_points(
             f"series length {x.n} is below 2 * min_segment_length = {2 * msl}"
         )
     scan = cache(partial(_best_split, np.ascontiguousarray(x.values.T), msl=msl))
-    pilot, pilot_lrv = None, None
+    pilot = None
     if cfg.threshold == "auto":
-        xi, pilot, pilot_lrv = _auto_threshold(x, scan, cfg.max_changes)
+        xi, pilot, pilot_lrv, *pilot_fit = _auto_threshold(x, scan, cfg.max_changes)
     else:
         xi = float(cfg.threshold)
     changes = _binary_segmentation(scan, x.n, xi, cfg.max_changes)
-    return ChangePointSet(
-        indices=tuple(changes),
-        n=x.n,
-        threshold=xi,
-        pilot_lrv=pilot_lrv if changes == pilot else None,
-    )
+    if changes != pilot:
+        return ChangePointSet(indices=tuple(changes), n=x.n, threshold=xi)
+    if pilot_out is not None:
+        pilot_out.extend(pilot_fit)
+    return ChangePointSet(indices=tuple(changes), n=x.n, threshold=xi, pilot_lrv=pilot_lrv)
 
 
 def auto_delta(x: FunctionalTimeSeries) -> float:

@@ -30,6 +30,7 @@ from fdabands import (
     segments_from_locations,
 )
 import fdabands.bootstrap as bootstrap
+import fdabands.core as core
 from fdabands.bootstrap import _block_averages, _draw_sups, _sqrt_factor, bootstrap_margin
 from oracles import block_averages_by_index, bootstrap_segment_mean
 
@@ -117,6 +118,32 @@ class TestBlockAverages:
     def test_matches_index_formula(self, n, L):
         yv = np.random.default_rng(n + L).normal(size=(n, 3))
         assert np.array_equal(_block_averages(yv, L), block_averages_by_index(yv, L))
+
+    @pytest.mark.parametrize("L", [1, 7, 1400, 3000])
+    def test_matches_index_formula_across_blocks(self, L):
+        # 1310 rows of 50 per block: n = 3000 takes three blocks, and L = 1400
+        # needs prefix sums from beyond the next block
+        yv = np.random.default_rng(L).normal(size=(3000, 50))
+        expected = block_averages_by_index(yv, L)
+        assert _block_averages(yv, L).tobytes() == expected.tobytes()
+        for stop in (1, 1310, 1311, 3000 - L + 1, 3000 - L // 2, 2999):
+            assert _block_averages(yv, L, stop).tobytes() == expected[:stop].tobytes(), stop
+
+    def test_many_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", 12)
+        rng = np.random.default_rng(11)
+        for n, T, L in ((40, 3, 1), (40, 3, 5), (41, 5, 17), (9, 2, 9), (1, 4, 1)):
+            yv = rng.normal(size=(n, T))
+            expected = block_averages_by_index(yv, L)
+            for stop in range(1, n + 1):
+                assert _block_averages(yv, L, stop).tobytes() == expected[:stop].tobytes(), (n, T, L, stop)
+
+    def test_reads_the_series_only_up_to_the_last_block_needed(self):
+        # block averages before `stop` read Y up to row stop + L - 2 only
+        yv = np.random.default_rng(12).normal(size=(3000, 50))
+        cut = yv.copy()
+        cut[1000 + 6 :] = np.nan
+        assert _block_averages(cut, 7, 1000).tobytes() == _block_averages(yv, 7, 1000).tobytes()
 
 
 class TestAutoBlockLength:
@@ -302,6 +329,24 @@ class TestGaussianDraws:
         r = _sqrt_factor(block, np.sqrt(seg.length) * sigma)
         assert r.shape == (grid_size, grid_size)
         assert_same_covariance(r, basis_rows(y, seg, L, np.sqrt(seg.length) / sigma))
+
+    def test_run_bootstrap_factors_read_whole_segments(self, monkeypatch):
+        # run_bootstrap forms the block averages only up to the last
+        # segment's end; each factor still reads all of its segment's rows
+        n, grid_size, L = 120, 4, 5
+        y = ResidualSeries(np.random.default_rng(33).normal(size=(n, grid_size)), Grid.uniform(grid_size))
+        segs = [Segment(0, 40), Segment(40, 90)]
+        seen = []
+        factor = bootstrap._sqrt_factor
+
+        def recording(mat, scale=1.0):
+            seen.append(mat.tobytes())
+            return factor(mat, scale)
+
+        monkeypatch.setattr(bootstrap, "_sqrt_factor", recording)
+        run_bootstrap(y, segs, unit_sigma2(y.grid), BootstrapConfig(block_length=L, replications=100))
+        full = block_averages_by_index(y.values, L)
+        assert seen == [full[seg.start : seg.end].tobytes() for seg in segs]
 
     @pytest.mark.parametrize(
         "left, right",

@@ -104,6 +104,17 @@ class TestIngest:
         # segment means add the cycles in memory order, so the layout matters too
         assert x.values.flags["C_CONTIGUOUS"]
 
+    @pytest.mark.parametrize("n, width, T", [(2 * 655 + 17, 101, 100), (3 * 1985 + 1, 7, 33)])
+    def test_blocked_resample_matches_per_row_interp(self, n, width, T):
+        # _resample fills core._BLOCK_ENTRIES // T rows at a time (655 rows of
+        # 100, 1985 of 33); n is no multiple of the block
+        vals = np.random.default_rng(n).normal(size=(n, width))
+        t = np.linspace(0.0, 1.0, T)
+        xp = np.linspace(0.0, 1.0, width)
+        expected = np.stack([np.interp(t, xp, row) for row in vals])
+        assert cli._resample(vals, t).tobytes() == expected.tobytes()
+        assert cli._resample(np.asfortranarray(vals), t).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize(
         "text",
         [

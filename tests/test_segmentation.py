@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import heapq
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -23,9 +24,10 @@ from fdabands import (
     fit_segments,
     relevant_set,
 )
+import fdabands.core as core
 import fdabands.pipeline as pipeline
 import fdabands.segmentation as segmentation
-from fdabands.segmentation import _best_split, _binary_segmentation
+from fdabands.segmentation import _best_split, _binary_segmentation, _mean_square_diff
 
 
 def make_series(values):
@@ -419,6 +421,66 @@ class TestBestSplit:
             assert _best_split(columns(values), 0, 90, msl) == old_best_split(values, 0, 90, msl)
 
 
+class TestBlockedScan:
+    # the scan cumsums core._BLOCK_ENTRIES // m rows of the (T, n) copy at a
+    # time; T = 16 rows are one block up to m = _BLOCK_ENTRIES / 16 and two
+    # blocks of 15 and 1 rows just above
+    T = 16
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below", "at", "above"])
+    def test_block_seams(self, extra):
+        m = core._BLOCK_ENTRIES // self.T + extra
+        values = np.random.default_rng(extra + 1).normal(size=(m + 10, self.T))
+        values[m // 3 :] += np.linspace(-1.0, 1.0, self.T)
+        for lo, hi, msl in ((3, m + 3, 40), (10, m + 10, 1)):
+            assert _best_split(columns(values), lo, hi, msl) == old_best_split(values, lo, hi, msl)
+
+    def test_many_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", 150)
+        rng = np.random.default_rng(31)
+        values = rng.normal(size=(400, 7)) + np.repeat(rng.normal(size=(4, 7)), 100, axis=0)
+        cols = columns(values)
+        for _ in range(40):
+            lo, hi = sorted(int(v) for v in rng.choice(401, size=2, replace=False))
+            msl = int(rng.integers(1, 30))
+            assert _best_split(cols, lo, hi, msl) == old_best_split(values, lo, hi, msl), (lo, hi, msl)
+
+    def test_extra_memory_is_a_few_blocks(self):
+        # the whole-interval scan held (T, n) running sums and products:
+        # about 16 MB at n = 10 000, T = 100
+        cols = columns(np.random.default_rng(32).normal(size=(10_000, 100)))
+        tracemalloc.start()
+        try:
+            assert _best_split(cols, 0, 10_000, 100) is not None
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 2.0
+
+
+class TestMeanSquareDiff:
+    @staticmethod
+    def whole(values):
+        return np.square(np.diff(values, axis=0)).mean(axis=0)
+
+    @pytest.mark.parametrize("n, T", [(4, 3), (400, 50), (3000, 50), (1311, 50)])
+    def test_matches_the_whole_matrix(self, n, T):
+        # 1310 rows of 50 per block: 3000 curves take three blocks, 1311
+        # curves one full block of differences
+        values = np.random.default_rng(n).normal(size=(n, T)) * 1e3
+        assert _mean_square_diff(values).tobytes() == self.whole(values).tobytes()
+
+    def test_fortran_order(self):
+        values = np.asfortranarray(np.random.default_rng(5).normal(size=(3000, 50)))
+        assert _mean_square_diff(values).tobytes() == self.whole(values).tobytes()
+
+    def test_many_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", 20)
+        for n, T in ((2, 3), (50, 7), (97, 4), (30, 25)):
+            values = np.random.default_rng(n + T).normal(size=(n, T))
+            assert _mean_square_diff(values).tobytes() == self.whole(values).tobytes(), (n, T)
+
+
 def test_auto_threshold_scans_each_interval_once(monkeypatch):
     # the pilot and the final threshold read one split path, so no interval
     # is scanned twice
@@ -445,8 +507,9 @@ def test_auto_threshold_scans_each_interval_once(monkeypatch):
 
 
 def test_analyze_forms_each_fits_residuals_once(monkeypatch):
-    # the bootstrap margin reads the residuals that analyze forms for the
-    # LRV and the bootstrap; only the pilot fit forms its own
+    # the final changes here are the pilot's: the pilot's residuals, formed
+    # for its LRV, are handed to analyze, and the bootstrap margin, the LRV
+    # and the bootstrap all read them
     grid_size = 8
     x = jump_series(400, grid_size, [(0.5, np.full(grid_size, 3.0))], noise_sd=1.0, seed=4)
     cfg = PipelineConfig(
@@ -462,10 +525,28 @@ def test_analyze_forms_each_fits_residuals_once(monkeypatch):
 
     monkeypatch.setattr(SegmentFit, "residuals", counting)
     res = analyze(x, cfg)
-    assert sum(formed.values()) == 2
-    assert max(formed.values()) == 1
+    assert res.change_points.pilot_lrv is not None
+    assert sum(formed.values()) == 1
     alone = relevant_set(x, res.change_points, cfg.relevant)
     assert (alone.indices, alone.all_jumps) == (res.relevant.indices, res.relevant.all_jumps)
+
+
+def test_analyze_forms_the_final_fits_residuals_when_the_pilot_differs(monkeypatch):
+    # the pilot's residuals go to analyze only when the final changes are
+    # the pilot's; here the final threshold drops one (see ar_jump_series)
+    x = ar_jump_series(3)
+    formed = []
+    residuals = SegmentFit.residuals
+
+    def counting(fit, series):
+        formed.append(fit.segments)
+        return residuals(fit, series)
+
+    monkeypatch.setattr(SegmentFit, "residuals", counting)
+    res = analyze(x, PipelineConfig(replications=200))
+    assert res.change_points.pilot_lrv is None
+    assert len(formed) == 2 and formed[0] != formed[1]
+    assert list(formed[1]) == res.change_points.segments
 
 
 def ar_jump_series(seed, n=300, grid_size=6, rho=0.6, jump=3.0):
