@@ -31,7 +31,6 @@ class Band:
 class ConfidenceBandSet:
     bands: tuple
     quantile: float
-    alpha: float
 
 
 @dataclass(frozen=True)
@@ -40,13 +39,7 @@ class ContainmentResult:
     overall: bool
 
 
-def build_bands(
-    fit: SegmentFit,
-    indices,
-    sigma2: Curve,
-    q: float,
-    alpha: float,
-) -> ConfidenceBandSet:
+def build_bands(fit: SegmentFit, indices, sigma2: Curve, q: float) -> ConfidenceBandSet:
     """Band i is mu_hat_i(t) +/- sigma_hat(t) * q / sqrt(n_hat_i) for each i in
     `indices`, with mu_hat_i = fit.means[i] and n_hat_i the length of
     fit.segments[i]; the band is labelled i."""
@@ -70,7 +63,7 @@ def build_bands(
                 upper=Curve(mean + half, fit.grid),
             )
         )
-    return ConfidenceBandSet(bands=tuple(bands), quantile=float(q), alpha=float(alpha))
+    return ConfidenceBandSet(bands=tuple(bands), quantile=float(q))
 
 
 def check_containment(band_set: ConfidenceBandSet, truth) -> ContainmentResult:

@@ -458,9 +458,12 @@ def _load_json(path) -> dict:
     if not path.exists():
         raise InvalidInputError(f"file not found: {path}")
     try:
-        return json.loads(_read_text(path))
+        document = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"cannot parse {path}: {exc}") from None
+    if not isinstance(document, dict):
+        raise InvalidInputError(f"{path} must hold a JSON object, got {type(document).__name__}")
+    return document
 
 
 def _run_config(args, **settings) -> RunConfig:

@@ -87,7 +87,9 @@ def row_blocks(n: int, width: int) -> list:
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
-    a = np.array(values, dtype=dtype)
+    # C order whatever the input's layout: numpy reduces C- and Fortran-ordered
+    # arrays in different orders, so the layout would change the results' bits
+    a = np.array(values, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
 

@@ -1,5 +1,10 @@
 """End-to-end analysis: detect changes, filter relevant ones, estimate the
-long-run variance, bootstrap the quantile, and build the bands."""
+long-run variance, bootstrap the quantile, and build the bands.
+
+The auto threshold's pilot segmentation reaches `analyze` through one
+channel: the `pilot_out` list of `detect_change_points`, which holds the
+pilot's fit, residuals and default-config LRV when the final changes are the
+pilot's and is empty otherwise."""
 
 from __future__ import annotations
 
@@ -52,24 +57,22 @@ def analyze(x: FunctionalTimeSeries, cfg: PipelineConfig | None = None) -> Analy
 
     One fit over the detected changes and its residuals feed the relevant
     filter, the LRV and the bootstrap.  When the auto threshold's pilot found
-    the same changes, the pilot's fit and residuals are this fit and its
-    residuals and are taken over, and when the analysis also asks for the
-    default LrvConfig, the pilot's LRV is the LRV of this fit and is not
-    estimated again.
+    the same changes, `detect_change_points` hands over the pilot's fit, its
+    residuals and its default-config LRV through `pilot_out`; the LRV is
+    estimated again only when there is no pilot or the analysis asks for
+    another LrvConfig.
     """
     cfg = cfg or PipelineConfig()
 
     pilot = []
     cps = detect_change_points(x, cfg.segmentation, pilot_out=pilot)
     if pilot:
-        fit, y = pilot
+        fit, y, lrv_est = pilot
     else:
         fit = fit_segments(x, cps.segments)
         y = fit.residuals(x)
     rel = relevant_set(x, cps, cfg.relevant, fit=fit, residuals=y)
-    if cps.pilot_lrv is not None and cfg.lrv == LrvConfig():
-        lrv_est = cps.pilot_lrv
-    else:
+    if not pilot or cfg.lrv != LrvConfig():
         lrv_est = estimate_lrv(y, fit, cfg.lrv)
 
     # The bands use the (1 - alpha/2)-quantile of T*, not the (1 - alpha)-
@@ -87,7 +90,7 @@ def analyze(x: FunctionalTimeSeries, cfg: PipelineConfig | None = None) -> Analy
         ),
     )
 
-    bands = build_bands(fit, rel.indices, lrv_est.sigma2, boot.quantile, cfg.alpha)
+    bands = build_bands(fit, rel.indices, lrv_est.sigma2, boot.quantile)
 
     return AnalysisResult(
         change_points=cps,

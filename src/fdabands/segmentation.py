@@ -13,9 +13,9 @@ maximum, and the pilot's first-difference proxy sums its squares in row
 blocks with the running sum carried in as each block's first row: max is
 exact and every addition runs in the same order as over the whole series,
 so the blocks do not change the bits.  When the final threshold keeps the
-pilot's changes, the pilot's default-config LRV is handed on with the
-result, and the pilot's fit and residuals to a caller that asks for them,
-so `analyze` neither estimates the LRV nor forms the residuals again.  The
+pilot's changes, the pilot's fit, residuals and default-config LRV are
+handed to a caller that asks for them through one list, `pilot_out`, so
+`analyze` neither forms the residuals nor estimates the LRV again.  The
 detector sits behind this module's function interface so an alternative
 detector can be substituted.
 
@@ -27,7 +27,7 @@ A change i is relevant when the plug-in jump estimate
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
@@ -46,7 +46,7 @@ from .core import (
     segments_from_indices,
     sup_norm,
 )
-from .lrv import LrvEstimate, estimate_lrv
+from .lrv import estimate_lrv
 
 # Gaussian-maximum scaling constant in the auto threshold
 XI_SCALE = 1.5
@@ -76,9 +76,6 @@ class ChangePointSet:
     indices: tuple
     n: int
     threshold: float
-    # the default-config LRV of the fit over these indices, when the auto
-    # threshold's pilot segmentation found the same indices and estimated it
-    pilot_lrv: LrvEstimate | None = field(default=None, compare=False, repr=False)
 
     @property
     def locations(self) -> tuple:
@@ -194,12 +191,9 @@ def _mean_square_diff(values: np.ndarray) -> np.ndarray:
     `core._BLOCK_ENTRIES` entries, and each block is summed with the running
     sum carried in as its first row: every addition runs in the same order
     as on the whole matrix (the first block starts from 0.0, and 0.0 + s is
-    s for every square s >= +0.0).  Other layouts are summed pairwise along
-    the columns and take the whole-matrix path.
+    s for every square s >= +0.0).  Series values are stored C-ordered.
     """
     n, width = values.shape
-    if not values.flags.c_contiguous:
-        return np.square(np.diff(values, axis=0)).mean(axis=0)
     blocks = row_blocks(n - 1, width)
     buf = np.empty((blocks[0][1] + 1, width))
     total = np.zeros(width)
@@ -220,8 +214,8 @@ def _auto_threshold(x: FunctionalTimeSeries, scan, max_changes: int) -> tuple:
     robust to mean shifts.  The pilot segments with the caller's memoized
     `scan`, which the final threshold then reuses.  The pilot LRV always uses
     the default LrvConfig, whatever kernel and bandwidth the analysis asks for.
-    Returns xi_n, the pilot's change indices, the pilot LRV, and the pilot's
-    fit and residuals.
+    Returns xi_n, the pilot's change indices, and the pilot's (fit,
+    residuals, LRV).
     """
     n = x.n
     scale = np.sqrt(2.0 * np.log(n))
@@ -236,7 +230,7 @@ def _auto_threshold(x: FunctionalTimeSeries, scan, max_changes: int) -> tuple:
     residuals = fit.residuals(x)
     lrv = estimate_lrv(residuals, fit)
     sigma_bar = float(np.median(np.sqrt(lrv.sigma2.values)))
-    return max(XI_SCALE * sigma_bar * scale, floor), pilot, lrv, fit, residuals
+    return max(XI_SCALE * sigma_bar * scale, floor), pilot, (fit, residuals, lrv)
 
 
 def detect_change_points(
@@ -245,11 +239,11 @@ def detect_change_points(
     """Estimate the number and rescaled locations of mean change points.
 
     The scans read one C-ordered transposed copy of the series per call.
-    With the auto threshold, a result whose indices equal the pilot's
-    carries the pilot's default-config LRV as `pilot_lrv`, and the pilot's
-    `SegmentFit` and its residuals are appended to `pilot_out` when the
-    caller passes a list there.  They go to the caller, not onto the result,
-    so a kept result holds no (n, T) matrix.
+    With the auto threshold, when the final indices equal the pilot's and
+    the caller passes a list as `pilot_out`, the pilot's `SegmentFit`, its
+    residuals and its default-config `LrvEstimate` are appended to it;
+    otherwise the list is left empty.  They go to the caller, not onto the
+    result, so a kept result holds no (n, T) matrix.
     """
     cfg = cfg or SegmentationConfig()
     msl = cfg.min_segment_length or _default_msl(x.n)
@@ -260,15 +254,13 @@ def detect_change_points(
     scan = cache(partial(_best_split, np.ascontiguousarray(x.values.T), msl=msl))
     pilot = None
     if cfg.threshold == "auto":
-        xi, pilot, pilot_lrv, *pilot_fit = _auto_threshold(x, scan, cfg.max_changes)
+        xi, pilot, pilot_results = _auto_threshold(x, scan, cfg.max_changes)
     else:
         xi = float(cfg.threshold)
     changes = _binary_segmentation(scan, x.n, xi, cfg.max_changes)
-    if changes != pilot:
-        return ChangePointSet(indices=tuple(changes), n=x.n, threshold=xi)
-    if pilot_out is not None:
-        pilot_out.extend(pilot_fit)
-    return ChangePointSet(indices=tuple(changes), n=x.n, threshold=xi, pilot_lrv=pilot_lrv)
+    if changes == pilot and pilot_out is not None:
+        pilot_out.extend(pilot_results)
+    return ChangePointSet(indices=tuple(changes), n=x.n, threshold=xi)
 
 
 def auto_delta(x: FunctionalTimeSeries) -> float:

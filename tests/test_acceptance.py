@@ -139,7 +139,7 @@ def test_criterion_4_band_formula_exactness():
         mean = rng.normal(scale=50.0, size=33)
         sigma2 = Curve(rng.uniform(1e-6, 40.0, size=33), grid)
         fit = SegmentFit((Segment(0, n_hat),), mean[None, :], grid)
-        band = build_bands(fit, [0], sigma2, q=q, alpha=0.1).bands[0]
+        band = build_bands(fit, [0], sigma2, q=q).bands[0]
         half = np.sqrt(sigma2.values) * q / np.sqrt(n_hat)
         worst = max(
             worst,

@@ -28,7 +28,7 @@ class TestBuildBands:
         # half-width sigma(t) * q / sqrt(n_hat), verified pointwise by hand
         fit, grid = make_fit([[1.0, -2.0, 0.5]], [25])
         sigma2 = Curve(np.array([4.0, 1.0, 9.0]), grid)
-        bs = build_bands(fit, [0], sigma2, q=2.0, alpha=0.1)
+        bs = build_bands(fit, [0], sigma2, q=2.0)
         band = bs.bands[0]
         half = np.array([2.0, 1.0, 3.0]) * 2.0 / 5.0
         assert np.allclose(band.upper.values - band.center.values, half, atol=1e-15)
@@ -38,7 +38,7 @@ class TestBuildBands:
         rng = np.random.default_rng(0)
         fit, grid = make_fit([rng.normal(size=12)], [40])
         sigma2 = Curve(rng.uniform(0.5, 2.0, size=12), grid)
-        band = build_bands(fit, [0], sigma2, q=1.7, alpha=0.05).bands[0]
+        band = build_bands(fit, [0], sigma2, q=1.7).bands[0]
         assert np.allclose(
             band.upper.values - band.center.values,
             band.center.values - band.lower.values,
@@ -48,7 +48,7 @@ class TestBuildBands:
 
     def test_zero_quantile_collapses(self):
         fit, grid = make_fit([[3.0, 3.0]], [10])
-        band = build_bands(fit, [0], Curve(np.ones(2), grid), q=0.0, alpha=0.1).bands[0]
+        band = build_bands(fit, [0], Curve(np.ones(2), grid), q=0.0).bands[0]
         assert np.array_equal(band.lower.values, band.center.values)
         assert np.array_equal(band.upper.values, band.center.values)
 
@@ -56,7 +56,7 @@ class TestBuildBands:
         # n_hat 400 vs 100 with equal sigma: widths differ by a factor 2
         fit, grid = make_fit(np.zeros((2, 4)), [100, 400])
         sigma2 = Curve(np.full(4, 2.0), grid)
-        bs = build_bands(fit, [0, 1], sigma2, q=1.5, alpha=0.1)
+        bs = build_bands(fit, [0, 1], sigma2, q=1.5)
         w_small = bs.bands[0].upper.values - bs.bands[0].lower.values
         w_large = bs.bands[1].upper.values - bs.bands[1].lower.values
         assert np.allclose(w_small, 2.0 * w_large, rtol=1e-14)
@@ -68,35 +68,33 @@ class TestBuildBands:
         mean = rng.normal(size=6)
         sigma2_vals = rng.uniform(0.5, 3.0, size=6)
         fit, grid = make_fit([mean], [30])
-        base = build_bands(fit, [0], Curve(sigma2_vals, grid), q=2.0, alpha=0.1).bands[0]
+        base = build_bands(fit, [0], Curve(sigma2_vals, grid), q=2.0).bands[0]
         lam, shift = 2.5, -4.0
         fit2, _ = make_fit([lam * mean + shift], [30])
-        scaled = build_bands(
-            fit2, [0], Curve(lam**2 * sigma2_vals, grid), q=2.0, alpha=0.1
-        ).bands[0]
+        scaled = build_bands(fit2, [0], Curve(lam**2 * sigma2_vals, grid), q=2.0).bands[0]
         assert np.allclose(scaled.lower.values, lam * base.lower.values + shift, rtol=1e-10, atol=1e-10)
         assert np.allclose(scaled.upper.values, lam * base.upper.values + shift, rtol=1e-10, atol=1e-10)
 
     def test_negative_quantile_rejected(self):
         fit, grid = make_fit([[0.0, 0.0]], [5])
         with pytest.raises(InvalidInputError):
-            build_bands(fit, [0], Curve(np.ones(2), grid), q=-0.5, alpha=0.1)
+            build_bands(fit, [0], Curve(np.ones(2), grid), q=-0.5)
 
     def test_nonpositive_sigma2_rejected(self):
         fit, grid = make_fit([[0.0, 0.0]], [5])
         with pytest.raises(InvalidInputError):
-            build_bands(fit, [0], Curve(np.array([1.0, 0.0]), grid), q=1.0, alpha=0.1)
+            build_bands(fit, [0], Curve(np.array([1.0, 0.0]), grid), q=1.0)
 
     def test_grid_mismatch_rejected(self):
         fit, _ = make_fit([[0.0, 0.0, 0.0]], [5])
         sigma2 = Curve(np.ones(2), Grid.uniform(2))
         with pytest.raises(InvalidInputError):
-            build_bands(fit, [0], sigma2, q=1.0, alpha=0.1)
+            build_bands(fit, [0], sigma2, q=1.0)
 
     def test_index_labels(self):
         # band i is built around segment i of the fit and labelled i
         fit, grid = make_fit(np.arange(12.0).reshape(4, 3), [10, 20, 5, 7])
-        bs = build_bands(fit, [0, 3], Curve(np.ones(3), grid), q=1.0, alpha=0.1)
+        bs = build_bands(fit, [0, 3], Curve(np.ones(3), grid), q=1.0)
         assert [b.index for b in bs.bands] == [0, 3]
         assert [b.segment for b in bs.bands] == [Segment(0, 10), Segment(35, 42)]
         assert np.array_equal(bs.bands[1].center.values, [9.0, 10.0, 11.0])
@@ -107,7 +105,7 @@ class TestBuildBands:
         vals = rng.normal(size=(10, 4))
         grid = Grid.uniform(4)
         fit = fit_segments(FunctionalTimeSeries(vals, grid), [Segment(0, 4), Segment(4, 10)])
-        bs = build_bands(fit, [0, 1], Curve(np.ones(4), grid), q=1.0, alpha=0.1)
+        bs = build_bands(fit, [0, 1], Curve(np.ones(4), grid), q=1.0)
         assert [b.segment.length for b in bs.bands] == [4, 6]
         assert np.allclose(bs.bands[1].center.values, vals[4:].mean(axis=0), atol=1e-14)
         half = bs.bands[1].upper.values - bs.bands[1].center.values
@@ -117,7 +115,7 @@ class TestBuildBands:
 class TestCheckContainment:
     def band_set(self):
         fit, grid = make_fit([np.zeros(3), np.full(3, 10.0)], [4, 4])
-        return build_bands(fit, [0, 1], Curve(np.ones(3), grid), q=2.0, alpha=0.1), grid
+        return build_bands(fit, [0, 1], Curve(np.ones(3), grid), q=2.0), grid
 
     def test_contained(self):
         bs, grid = self.band_set()
@@ -148,7 +146,7 @@ class TestCheckContainment:
         # a band built from a larger quantile contains the smaller one
         fit, grid = make_fit([np.random.default_rng(3).normal(size=5)], [16])
         sigma2 = Curve(np.full(5, 1.3), grid)
-        narrow = build_bands(fit, [0], sigma2, q=1.0, alpha=0.2).bands[0]
-        wide = build_bands(fit, [0], sigma2, q=2.0, alpha=0.05).bands[0]
+        narrow = build_bands(fit, [0], sigma2, q=1.0).bands[0]
+        wide = build_bands(fit, [0], sigma2, q=2.0).bands[0]
         assert np.all(wide.lower.values <= narrow.lower.values)
         assert np.all(narrow.upper.values <= wide.upper.values)

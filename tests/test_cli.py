@@ -534,18 +534,31 @@ def unreadable_file(tmp_path, kind):
     return path
 
 
+def file_option_args(option, path, out):
+    """Command-line arguments that hand `path` to the file option `option`."""
+    return {
+        "analyze --input": analyze_args(path, out),
+        "analyze --config": ["analyze", "--config", str(path), "--output-dir", str(out)],
+        "simulate --spec": ["simulate", "--spec", str(path), "--output-dir", str(out)],
+        "coverage --spec": ["coverage", "--spec", str(path)],
+    }[option]
+
+
 @pytest.mark.parametrize("kind", ["directory", "latin1", "latin1_past_head"])
 @pytest.mark.parametrize("option", ["analyze --input", "analyze --config", "simulate --spec", "coverage --spec"])
 def test_unreadable_file_is_exit_2(tmp_path, capsys, option, kind):
     path = unreadable_file(tmp_path, kind)
-    args = {
-        "analyze --input": analyze_args(path, tmp_path / "out"),
-        "analyze --config": ["analyze", "--config", str(path), "--output-dir", str(tmp_path / "out")],
-        "simulate --spec": ["simulate", "--spec", str(path), "--output-dir", str(tmp_path / "out")],
-        "coverage --spec": ["coverage", "--spec", str(path)],
-    }[option]
-    assert main(args) == 2
+    assert main(file_option_args(option, path, tmp_path / "out")) == 2
     assert f"cannot read {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document", ["5", "null", "[[1]]", '"abc"'])
+@pytest.mark.parametrize("option", ["analyze --config", "simulate --spec", "coverage --spec"])
+def test_json_file_that_is_not_an_object_is_exit_2(tmp_path, capsys, option, document):
+    path = tmp_path / "settings.json"
+    path.write_text(document)
+    assert main(file_option_args(option, path, tmp_path / "out")) == 2
+    assert f"{path} must hold a JSON object" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
