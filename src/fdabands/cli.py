@@ -391,12 +391,21 @@ def write_diagnostics(path, result: AnalysisResult) -> None:
             fh.write(f"{key} = {value}\n")
 
 
+def _output_dir(path) -> Path:
+    """The directory `path`, created with its parents where missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot create output directory {out}: {exc.strerror}") from None
+    return out
+
+
 def run_pipeline(cfg: RunConfig) -> AnalysisResult:
     """Ingest, analyze, and write the changepoints/bands/diagnostics tables."""
     x = ingest(cfg.input, cfg.grid_size)
     result = analyze(x, cfg.pipeline_config())
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg.output_dir)
     write_changepoints(out / "changepoints.csv", result)
     write_bands(out / "bands.csv", result.bands)
     write_diagnostics(out / "diagnostics.txt", result)
@@ -502,8 +511,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_simulate(args) -> int:
     spec = ScenarioSpec.from_dict(_load_json(args.spec))
     x, truth = generate(spec)
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.output_dir)
     with open(out / "dataset.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         for row in x.values:
@@ -531,8 +539,7 @@ def _cmd_coverage(args) -> int:
     for key, value in rows:
         print(f"{key} = {_fmt(value) if isinstance(value, float) else value}")
     if args.output_dir:
-        out = Path(args.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _output_dir(args.output_dir)
         with open(out / "coverage.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["metric", "value"])

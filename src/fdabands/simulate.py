@@ -7,6 +7,9 @@ the requested innovation variance tau^2(t).  The cosine basis keeps the
 variance strictly positive on the whole grid, endpoints included, so the
 rescaling is well defined.  Serial dependence (MA(1) or AR(1)) is scalar and
 uniform across t, so the pointwise long-run variance has a closed form.
+
+`generate` builds each series in place in one array, and `run_coverage_study`
+aggregates one record per successful replication.
 """
 
 from __future__ import annotations
@@ -197,44 +200,46 @@ def _innovations(rng, count: int, grid: Grid, tau2_vals: np.ndarray) -> np.ndarr
     basis = np.sqrt(2.0) * np.cos(k * np.pi * t[None, :]) / k
     raw_var = (basis**2).sum(axis=0)
     scale = np.sqrt(tau2_vals / raw_var)
-    z = rng.standard_normal((count, N_BASIS))
-    return (z @ basis) * scale
+    eta = rng.standard_normal((count, N_BASIS)) @ basis
+    eta *= scale
+    return eta
 
 
 def generate(spec: ScenarioSpec):
-    """Draw one series from the scenario; returns (series, ground truth)."""
+    """Draw one series from the scenario; returns (series, ground truth).
+
+    The innovations of all n + burn rows are drawn into one (n + burn, T)
+    array, with burn = 0, 1 and _AR_BURN_IN rows for iid, ma1 and ar1; the
+    serial dependence, the burn-in cut and the segment means are then
+    applied to that array in place.
+    """
     grid = Grid.uniform(spec.grid_size)
     tau2_vals = curve_values(spec.tau2, grid)
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.rng_seed)))
     n = spec.n
+    burn = {"iid": 0, "ma1": 1, "ar1": _AR_BURN_IN}[spec.error_process]
+    eps = _innovations(rng, n + burn, grid, tau2_vals)
     if spec.error_process == "iid":
-        eps = _innovations(rng, n, grid, tau2_vals)
         lrv_factor, pv_factor = 1.0, 1.0
     elif spec.error_process == "ma1":
         theta = spec.error_param
-        eta = _innovations(rng, n + 1, grid, tau2_vals)
-        eps = eta[1:] + theta * eta[:-1]
+        # the right side is formed before the add: row j is eta_j + theta * eta_{j-1}
+        eps[1:] += theta * eps[:-1]
         lrv_factor, pv_factor = (1.0 + theta) ** 2, 1.0 + theta**2
     else:  # ar1
         rho = spec.error_param
-        eta = _innovations(rng, n + _AR_BURN_IN, grid, tau2_vals)
-        eps = np.empty((n, len(grid)))
-        state = np.zeros(len(grid))
-        for j in range(n + _AR_BURN_IN):
-            state = rho * state + eta[j]
-            if j >= _AR_BURN_IN:
-                eps[j - _AR_BURN_IN] = state
+        for j in range(1, n + burn):
+            eps[j] += rho * eps[j - 1]
         lrv_factor = 1.0 / (1.0 - rho) ** 2
         pv_factor = 1.0 / (1.0 - rho**2)
+    eps = eps[burn:]
 
-    segments = segments_from_locations(n, spec.change_locations)
     mean_curves = [Curve(curve_values(m, grid), grid) for m in spec.means]
-    mean_matrix = np.empty((n, len(grid)))
-    for seg, mu in zip(segments, mean_curves):
-        mean_matrix[seg.start : seg.end] = mu.values
+    for seg, mu in zip(segments_from_locations(n, spec.change_locations), mean_curves):
+        eps[seg.start : seg.end] += mu.values
 
-    x = FunctionalTimeSeries(mean_matrix + eps, grid)
+    x = FunctionalTimeSeries(eps, grid)
     jumps = tuple(
         sup_norm(b.values - a.values) for a, b in zip(mean_curves, mean_curves[1:])
     )
@@ -293,8 +298,7 @@ def run_coverage_study(
     check_integer("replications", replications, 1)
     pipeline_cfg = pipeline_cfg or PipelineConfig()
 
-    contained, widths, m_ok_list, i_ok_list, loc_errs = [], [], [], [], []
-    failures = []
+    records, failures = [], []  # one (contained, width, m_ok, i_ok, loc_err) per success
     for rep in range(replications):
         spec_r = replace(spec, rng_seed=_derived_seed(spec.rng_seed, rep, 0))
         cfg_r = replace(
@@ -312,46 +316,30 @@ def run_coverage_study(
         true_i = truth.relevant_indices(res.delta)
         m_ok = res.change_points.m == truth.m
         i_ok = m_ok and res.relevant.indices == true_i
-        m_ok_list.append(m_ok)
-        i_ok_list.append(i_ok)
+        loc_err = None
         if m_ok and truth.m > 0:
-            loc_errs.append(
-                float(
-                    np.mean(
-                        np.abs(
-                            np.array(res.change_points.locations)
-                            - np.array(truth.change_locations)
-                        )
-                    )
-                )
-            )
-        widths.append(
-            float(
-                np.mean(
-                    [np.mean(b.upper.values - b.lower.values) for b in res.bands.bands]
-                )
-            )
-        )
-        if i_ok:
-            result = check_containment(
-                res.bands, [truth.segment_means[i] for i in true_i]
-            )
-            contained.append(result.overall)
-        else:
-            contained.append(False)
+            found = np.array(res.change_points.locations)
+            loc_err = float(np.mean(np.abs(found - np.array(truth.change_locations))))
+        width = float(np.mean([np.mean(b.upper.values - b.lower.values) for b in res.bands.bands]))
+        contained = i_ok and check_containment(
+            res.bands, [truth.segment_means[i] for i in true_i]
+        ).overall
+        records.append((contained, width, m_ok, i_ok, loc_err))
 
     if len(failures) > 0.05 * replications:
         raise InvalidInputError(
             f"{len(failures)} of {replications} replications failed: {failures[:3]}"
         )
-    n_ok = len(contained)
+    # at most 5% failed, so there is at least one record
+    contained, widths, m_ok, i_ok, loc_errs = zip(*records)
+    loc_errs = [e for e in loc_errs if e is not None]
     return CoverageReport(
         replications=replications,
-        contained=tuple(contained),
-        coverage=float(np.mean(contained)) if n_ok else float("nan"),
-        average_band_width=float(np.mean(widths)) if widths else float("nan"),
-        m_match_rate=float(np.mean(m_ok_list)) if m_ok_list else float("nan"),
-        relevant_match_rate=float(np.mean(i_ok_list)) if i_ok_list else float("nan"),
+        contained=contained,
+        coverage=float(np.mean(contained)),
+        average_band_width=float(np.mean(widths)),
+        m_match_rate=float(np.mean(m_ok)),
+        relevant_match_rate=float(np.mean(i_ok)),
         mean_location_error=float(np.mean(loc_errs)) if loc_errs else float("nan"),
         failures=tuple(failures),
     )

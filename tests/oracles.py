@@ -6,14 +6,27 @@ covariance as defined, where `estimate_lrv` shares one main sum between lags
 mean from explicit multipliers, where `run_bootstrap` draws its exact
 Gaussian law without them; `matrix_by_lines` reads a matrix-layout file line
 by line and resamples it row by row, where `cli.ingest` parses the file in
-one call and resamples all rows at once.
+one call and resamples all rows at once; `generate_by_recursion` builds a
+synthetic series from a separate innovation array, the AR(1) state
+recursion and a matrix of segment means, where `simulate.generate` builds it
+in place in one array.
 """
 
 import csv
 
 import numpy as np
 
-from fdabands import Curve, FunctionalTimeSeries, InvalidInputError, ResidualSeries, Segment
+from fdabands import (
+    Curve,
+    FunctionalTimeSeries,
+    Grid,
+    InvalidInputError,
+    ResidualSeries,
+    Segment,
+    curve_values,
+    segments_from_locations,
+)
+from fdabands.simulate import N_BASIS
 
 
 def lag_covariance(x: FunctionalTimeSeries, seg_means: np.ndarray, l: int) -> Curve:
@@ -118,3 +131,45 @@ def matrix_by_lines(text: str, grid_size: int) -> np.ndarray:
     t = np.linspace(0.0, 1.0, grid_size)
     xp = np.linspace(0.0, 1.0, values.shape[1])
     return np.stack([np.interp(t, xp, row) for row in values])
+
+
+def generate_by_recursion(spec):
+    """The series values and long-run variance `simulate.generate` draws for
+    the scenario `spec`, by the process equations.
+
+    The innovations are eta_j = (Z_j @ basis) * scale, with Z drawn from the
+    scenario seed's Philox stream: n rows for iid, n + 1 for MA(1), where
+    eps_j = eta_{j+1} + theta * eta_j, and n + 100 for AR(1), where the state
+    s_j = rho * s_{j-1} + eta_j starts at zero and the first 100 states are
+    dropped.  The series is the matrix of segment means plus eps.
+    """
+    grid = Grid.uniform(spec.grid_size)
+    tau2 = curve_values(spec.tau2, grid)
+    k = np.arange(1, N_BASIS + 1)[:, None]
+    basis = np.sqrt(2.0) * np.cos(k * np.pi * grid.points[None, :]) / k
+    scale = np.sqrt(tau2 / (basis**2).sum(axis=0))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.rng_seed)))
+    n, param = spec.n, spec.error_param
+
+    def innovations(count):
+        z = rng.standard_normal((count, N_BASIS))
+        return (z @ basis) * scale
+
+    if spec.error_process == "iid":
+        eps, lrv_factor = innovations(n), 1.0
+    elif spec.error_process == "ma1":
+        eta = innovations(n + 1)
+        eps, lrv_factor = eta[1:] + param * eta[:-1], (1.0 + param) ** 2
+    else:
+        burn = 100
+        eta = innovations(n + burn)
+        eps, lrv_factor = np.empty((n, len(grid))), 1.0 / (1.0 - param) ** 2
+        state = np.zeros(len(grid))
+        for j in range(n + burn):
+            state = param * state + eta[j]
+            if j >= burn:
+                eps[j - burn] = state
+    means = np.empty((n, len(grid)))
+    for seg, mean in zip(segments_from_locations(n, spec.change_locations), spec.means):
+        means[seg.start : seg.end] = curve_values(mean, grid)
+    return means + eps, lrv_factor * tau2

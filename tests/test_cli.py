@@ -561,6 +561,36 @@ def test_json_file_that_is_not_an_object_is_exit_2(tmp_path, capsys, option, doc
     assert f"{path} must hold a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["existing file", "under a file"])
+@pytest.mark.parametrize("verb", ["analyze", "simulate", "coverage"])
+def test_output_dir_that_cannot_be_created_is_exit_2(tmp_path, capsys, verb, where):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker if where == "existing file" else blocker / "out"
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({
+        "n": 80,
+        "grid_size": 6,
+        "means": [0.0, {"kind": "constant", "value": 5.0}],
+        "change_locations": [0.5],
+        "tau2": 0.25,
+    }))
+    args = {
+        "analyze": analyze_args(jump_dataset(tmp_path), out),
+        "simulate": ["simulate", "--spec", str(spec_file), "--output-dir", str(out)],
+        "coverage": [
+            "coverage",
+            "--spec", str(spec_file),
+            "--study-replications", "2",
+            "--replications", "200",
+            "--delta", "2.0",
+            "--output-dir", str(out),
+        ],
+    }[verb]
+    assert main(args) == 2
+    assert f"error: cannot create output directory {out}: " in capsys.readouterr().err
+
+
 class TestSimulateCommand:
     def test_writes_dataset_and_truth(self, tmp_path):
         spec = {

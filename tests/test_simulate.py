@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +18,7 @@ from fdabands import (
     run_coverage_study,
 )
 from fdabands import pipeline, segmentation, simulate
+from oracles import generate_by_recursion
 
 
 class TestCurveValues:
@@ -149,6 +152,44 @@ class TestGenerate:
         v = x.values - x.values.mean(axis=0)
         corr = (v[1:] * v[:-1]).mean(axis=0) / v.var(axis=0)
         assert np.max(np.abs(corr - 0.4)) < 0.05
+
+    @pytest.mark.parametrize(
+        "process, tau2, changes",
+        itertools.product(
+            [("iid", 0.0), ("ma1", 0.6), ("ma1", -0.3), ("ar1", 0.4), ("ar1", -0.7)],
+            [1.0, {"kind": "linear", "intercept": 0.0, "slope": 2.0}],
+            [False, True],
+        ),
+    )
+    def test_bits_match_the_recursion(self, process, tau2, changes):
+        # the linear tau^2 is 0 at t = 0, so there the innovations are signed
+        # zeros, and the sine mean is -0.0: the sign of each zero is compared
+        spec = ScenarioSpec(
+            n=150,
+            grid_size=9,
+            means=[0.0, {"kind": "sine", "amplitude": -5.0}] if changes else [0.0],
+            change_locations=[0.4] if changes else [],
+            error_process=process[0],
+            error_param=process[1],
+            tau2=tau2,
+            rng_seed=3,
+        )
+        x, truth = generate(spec)
+        values, lrv = generate_by_recursion(spec)
+        assert x.values.tobytes() == values.tobytes()
+        assert truth.lrv.values.tobytes() == lrv.tobytes()
+
+    def test_peak_memory_is_near_one_series(self):
+        # the innovations, serial dependence and means share one array; the
+        # series copies it once
+        spec = ScenarioSpec(n=10_000, grid_size=101, error_process="ar1", error_param=0.4)
+        tracemalloc.start()
+        try:
+            x, _ = generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * x.values.nbytes
 
     def test_ma1_negative_theta(self):
         # theta = -0.5 gives a long-run variance (1 + theta)^2 = 0.25 well
