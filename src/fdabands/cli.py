@@ -402,10 +402,16 @@ def _output_dir(path) -> Path:
 
 
 def run_pipeline(cfg: RunConfig) -> AnalysisResult:
-    """Ingest, analyze, and write the changepoints/bands/diagnostics tables."""
-    x = ingest(cfg.input, cfg.grid_size)
-    result = analyze(x, cfg.pipeline_config())
+    """Ingest, analyze, and write the changepoints/bands/diagnostics tables.
+
+    The output directory is created after the settings are checked and
+    before the input is read, so one that cannot be is reported before the
+    work (an empty one is left when ingest then fails).
+    """
+    pipeline_cfg = cfg.pipeline_config()
     out = _output_dir(cfg.output_dir)
+    x = ingest(cfg.input, cfg.grid_size)
+    result = analyze(x, pipeline_cfg)
     write_changepoints(out / "changepoints.csv", result)
     write_bands(out / "bands.csv", result.bands)
     write_diagnostics(out / "diagnostics.txt", result)
@@ -510,8 +516,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_simulate(args) -> int:
     spec = ScenarioSpec.from_dict(_load_json(args.spec))
-    x, truth = generate(spec)
     out = _output_dir(args.output_dir)
+    x, truth = generate(spec)
     with open(out / "dataset.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         for row in x.values:
@@ -534,12 +540,12 @@ def _cmd_coverage(args) -> int:
     spec = ScenarioSpec.from_dict(_load_json(args.spec))
     # coverage reads no input file and writes no analysis tables
     cfg = _run_config(args, input="-", output_dir="-").pipeline_config()
+    out = _output_dir(args.output_dir) if args.output_dir else None
     report = run_coverage_study(spec, cfg, replications=args.study_replications)
     rows = report.summary_rows()
     for key, value in rows:
         print(f"{key} = {_fmt(value) if isinstance(value, float) else value}")
-    if args.output_dir:
-        out = _output_dir(args.output_dir)
+    if out is not None:
         with open(out / "coverage.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["metric", "value"])

@@ -8,8 +8,10 @@ variance strictly positive on the whole grid, endpoints included, so the
 rescaling is well defined.  Serial dependence (MA(1) or AR(1)) is scalar and
 uniform across t, so the pointwise long-run variance has a closed form.
 
-`generate` builds each series in place in one array, and `run_coverage_study`
-aggregates one record per successful replication.
+`run_coverage_study` generates its series in batches, each replication from
+its own Philox stream, and runs the serial recursion once per row for the
+whole batch; `generate` is the batch of one, so a series is bit-identical
+either way.  The study aggregates one record per successful replication.
 """
 
 from __future__ import annotations
@@ -36,7 +38,11 @@ from .pipeline import PipelineConfig, analyze
 N_BASIS = 20
 
 ERROR_PROCESSES = ("iid", "ma1", "ar1")
-_AR_BURN_IN = 100
+# rows drawn before the first kept one: MA(1) reads eta_{-1}, AR(1) burns in
+_BURN_IN = {"iid": 0, "ma1": 1, "ar1": 100}
+# entries of the array a coverage study generates one batch of series in
+# (2 MiB of float64); a batch holds at least one replication
+_BATCH_ENTRIES = 1 << 18
 # curve spec kind -> {key: default}; None marks a required key
 _CURVE_KINDS = {
     "constant": {"value": None},
@@ -194,52 +200,60 @@ class GroundTruth:
         )
 
 
-def _innovations(rng, count: int, grid: Grid, tau2_vals: np.ndarray) -> np.ndarray:
-    t = grid.points
-    k = np.arange(1, N_BASIS + 1)[:, None]
-    basis = np.sqrt(2.0) * np.cos(k * np.pi * t[None, :]) / k
-    raw_var = (basis**2).sum(axis=0)
-    scale = np.sqrt(tau2_vals / raw_var)
-    eta = rng.standard_normal((count, N_BASIS)) @ basis
-    eta *= scale
-    return eta
-
-
 def generate(spec: ScenarioSpec):
     """Draw one series from the scenario; returns (series, ground truth).
 
-    The innovations of all n + burn rows are drawn into one (n + burn, T)
-    array, with burn = 0, 1 and _AR_BURN_IN rows for iid, ma1 and ar1; the
-    serial dependence, the burn-in cut and the segment means are then
-    applied to that array in place.
+    The series is the batch of one of `_generate_batch`.
+    """
+    (values,), truth = _generate_batch(spec, [spec.rng_seed])
+    return FunctionalTimeSeries(values, truth.lrv.grid), truth
+
+
+def _generate_batch(spec: ScenarioSpec, seeds):
+    """The scenario's series under each of `seeds`, as a (len(seeds), n, T)
+    array, and the ground truth they share.
+
+    Row b of one (len(seeds), n + burn, T) array, with burn = 0, 1 and 100
+    rows for iid, ma1 and ar1, takes the innovations of the Philox stream of
+    seeds[b]; the serial dependence, the burn-in cut and the segment means
+    are then applied to the whole array in place, the AR(1) recursion one
+    time step at a time for all of the batch.  Every element goes through
+    the same operations as in a batch of one, so each series is
+    bit-identical whatever batch it is drawn in.
     """
     grid = Grid.uniform(spec.grid_size)
     tau2_vals = curve_values(spec.tau2, grid)
+    k = np.arange(1, N_BASIS + 1)[:, None]
+    basis = np.sqrt(2.0) * np.cos(k * np.pi * grid.points[None, :]) / k
+    scale = np.sqrt(tau2_vals / (basis**2).sum(axis=0))
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.rng_seed)))
     n = spec.n
-    burn = {"iid": 0, "ma1": 1, "ar1": _AR_BURN_IN}[spec.error_process]
-    eps = _innovations(rng, n + burn, grid, tau2_vals)
+    burn = _BURN_IN[spec.error_process]
+    eps = np.empty((len(seeds), n + burn, len(grid)))
+    for seed, eta in zip(seeds, eps):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        np.matmul(rng.standard_normal((n + burn, N_BASIS)), basis, out=eta)
+    eps *= scale
     if spec.error_process == "iid":
         lrv_factor, pv_factor = 1.0, 1.0
     elif spec.error_process == "ma1":
         theta = spec.error_param
         # the right side is formed before the add: row j is eta_j + theta * eta_{j-1}
-        eps[1:] += theta * eps[:-1]
+        eps[:, 1:] += theta * eps[:, :-1]
         lrv_factor, pv_factor = (1.0 + theta) ** 2, 1.0 + theta**2
     else:  # ar1
         rho = spec.error_param
-        for j in range(1, n + burn):
-            eps[j] += rho * eps[j - 1]
+        steps = eps.transpose(1, 0, 2)  # steps[j] is time j of every series
+        for prev, cur in zip(steps, steps[1:]):
+            cur += rho * prev
         lrv_factor = 1.0 / (1.0 - rho) ** 2
         pv_factor = 1.0 / (1.0 - rho**2)
-    eps = eps[burn:]
+    eps = eps[:, burn:]
 
     mean_curves = [Curve(curve_values(m, grid), grid) for m in spec.means]
     for seg, mu in zip(segments_from_locations(n, spec.change_locations), mean_curves):
-        eps[seg.start : seg.end] += mu.values
+        eps[:, seg.start : seg.end] += mu.values
 
-    x = FunctionalTimeSeries(eps, grid)
     jumps = tuple(
         sup_norm(b.values - a.values) for a, b in zip(mean_curves, mean_curves[1:])
     )
@@ -250,7 +264,7 @@ def generate(spec: ScenarioSpec):
         lrv=Curve(lrv_factor * tau2_vals, grid),
         pointwise_variance=Curve(pv_factor * tau2_vals, grid),
     )
-    return x, truth
+    return eps, truth
 
 
 @dataclass(frozen=True)
@@ -292,39 +306,51 @@ def run_coverage_study(
     truth (wrong number of changes or wrong relevant set) counts as not
     covered.  Each replication's data, bootstrap and relevant-filter margin
     seeds derive from the scenario seed and the replication index, so the
-    aggregate is identical however replications are scheduled.  More than 5%
-    of replications failing on invalid input raises InvalidInputError.
+    aggregate is identical however replications are scheduled.  The series
+    are generated in batches of at most _BATCH_ENTRIES entries (at least one
+    replication); each is checked and analyzed on its own, so invalid input
+    fails only its replication.  More than 5% of replications failing on
+    invalid input raises InvalidInputError.
     """
     check_integer("replications", replications, 1)
     pipeline_cfg = pipeline_cfg or PipelineConfig()
+    batch = max(1, _BATCH_ENTRIES // ((spec.n + _BURN_IN[spec.error_process]) * spec.grid_size))
 
     records, failures = [], []  # one (contained, width, m_ok, i_ok, loc_err) per success
-    for rep in range(replications):
-        spec_r = replace(spec, rng_seed=_derived_seed(spec.rng_seed, rep, 0))
-        cfg_r = replace(
-            pipeline_cfg,
-            rng_seed=_derived_seed(spec.rng_seed, rep, 1),
-            relevant=replace(pipeline_cfg.relevant, rng_seed=_derived_seed(spec.rng_seed, rep, 2)),
+    for first in range(0, replications, batch):
+        reps = range(first, min(first + batch, replications))
+        batch_values, truth = _generate_batch(
+            spec, [_derived_seed(spec.rng_seed, rep, 0) for rep in reps]
         )
-        try:
-            x, truth = generate(spec_r)
-            res = analyze(x, cfg_r)
-        except InvalidInputError as exc:  # recorded, not fatal (unless > 5% fail)
-            failures.append(f"replication {rep}: {exc}")
-            continue
+        for rep, values in zip(reps, batch_values):
+            cfg_r = replace(
+                pipeline_cfg,
+                rng_seed=_derived_seed(spec.rng_seed, rep, 1),
+                relevant=replace(
+                    pipeline_cfg.relevant, rng_seed=_derived_seed(spec.rng_seed, rep, 2)
+                ),
+            )
+            try:
+                x = FunctionalTimeSeries(values, truth.lrv.grid)
+                res = analyze(x, cfg_r)
+            except InvalidInputError as exc:  # recorded, not fatal (unless > 5% fail)
+                failures.append(f"replication {rep}: {exc}")
+                continue
 
-        true_i = truth.relevant_indices(res.delta)
-        m_ok = res.change_points.m == truth.m
-        i_ok = m_ok and res.relevant.indices == true_i
-        loc_err = None
-        if m_ok and truth.m > 0:
-            found = np.array(res.change_points.locations)
-            loc_err = float(np.mean(np.abs(found - np.array(truth.change_locations))))
-        width = float(np.mean([np.mean(b.upper.values - b.lower.values) for b in res.bands.bands]))
-        contained = i_ok and check_containment(
-            res.bands, [truth.segment_means[i] for i in true_i]
-        ).overall
-        records.append((contained, width, m_ok, i_ok, loc_err))
+            true_i = truth.relevant_indices(res.delta)
+            m_ok = res.change_points.m == truth.m
+            i_ok = m_ok and res.relevant.indices == true_i
+            loc_err = None
+            if m_ok and truth.m > 0:
+                found = np.array(res.change_points.locations)
+                loc_err = float(np.mean(np.abs(found - np.array(truth.change_locations))))
+            width = float(
+                np.mean([np.mean(b.upper.values - b.lower.values) for b in res.bands.bands])
+            )
+            contained = i_ok and check_containment(
+                res.bands, [truth.segment_means[i] for i in true_i]
+            ).overall
+            records.append((contained, width, m_ok, i_ok, loc_err))
 
     if len(failures) > 0.05 * replications:
         raise InvalidInputError(

@@ -9,10 +9,13 @@ by line and resamples it row by row, where `cli.ingest` parses the file in
 one call and resamples all rows at once; `generate_by_recursion` builds a
 synthetic series from a separate innovation array, the AR(1) state
 recursion and a matrix of segment means, where `simulate.generate` builds it
-in place in one array.
+in place in one array; `coverage_study_by_replication` generates and
+analyzes one replication at a time, where `simulate.run_coverage_study`
+generates its series in batches.
 """
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,12 +24,16 @@ from fdabands import (
     FunctionalTimeSeries,
     Grid,
     InvalidInputError,
+    PipelineConfig,
     ResidualSeries,
     Segment,
+    analyze,
+    check_containment,
     curve_values,
+    generate,
     segments_from_locations,
 )
-from fdabands.simulate import N_BASIS
+from fdabands.simulate import N_BASIS, CoverageReport, _derived_seed
 
 
 def lag_covariance(x: FunctionalTimeSeries, seg_means: np.ndarray, l: int) -> Curve:
@@ -173,3 +180,53 @@ def generate_by_recursion(spec):
     for seg, mean in zip(segments_from_locations(n, spec.change_locations), spec.means):
         means[seg.start : seg.end] = curve_values(mean, grid)
     return means + eps, lrv_factor * tau2
+
+
+def coverage_study_by_replication(spec, pipeline_cfg=None, replications=100):
+    """The CoverageReport of `simulate.run_coverage_study`, each replication
+    generated by `generate` from its own seed and then analyzed."""
+    pipeline_cfg = pipeline_cfg or PipelineConfig()
+    records, failures = [], []
+    for rep in range(replications):
+        spec_r = replace(spec, rng_seed=_derived_seed(spec.rng_seed, rep, 0))
+        cfg_r = replace(
+            pipeline_cfg,
+            rng_seed=_derived_seed(spec.rng_seed, rep, 1),
+            relevant=replace(pipeline_cfg.relevant, rng_seed=_derived_seed(spec.rng_seed, rep, 2)),
+        )
+        try:
+            x, truth = generate(spec_r)
+            res = analyze(x, cfg_r)
+        except InvalidInputError as exc:
+            failures.append(f"replication {rep}: {exc}")
+            continue
+
+        true_i = truth.relevant_indices(res.delta)
+        m_ok = res.change_points.m == truth.m
+        i_ok = m_ok and res.relevant.indices == true_i
+        loc_err = None
+        if m_ok and truth.m > 0:
+            found = np.array(res.change_points.locations)
+            loc_err = float(np.mean(np.abs(found - np.array(truth.change_locations))))
+        width = float(np.mean([np.mean(b.upper.values - b.lower.values) for b in res.bands.bands]))
+        contained = i_ok and check_containment(
+            res.bands, [truth.segment_means[i] for i in true_i]
+        ).overall
+        records.append((contained, width, m_ok, i_ok, loc_err))
+
+    if len(failures) > 0.05 * replications:
+        raise InvalidInputError(
+            f"{len(failures)} of {replications} replications failed: {failures[:3]}"
+        )
+    contained, widths, m_ok, i_ok, loc_errs = zip(*records)
+    loc_errs = [e for e in loc_errs if e is not None]
+    return CoverageReport(
+        replications=replications,
+        contained=contained,
+        coverage=float(np.mean(contained)),
+        average_band_width=float(np.mean(widths)),
+        m_match_rate=float(np.mean(m_ok)),
+        relevant_match_rate=float(np.mean(i_ok)),
+        mean_location_error=float(np.mean(loc_errs)) if loc_errs else float("nan"),
+        failures=tuple(failures),
+    )

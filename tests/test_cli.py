@@ -563,7 +563,11 @@ def test_json_file_that_is_not_an_object_is_exit_2(tmp_path, capsys, option, doc
 
 @pytest.mark.parametrize("where", ["existing file", "under a file"])
 @pytest.mark.parametrize("verb", ["analyze", "simulate", "coverage"])
-def test_output_dir_that_cannot_be_created_is_exit_2(tmp_path, capsys, verb, where):
+def test_output_dir_that_cannot_be_created_is_exit_2(tmp_path, capsys, monkeypatch, verb, where):
+    # the directory is resolved before any input is read or any work runs
+    called = []
+    for name in ("ingest", "analyze", "generate", "run_coverage_study"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: called.append(name))
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     out = blocker if where == "existing file" else blocker / "out"
@@ -589,6 +593,7 @@ def test_output_dir_that_cannot_be_created_is_exit_2(tmp_path, capsys, verb, whe
     }[verb]
     assert main(args) == 2
     assert f"error: cannot create output directory {out}: " in capsys.readouterr().err
+    assert called == []
 
 
 class TestSimulateCommand:

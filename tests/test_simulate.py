@@ -18,7 +18,7 @@ from fdabands import (
     run_coverage_study,
 )
 from fdabands import pipeline, segmentation, simulate
-from oracles import generate_by_recursion
+from oracles import coverage_study_by_replication, generate_by_recursion
 
 
 class TestCurveValues:
@@ -179,6 +179,32 @@ class TestGenerate:
         assert x.values.tobytes() == values.tobytes()
         assert truth.lrv.values.tobytes() == lrv.tobytes()
 
+    @pytest.mark.parametrize(
+        "process, tau2, changes",
+        itertools.product(
+            [("iid", 0.0), ("ma1", 0.6), ("ar1", 0.4)],
+            [1.0, {"kind": "linear", "intercept": 0.0, "slope": 2.0}],
+            [False, True],
+        ),
+    )
+    def test_batch_rows_match_generate(self, process, tau2, changes):
+        spec = ScenarioSpec(
+            n=150,
+            grid_size=9,
+            means=[0.0, {"kind": "sine", "amplitude": -5.0}] if changes else [0.0],
+            change_locations=[0.4] if changes else [],
+            error_process=process[0],
+            error_param=process[1],
+            tau2=tau2,
+        )
+        seeds = [3, 0, 2**63 + 5]
+        batch, truth = simulate._generate_batch(spec, seeds)
+        assert batch.shape == (3, 150, 9)
+        for seed, values in zip(seeds, batch):
+            x, truth_1 = generate(dataclasses.replace(spec, rng_seed=seed))
+            assert values.tobytes() == x.values.tobytes()
+            assert truth.lrv.values.tobytes() == truth_1.lrv.values.tobytes()
+
     def test_peak_memory_is_near_one_series(self):
         # the innovations, serial dependence and means share one array; the
         # series copies it once
@@ -294,6 +320,29 @@ class TestRunCoverageStudy:
         relevant = RelevantChangeConfig(delta=2.0, method="bootstrap", calibration_replications=50)
         run_coverage_study(small_study_spec(), small_pipeline(relevant=relevant), replications=4)
         assert len(seeds) == 4 and len(set(seeds)) == 4
+
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_matches_one_replication_at_a_time(self, monkeypatch, batch):
+        # 7 replications: one partial batch, or batches of 2, 2, 2 and 1
+        spec = small_study_spec(error_process="ar1", error_param=0.3)
+        if batch is not None:
+            monkeypatch.setattr(simulate, "_BATCH_ENTRIES", batch * (spec.n + 100) * spec.grid_size)
+        calls = {"analyze": 0, "check_containment": 0}
+        for name in calls:
+            real = getattr(simulate, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(simulate, name, counted)
+        report = run_coverage_study(spec, small_pipeline(), replications=7)
+        reference = coverage_study_by_replication(spec, small_pipeline(), replications=7)
+        assert report.contained == reference.contained
+        assert repr(report.summary_rows()) == repr(reference.summary_rows())
+        assert calls["analyze"] == 7
+        # containment is checked where the relevant set is right
+        assert calls["check_containment"] == round(7 * report.relevant_match_rate)
 
     def test_only_invalid_input_is_recorded(self, monkeypatch):
         real_analyze = simulate.analyze
