@@ -15,7 +15,7 @@ segment mean that the tests compare against is `bootstrap_segment_mean` in
 tests/oracles.py.
 
 Every segment's (or pair's) R replicates are split into DRAW_BLOCKS row
-blocks, and each block is drawn from its own Philox substream, keyed by the
+blocks, and each block is drawn from its own SFC64 substream, keyed by the
 seed, the purpose, the segment or pair and the block.  The blocks run on one
 thread pool of up to DRAW_BLOCKS workers, no more than the CPUs this process
 may run on; with one CPU they run inline.  numpy releases the interpreter
@@ -45,7 +45,7 @@ from .core import (
 )
 
 # the bit generator of every draw, named in diagnostics.txt
-RNG_ALGORITHM = "philox"
+RNG_ALGORITHM = "sfc64"
 # row blocks per segment or pair, each from its own substream; the draws
 # depend on this number, never on the number of workers
 DRAW_BLOCKS = 2
@@ -174,7 +174,7 @@ def _executor() -> ThreadPoolExecutor | None:
 
 
 def _substream(seed: int, key: tuple) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def _fill_block(r: np.ndarray, seed: int, key: tuple, out: np.ndarray) -> None:
@@ -244,7 +244,7 @@ def run_bootstrap(
 ) -> BootstrapResult:
     """R replicate statistics T* and their empirical (1 - alpha)-quantile.
 
-    Segment k's replicates come from the DRAW_BLOCKS Philox substreams of
+    Segment k's replicates come from the DRAW_BLOCKS SFC64 substreams of
     cfg.rng_seed keyed by k, drawn on the module's thread pool, so results
     are bit-identical for a fixed seed whatever the number of workers.
     """

@@ -278,7 +278,7 @@ class TestRunBootstrap:
         assert set(res.segment_diagnostics) == {0, 1}
         shares = [d["max_share"] for d in res.segment_diagnostics.values()]
         assert sum(shares) == pytest.approx(1.0)
-        assert bootstrap.RNG_ALGORITHM == "philox"
+        assert bootstrap.RNG_ALGORITHM == "sfc64"
 
 
 def basis_rows(y, seg, L, scale=1.0):
@@ -374,7 +374,7 @@ def substream_sups(r, replications, seed, key):
     rows = []
     for b in range(blocks):
         lo, hi = b * replications // blocks, (b + 1) * replications // blocks
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(*key, b))))
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(*key, b))))
         rows.append(np.abs(rng.standard_normal((hi - lo, r.shape[0])) @ r).max(axis=1))
     return np.concatenate(rows)
 
@@ -441,7 +441,7 @@ class TestDrawBlocks:
 
         def record(seed, key):
             gen = substream(seed, key)
-            seen.append((key, gen.bit_generator.state["state"]["key"].tobytes()))
+            seen.append((key, gen.bit_generator.state["state"]["state"].tobytes()))
             return gen
 
         monkeypatch.setattr(bootstrap, "_substream", record)

@@ -450,7 +450,7 @@ class TestAnalyzeCommand:
         assert record["kernel"] == "bartlett"
         assert record["replications"] == "300"
         assert record["rng_seed"] == "0"
-        assert record["rng_algorithm"] == "philox"
+        assert record["rng_algorithm"] == "sfc64"
 
     def test_removed_band_quantile_mode_is_exit_2(self, tmp_path, capsys):
         data = jump_dataset(tmp_path)
