@@ -26,7 +26,6 @@ from .core import (
     InternalInvariantError,
     InvalidInputError,
     check_field_value,
-    row_blocks,
 )
 from .lrv import LrvConfig
 from .pipeline import AnalysisResult, PipelineConfig, analyze
@@ -131,6 +130,8 @@ def ingest(path, grid_size: int = 100) -> FunctionalTimeSeries:
         if "cycle_id" in header:
             return _ingest_long(list(csv.reader(lines, delimiter=delimiter)), header, grid)
         values = _parse_matrix_lines(lines, delimiter, first)
+    if values.shape[1] < 2:
+        raise InvalidInputError(f"matrix layout needs at least 2 columns, got {values.shape[1]}")
     if values.shape[1] != len(grid):
         values = _resample(values, grid.points)
     return FunctionalTimeSeries(values, grid)
@@ -251,11 +252,6 @@ def _resample(values: np.ndarray, t: np.ndarray) -> np.ndarray:
     """np.interp(t, linspace(0, 1, width), row) for every row, with
     np.interp's arithmetic: slope * (t - xp[j]) + row[j] between the phases
     xp[j] <= t < xp[j + 1], and row[j] itself where t == xp[j] or j is last.
-
-    The output is filled a block of about `core._BLOCK_ENTRIES` entries of
-    rows at a time, so each block's temporaries stay in the cache; every
-    entry is formed by the same operations as on the whole matrix, so the
-    bits do not depend on the blocks.
     """
     width = values.shape[1]
     xp = np.linspace(0.0, 1.0, width)
@@ -263,21 +259,18 @@ def _resample(values: np.ndarray, t: np.ndarray) -> np.ndarray:
     k = np.minimum(j, width - 2)
     step, offset = xp[k + 1] - xp[k], t - xp[k]
     at_phase = (j == width - 1) | (xp[j] == t)
-    exact = j[at_phase]
     # C-ordered like the rows np.interp fills, so later reductions over
     # cycles add in the same order
     out = np.empty((values.shape[0], t.size))
     with np.errstate(all="ignore"):  # np.interp computes in C without warnings
-        for a, b in row_blocks(values.shape[0], t.size):
-            rows, block = values[a:b], out[a:b]
-            left = rows.take(k, axis=1)
-            rows.take(k + 1, axis=1, out=block, mode="clip")  # 'clip' fills `block` unbuffered
-            # slope * (t - xp[k]) + left formed in place, rounded at the same steps
-            np.subtract(block, left, out=block)
-            block /= step
-            block *= offset
-            block += left
-            block[:, at_phase] = rows.take(exact, axis=1)
+        left = values.take(k, axis=1)
+        values.take(k + 1, axis=1, out=out, mode="clip")  # 'clip' fills `out` unbuffered
+        # slope * (t - xp[k]) + left formed in place, rounded at the same steps
+        np.subtract(out, left, out=out)
+        out /= step
+        out *= offset
+        out += left
+        out[:, at_phase] = values.take(j[at_phase], axis=1)
     return out
 
 
@@ -367,7 +360,6 @@ def write_diagnostics(path, result: AnalysisResult) -> None:
         "n": result.change_points.n,
         "grid_size": sigma2.size,
         "alpha": cfg.alpha,
-        "beta": cfg.relevant.beta,
         "delta": result.delta,
         "kernel": cfg.lrv.kernel,
         "bandwidth": result.lrv.bandwidth,

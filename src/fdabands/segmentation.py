@@ -8,12 +8,11 @@ transposed (T, n) copy of the series, so each interval's running sums run
 along contiguous rows, and memoizes the interval scan over it: the pilot
 threshold in `_auto_threshold` and the final threshold run the same loop and
 no interval is scanned twice.  A scan cumsums a few rows of that copy at a
-time (blocks of about `core._BLOCK_ENTRIES` entries) and keeps a running
-maximum, and the pilot's first-difference proxy sums its squares in row
-blocks with the running sum carried in as each block's first row: max is
-exact and every addition runs in the same order as over the whole series,
-so the blocks do not change the bits.  When the final threshold keeps the
-pilot's changes, the pilot's fit, residuals and default-config LRV are
+time (blocks of about `core._BLOCK_ENTRIES` entries), so its (T, m) sums
+stay in the cache, and keeps a running maximum: max is exact, so the blocks
+do not change the bits.  The pilot's first-difference proxy, formed once per
+call, is one pass over the whole series.  When the final threshold keeps
+the pilot's changes, the pilot's fit, residuals and default-config LRV are
 handed to a caller that asks for them through one list, `pilot_out`, so
 `analyze` neither forms the residuals nor estimates the LRV again.  The
 detector sits behind this module's function interface so an alternative
@@ -182,30 +181,6 @@ def _default_msl(n: int) -> int:
     return max(20, int(np.ceil(np.sqrt(n))))
 
 
-def _mean_square_diff(values: np.ndarray) -> np.ndarray:
-    """np.square(np.diff(values, axis=0)).mean(axis=0), bit for bit, without
-    the (n - 1, T) temporary.
-
-    numpy sums a C-ordered matrix over axis 0 one row after another, so the
-    squared differences are formed in row blocks of about
-    `core._BLOCK_ENTRIES` entries, and each block is summed with the running
-    sum carried in as its first row: every addition runs in the same order
-    as on the whole matrix (the first block starts from 0.0, and 0.0 + s is
-    s for every square s >= +0.0).  Series values are stored C-ordered.
-    """
-    n, width = values.shape
-    blocks = row_blocks(n - 1, width)
-    buf = np.empty((blocks[0][1] + 1, width))
-    total = np.zeros(width)
-    for a, b in blocks:
-        squares = buf[1 : b - a + 1]
-        np.subtract(values[a + 1 : b + 1], values[a:b], out=squares)
-        np.square(squares, out=squares)
-        buf[0] = total
-        buf[: b - a + 1].sum(axis=0, out=total)
-    return total / (n - 1)
-
-
 def _auto_threshold(x: FunctionalTimeSeries, scan, max_changes: int) -> tuple:
     """xi_n = 1.5 * sigma_bar * sqrt(2 log n), sigma_bar from the lag-window LRV.
 
@@ -222,7 +197,10 @@ def _auto_threshold(x: FunctionalTimeSeries, scan, max_changes: int) -> tuple:
     # max |x| without an (n, T) array of absolute values
     floor = 1e-10 * max(1.0, float(x.values.max()), -float(x.values.min()))
 
-    proxy = _mean_square_diff(x.values) / 2.0
+    d = np.diff(x.values, axis=0)
+    np.square(d, out=d)
+    proxy = d.mean(axis=0) / 2.0
+    del d  # not held through the pilot's fit and LRV
     pilot_xi = max(XI_SCALE * float(np.median(np.sqrt(proxy))) * scale, floor)
     pilot = _binary_segmentation(scan, n, pilot_xi, max_changes)
 

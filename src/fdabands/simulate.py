@@ -113,7 +113,7 @@ def _kind_values(spec: dict, t: np.ndarray) -> np.ndarray:
     c = p["center"]
     if not 0.0 <= c <= 1.0:
         raise InvalidInputError(f"hat center must lie in [0, 1], got {c}")
-    up = np.where(t <= c, t / c if c > 0 else 0.0, (1.0 - t) / (1.0 - c) if c < 1 else 0.0)
+    up = np.where(t <= c, t / c if c > 0 else 1.0, (1.0 - t) / (1.0 - c) if c < 1 else 0.0)
     return p["peak"] * np.clip(up, 0.0, None)
 
 

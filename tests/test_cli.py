@@ -92,28 +92,22 @@ class TestIngest:
         with pytest.raises(InvalidInputError, match="row 2"):
             ingest(f, grid_size=3)
 
-    @pytest.mark.parametrize("width", [2, 5, 9, 14], ids=["two", "below_T", "equal_T", "above_T"])
-    def test_resampling_matches_per_row_interp(self, tmp_path, width):
-        vals = np.random.default_rng(width).normal(size=(7, width))
+    @pytest.mark.parametrize(
+        "n, width, T",
+        [(7, 2, 9), (7, 5, 9), (7, 9, 9), (7, 14, 9), (1327, 101, 100), (5956, 7, 33)],
+        ids=["two", "below_T", "equal_T", "above_T", "1327-101-100", "5956-7-33"],
+    )
+    def test_resampling_matches_per_row_interp(self, tmp_path, n, width, T):
+        vals = np.random.default_rng([n, width]).normal(size=(n, width))
         f = tmp_path / "data.csv"
         write_matrix(f, vals)
-        x = ingest(f, grid_size=9)
+        x = ingest(f, grid_size=T)
         xp = np.linspace(0.0, 1.0, width)
         expected = np.stack([np.interp(x.grid.points, xp, row) for row in vals])
         assert x.values.tobytes() == expected.tobytes()
         # segment means add the cycles in memory order, so the layout matters too
         assert x.values.flags["C_CONTIGUOUS"]
-
-    @pytest.mark.parametrize("n, width, T", [(2 * 655 + 17, 101, 100), (3 * 1985 + 1, 7, 33)])
-    def test_blocked_resample_matches_per_row_interp(self, n, width, T):
-        # _resample fills core._BLOCK_ENTRIES // T rows at a time (655 rows of
-        # 100, 1985 of 33); n is no multiple of the block
-        vals = np.random.default_rng(n).normal(size=(n, width))
-        t = np.linspace(0.0, 1.0, T)
-        xp = np.linspace(0.0, 1.0, width)
-        expected = np.stack([np.interp(t, xp, row) for row in vals])
-        assert cli._resample(vals, t).tobytes() == expected.tobytes()
-        assert cli._resample(np.asfortranarray(vals), t).tobytes() == expected.tobytes()
+        assert cli._resample(np.asfortranarray(vals), x.grid.points).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "text",
@@ -151,6 +145,9 @@ class TestIngest:
             ("1,2,3\n4,5_0,6\n", "row 2, column 2: cannot parse '5_0'"),  # no float() underscores
             ("1,2,3\n4,nan,6\n", "series values must be finite"),
             ("1,2,3\n4,-inf,6\n", "series values must be finite"),
+            # one phase sample per cycle would read as flat curves
+            ("1.0\n2.0\n3.0\n", "matrix layout needs at least 2 columns, got 1"),
+            ("a\n1.0\n2.0\n3.0\n", "matrix layout needs at least 2 columns, got 1"),
         ],
     )
     def test_matrix_errors_name_the_cell(self, tmp_path, text, message):
@@ -415,7 +412,11 @@ class TestAnalyzeCommand:
     def test_missing_input_is_exit_2(self, tmp_path, capsys):
         short_row = tmp_path / "long.csv"
         short_row.write_text("cycle_id,phase,value\n1,0.0,0.5\n1,0.5\n")
-        for data, message in ((tmp_path / "nope.csv", "error:"), (short_row, "row 3")):
+        cases = [(tmp_path / "nope.csv", "error:"), (short_row, "row 3")]
+        for name, text in (("one_column.csv", "1.0\n2.0\n3.0\n"), ("one_column_header.csv", "a\n1.0\n2.0\n")):
+            (tmp_path / name).write_text(text)
+            cases.append((tmp_path / name, "at least 2 columns, got 1"))
+        for data, message in cases:
             rc = main(["analyze", "--input", str(data), "--output-dir", str(tmp_path)])
             assert rc == 2
             assert message in capsys.readouterr().err
@@ -468,7 +469,7 @@ class TestAnalyzeCommand:
 
 # The keys of diagnostics.txt, as documented in the README.
 DIAGNOSTICS_KEYS = {
-    "alpha", "bandwidth", "beta", "block_length", "delta", "grid_size", "kernel", "n",
+    "alpha", "bandwidth", "block_length", "delta", "grid_size", "kernel", "n",
     "num_changes", "quantile", "relevant_indices", "replications", "rng_algorithm",
     "rng_seed", "segmentation_threshold", "sigma2_max", "sigma2_median", "sigma2_min",
     "version",

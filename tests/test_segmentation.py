@@ -27,7 +27,7 @@ from fdabands import (
 import fdabands.core as core
 import fdabands.pipeline as pipeline
 import fdabands.segmentation as segmentation
-from fdabands.segmentation import _best_split, _binary_segmentation, _mean_square_diff
+from fdabands.segmentation import _best_split, _binary_segmentation
 
 
 def make_series(values):
@@ -456,25 +456,6 @@ class TestBlockedScan:
         finally:
             tracemalloc.stop()
         assert peak_mb < 2.0
-
-
-class TestMeanSquareDiff:
-    @staticmethod
-    def whole(values):
-        return np.square(np.diff(values, axis=0)).mean(axis=0)
-
-    @pytest.mark.parametrize("n, T", [(4, 3), (400, 50), (3000, 50), (1311, 50)])
-    def test_matches_the_whole_matrix(self, n, T):
-        # 1310 rows of 50 per block: 3000 curves take three blocks, 1311
-        # curves one full block of differences
-        values = np.random.default_rng(n).normal(size=(n, T)) * 1e3
-        assert _mean_square_diff(values).tobytes() == self.whole(values).tobytes()
-
-    def test_many_small_blocks(self, monkeypatch):
-        monkeypatch.setattr(core, "_BLOCK_ENTRIES", 20)
-        for n, T in ((2, 3), (50, 7), (97, 4), (30, 25)):
-            values = np.random.default_rng(n + T).normal(size=(n, T))
-            assert _mean_square_diff(values).tobytes() == self.whole(values).tobytes(), (n, T)
 
 
 def test_auto_threshold_scans_each_interval_once(monkeypatch):

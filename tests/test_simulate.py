@@ -40,7 +40,9 @@ class TestCurveValues:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ramp = curve_values({"kind": "hat", "peak": 2.0, "center": 1.0}, g)
+            down = curve_values({"kind": "hat", "peak": 2.0, "center": 0.0}, g)
         assert np.allclose(ramp, [0.0, 0.5, 1.0, 1.5, 2.0])
+        assert np.allclose(down, [2.0, 1.5, 1.0, 0.5, 0.0])
 
     def test_array_and_curve(self):
         g = Grid.uniform(4)
