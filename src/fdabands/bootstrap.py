@@ -16,12 +16,14 @@ tests/oracles.py.
 
 Every segment's (or pair's) R replicates are split into DRAW_BLOCKS row
 blocks, and each block is drawn from its own SFC64 substream, keyed by the
-seed, the purpose, the segment or pair and the block.  The blocks run on one
-thread pool of up to DRAW_BLOCKS workers, no more than the CPUs this process
-may run on; with one CPU they run inline.  numpy releases the interpreter
-lock while it fills and multiplies the arrays, so the blocks run in parallel,
-and since no block depends on another, the replicates are bit-identical for
-any number of workers.
+seed, the purpose, the segment or pair and the block.  The calling thread
+runs one share of the blocks, and of the segments' square-root factors, and
+a thread pool of DRAW_BLOCKS - 1 workers runs the rest; the pool has no
+more workers than the CPUs this process may run on, less one, so with one
+CPU there is none and the caller runs everything.  numpy releases the
+interpreter lock while it factorizes, fills and multiplies the arrays, so
+the shares run in parallel, and since no block or factor depends on
+another, the replicates are bit-identical for any number of workers.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,7 +140,7 @@ def _sqrt_factor(mat: np.ndarray, scale=1.0) -> np.ndarray:
     return (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.T / scale
 
 
-# the draw pool, one per process, started by the first draw on two or more CPUs
+# the draw pool, one per process, started by the first split on two or more CPUs
 _pool = None
 _pool_lock = threading.Lock()
 
@@ -162,15 +164,40 @@ def _cpu_count() -> int:
 
 
 def _executor() -> ThreadPoolExecutor | None:
-    """The draw pool, started on first use; None where one CPU is available."""
+    """The draw pool of min(DRAW_BLOCKS, CPUs) - 1 workers beside the
+    calling thread, started on first use; None where one CPU is available."""
     global _pool
-    workers = min(DRAW_BLOCKS, _cpu_count())
-    if workers < 2:
+    workers = min(DRAW_BLOCKS, _cpu_count()) - 1
+    if workers < 1:
         return None
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(workers, thread_name_prefix="fdabands-draw")
         return _pool
+
+
+def _run_share(fn, share) -> list:
+    return [fn(*task) for task in share]
+
+
+def _run_split(fn, tasks) -> list:
+    """[fn(*task) for task in tasks], with the calling thread and the draw
+    pool sharing the work: the tasks are cut into DRAW_BLOCKS consecutive
+    shares, the caller runs the last one and the pool every other share that
+    is not empty, each as one pool task.  The caller waits for every share
+    before it returns or raises, so no task outlives the call; an exception
+    in a pool share is raised here, after the caller's own share."""
+    pool = _executor()
+    if pool is None:
+        return _run_share(fn, tasks)
+    cuts = [i * len(tasks) // DRAW_BLOCKS for i in range(DRAW_BLOCKS + 1)]
+    shares = [tasks[a:b] for a, b in zip(cuts, cuts[1:])]
+    futures = [pool.submit(_run_share, fn, share) for share in shares[:-1] if share]
+    try:
+        own = _run_share(fn, shares[-1])
+    finally:
+        wait(futures)
+    return [result for future in futures for result in future.result()] + own
 
 
 def _substream(seed: int, key: tuple) -> np.random.Generator:
@@ -193,13 +220,7 @@ def _draw_sups(factors, replications: int, seed: int, keys) -> np.ndarray:
         for k, (r, key) in enumerate(zip(factors, keys))
         for b, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
     ]
-    pool = _executor()
-    if pool is None:
-        for task in tasks:
-            _fill_block(*task)
-    else:
-        for future in [pool.submit(_fill_block, *task) for task in tasks]:
-            future.result()
+    _run_split(_fill_block, tasks)
     return out
 
 
@@ -245,8 +266,9 @@ def run_bootstrap(
     """R replicate statistics T* and their empirical (1 - alpha)-quantile.
 
     Segment k's replicates come from the DRAW_BLOCKS SFC64 substreams of
-    cfg.rng_seed keyed by k, drawn on the module's thread pool, so results
-    are bit-identical for a fixed seed whatever the number of workers.
+    cfg.rng_seed keyed by k.  The calling thread and the module's thread pool
+    share the segments' square-root factors and the draws, so results are
+    bit-identical for a fixed seed whatever the number of workers.
     """
     segments = list(segments)
     if not segments:
@@ -267,7 +289,9 @@ def run_bootstrap(
     # no relevant segment reads a block average past the last one's end
     B = _block_averages(y.values, L, max(seg.end for seg in segments))
     # nu @ block / (sqrt(n_i) * sigma) is sqrt(n_i) * mu_i* / sigma
-    factors = [_sqrt_factor(B[seg.start : seg.end], np.sqrt(seg.length) * sigma) for seg in segments]
+    factors = _run_split(
+        _sqrt_factor, [(B[seg.start : seg.end], np.sqrt(seg.length) * sigma) for seg in segments]
+    )
     per_segment = _draw_sups(factors, R, cfg.rng_seed, [(_QUANTILE, k) for k in range(len(segments))])
     stats = per_segment.max(axis=0)
     q = _empirical_quantile(stats, 1.0 - cfg.alpha)

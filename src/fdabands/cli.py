@@ -134,6 +134,7 @@ def ingest(path, grid_size: int = 100) -> FunctionalTimeSeries:
         raise InvalidInputError(f"matrix layout needs at least 2 columns, got {values.shape[1]}")
     if values.shape[1] != len(grid):
         values = _resample(values, grid.points)
+    values.setflags(write=False)  # the series takes it over without a copy
     return FunctionalTimeSeries(values, grid)
 
 
@@ -179,7 +180,9 @@ def _ingest_long(rows, header, grid: Grid) -> FunctionalTimeSeries:
         if np.any(np.diff(phases) <= 0):
             raise InvalidInputError(f"cycle {cid!r} has duplicate phases")
         curves.append(np.interp(grid.points, phases, values))
-    return FunctionalTimeSeries(np.stack(curves), grid)
+    values = np.stack(curves)
+    values.setflags(write=False)
+    return FunctionalTimeSeries(values, grid)
 
 
 def _has_header(cells) -> bool:

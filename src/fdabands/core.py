@@ -87,9 +87,28 @@ def row_blocks(n: int, width: int) -> list:
     return [(a, min(a + rows, n)) for a in range(0, n, rows)]
 
 
+def _read_only(a: np.ndarray) -> bool:
+    """Neither `a` nor any array whose data it views is writable."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None  # a buffer that is not an array may still be written
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
+    """`values` as a read-only C-ordered array: `values` itself when it is
+    one already and no writable array views its data (a series a generator
+    or reader just built and froze), a copy otherwise."""
     # C order whatever the input's layout: numpy reduces C- and Fortran-ordered
     # arrays in different orders, so the layout would change the results' bits
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == dtype
+        and values.flags.c_contiguous
+        and _read_only(values)
+    ):
+        return values
     a = np.array(values, dtype=dtype, order="C")
     a.setflags(write=False)
     return a

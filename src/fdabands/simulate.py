@@ -219,7 +219,7 @@ def _generate_batch(spec: ScenarioSpec, seeds):
     are then applied to the whole array in place, the AR(1) recursion one
     time step at a time for all of the batch.  Every element goes through
     the same operations as in a batch of one, so each series is
-    bit-identical whatever batch it is drawn in.
+    bit-identical whatever batch it is drawn in.  The array is read-only.
     """
     grid = Grid.uniform(spec.grid_size)
     tau2_vals = curve_values(spec.tau2, grid)
@@ -257,6 +257,10 @@ def _generate_batch(spec: ScenarioSpec, seeds):
     jumps = tuple(
         sup_norm(b.values - a.values) for a, b in zip(mean_curves, mean_curves[1:])
     )
+    # freeze the series and the array they view, burn-in rows included, so
+    # that FunctionalTimeSeries takes each series over without a copy
+    for a in (eps.base, eps):
+        a.setflags(write=False)
     truth = GroundTruth(
         segment_means=tuple(mean_curves),
         change_locations=spec.change_locations,

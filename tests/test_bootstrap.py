@@ -2,6 +2,7 @@ import dataclasses
 import multiprocessing
 import os
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -346,7 +347,8 @@ class TestGaussianDraws:
         monkeypatch.setattr(bootstrap, "_sqrt_factor", recording)
         run_bootstrap(y, segs, unit_sigma2(y.grid), BootstrapConfig(block_length=L, replications=100))
         full = block_averages_by_index(y.values, L)
-        assert seen == [full[seg.start : seg.end].tobytes() for seg in segs]
+        # the caller and a pool worker may factorize in either order
+        assert sorted(seen) == sorted(full[seg.start : seg.end].tobytes() for seg in segs)
 
     @pytest.mark.parametrize(
         "left, right",
@@ -379,12 +381,31 @@ def substream_sups(r, replications, seed, key):
     return np.concatenate(rows)
 
 
-def _draw_in_child(queue, one_cpu):
+def _in_child(queue, one_cpu, target):
     if one_cpu:
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    _, segs, y, sigma2 = residuals_fixture()
-    res = run_bootstrap(y, segs, sigma2, BootstrapConfig(replications=300, rng_seed=2))
-    queue.put((res.statistics.tobytes(), bootstrap._executor() is None))
+    queue.put(target())
+
+
+def run_in_forked_child(target, one_cpu):
+    """target() run in a forked child, on one CPU if `one_cpu`."""
+    if one_cpu and not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no sched_setaffinity")
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_in_child, args=(queue, one_cpu, target))
+    child.start()
+    try:
+        result = queue.get(timeout=60)
+        child.join(timeout=30)
+        assert not child.is_alive()
+    finally:
+        child.kill()
+    return result
+
+
+def on_main_thread():
+    return threading.current_thread() is threading.main_thread()
 
 
 class TestDrawBlocks:
@@ -401,33 +422,80 @@ class TestDrawBlocks:
             assert np.array_equal(row, substream_sups(r, 101, 9, key))
 
     def test_results_independent_of_worker_count(self, monkeypatch):
+        # inline the caller runs every factor and block; with a pool it runs
+        # one share of run_bootstrap's two factors and of every call's
+        # blocks, and a pool worker runs the other
         _, segs, y, sigma2 = residuals_fixture()
         cfg = BootstrapConfig(replications=301, rng_seed=4)
-        on_main = []
-        fill = bootstrap._fill_block
+        blocks_on_main, factors_on_main = [], []
+        fill, factor = bootstrap._fill_block, bootstrap._sqrt_factor
 
-        def record(*args):
-            on_main.append(threading.current_thread() is threading.main_thread())
+        def record_block(*args):
+            blocks_on_main.append(on_main_thread())
             fill(*args)
 
-        monkeypatch.setattr(bootstrap, "_fill_block", record)
+        def record_factor(*args):
+            factors_on_main.append(on_main_thread())
+            return factor(*args)
+
+        monkeypatch.setattr(bootstrap, "_fill_block", record_block)
         results = []
         for workers in ("default", 1, 2, "inline"):
             pool = ThreadPoolExecutor(workers) if isinstance(workers, int) else None
             if workers != "default":
                 monkeypatch.setattr(bootstrap, "_executor", lambda: pool)
-            on_main.clear()
+            threaded = bootstrap._executor() is not None
+            blocks_on_main.clear()
+            factors_on_main.clear()
             try:
-                res = run_bootstrap(y, segs, sigma2, cfg)
+                with monkeypatch.context() as m:
+                    m.setattr(bootstrap, "_sqrt_factor", record_factor)
+                    res = run_bootstrap(y, segs, sigma2, cfg)
                 margin = bootstrap_margin(y.values, segs[0], segs[1], 0.1, 301, 4, 1)
             finally:
                 if pool is not None:
                     pool.shutdown()
-            assert len(on_main) == 3 * bootstrap.DRAW_BLOCKS
-            if workers != "default":
-                assert set(on_main) == {pool is None}
+            assert len(blocks_on_main) == 3 * bootstrap.DRAW_BLOCKS
+            assert len(factors_on_main) == len(segs)
+            shared = {True, False} if threaded else {True}
+            assert set(blocks_on_main) == set(factors_on_main) == shared
             results.append((res.statistics.tobytes(), margin))
         assert results[1:] == results[:-1]
+
+    @pytest.mark.parametrize("key", [(0, 1, 0), (0, 0, 0)], ids=["caller", "worker"])
+    def test_failed_block_is_raised_after_every_share_ends(self, monkeypatch, key):
+        # segment 1's blocks are the caller's share and segment 0's the worker's
+        _, segs, y, sigma2 = residuals_fixture()
+        cfg = BootstrapConfig(replications=301, rng_seed=4)
+        expected = run_bootstrap(y, segs, sigma2, cfg).statistics.tobytes()
+        fill = bootstrap._fill_block
+        running, failed_on_main = [], []
+        other_share_started = threading.Event()
+
+        def failing(r, seed, block_key, out):
+            if block_key == key:
+                failed_on_main.append(on_main_thread())
+                # fail while the other share is drawing
+                assert other_share_started.wait(timeout=10)
+                raise RuntimeError("block failed")
+            running.append(block_key)
+            other_share_started.set()
+            time.sleep(0.05)
+            fill(r, seed, block_key, out)
+            running.remove(block_key)
+
+        pool = ThreadPoolExecutor(1)
+        monkeypatch.setattr(bootstrap, "_executor", lambda: pool)
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(bootstrap, "_fill_block", failing)
+                with pytest.raises(RuntimeError, match="block failed"):
+                    run_bootstrap(y, segs, sigma2, cfg)
+            assert failed_on_main == [key[1] == 1]
+            assert not running  # no block still writes into the discarded array
+            assert run_bootstrap(y, segs, sigma2, cfg).statistics.tobytes() == expected
+        finally:
+            pool.shutdown()
 
     def test_substream_keys_are_distinct_in_one_analyze(self, monkeypatch):
         # Both configs' seeds default to 0, and SeedSequence pads short
@@ -452,27 +520,41 @@ class TestDrawBlocks:
         assert len(set(keys)) == len(keys) == len({state for _, state in seen})
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
-@pytest.mark.parametrize("one_cpu", [False, True], ids=["all_cpus", "one_cpu"])
+def _draw_statistics():
+    _, segs, y, sigma2 = residuals_fixture()
+    res = run_bootstrap(y, segs, sigma2, BootstrapConfig(replications=300, rng_seed=2))
+    return res.statistics.tobytes(), bootstrap._executor() is None
+
+
+def _draw_threads_after_analyze():
+    values = np.random.default_rng(34).normal(size=(200, 10)) + np.repeat([0.0, 5.0], 100)[:, None]
+    cfg = PipelineConfig(replications=300, relevant=RelevantChangeConfig(delta=1.0, method="bootstrap"))
+    analyze(make_series(values), cfg)  # a quantile and a margin on the pool
+    threads = [t for t in threading.enumerate() if t.name.startswith("fdabands-draw")]
+    return len(threads), bootstrap._cpu_count()
+
+
+fork_only = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+cpus = pytest.mark.parametrize("one_cpu", [False, True], ids=["all_cpus", "one_cpu"])
+
+
+@fork_only
+@cpus
 def test_forked_child_draws_on_its_own_pool(one_cpu):
     # the child inherits the parent's pool object but none of its threads;
     # drawing on it would wait forever
-    if one_cpu and not hasattr(os, "sched_setaffinity"):
-        pytest.skip("no sched_setaffinity")
-    _, segs, y, sigma2 = residuals_fixture()
-    expected = run_bootstrap(y, segs, sigma2, BootstrapConfig(replications=300, rng_seed=2))
-    ctx = multiprocessing.get_context("fork")
-    queue = ctx.Queue()
-    child = ctx.Process(target=_draw_in_child, args=(queue, one_cpu))
-    child.start()
-    try:
-        stats, inline = queue.get(timeout=60)
-        child.join(timeout=30)
-        assert not child.is_alive()
-    finally:
-        child.kill()
-    assert stats == expected.statistics.tobytes()
+    expected = _draw_statistics()[0]
+    stats, inline = run_in_forked_child(_draw_statistics, one_cpu)
+    assert stats == expected
     assert inline == (one_cpu or bootstrap._cpu_count() < 2)
+
+
+@fork_only
+@cpus
+def test_draw_pool_threads_leave_a_cpu_to_the_caller(one_cpu):
+    threads, cpu_count = run_in_forked_child(_draw_threads_after_analyze, one_cpu)
+    assert threads <= min(bootstrap.DRAW_BLOCKS, cpu_count) - 1
+    assert cpu_count > 1 or threads == 0
 
 
 def ar1_fixture(n=120, grid_size=6, rho=0.5, seed=41):

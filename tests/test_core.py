@@ -53,6 +53,21 @@ class TestGrid:
             g.points[0] = 0.9
 
 
+def test_series_copies_any_array_that_can_still_be_written():
+    grid = Grid.uniform(3)
+    owner = np.arange(12.0).reshape(4, 3).copy()
+    frozen_view = owner[1:]
+    frozen_view.setflags(write=False)
+    for values in (owner, frozen_view, owner.tolist()):
+        assert not np.shares_memory(FunctionalTimeSeries(values, grid).values, owner)
+    owner.setflags(write=False)
+    # read-only all the way down: kept as it is, unless it is not C-ordered
+    for values in (owner, owner[1:], owner.reshape(3, 4).T):
+        x = FunctionalTimeSeries(values, grid if values.shape[1] == 3 else Grid.uniform(4))
+        assert (x.values is values) == values.flags.c_contiguous
+        assert x.values.flags.c_contiguous and not x.values.flags.writeable
+
+
 class TestCurve:
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):

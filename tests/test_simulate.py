@@ -208,8 +208,8 @@ class TestGenerate:
             assert truth.lrv.values.tobytes() == truth_1.lrv.values.tobytes()
 
     def test_peak_memory_is_near_one_series(self):
-        # the innovations, serial dependence and means share one array; the
-        # series copies it once
+        # the innovations, serial dependence and means share one array, and
+        # the series takes it over without a copy
         spec = ScenarioSpec(n=10_000, grid_size=101, error_process="ar1", error_param=0.4)
         tracemalloc.start()
         try:
@@ -217,7 +217,7 @@ class TestGenerate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * x.values.nbytes
+        assert peak <= 1.35 * x.values.nbytes
 
     def test_ma1_negative_theta(self):
         # theta = -0.5 gives a long-run variance (1 + theta)^2 = 0.25 well
