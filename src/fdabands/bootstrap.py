@@ -20,10 +20,18 @@ seed, the purpose, the segment or pair and the block.  The calling thread
 runs one share of the blocks, and of the segments' square-root factors, and
 a thread pool of DRAW_BLOCKS - 1 workers runs the rest; the pool has no
 more workers than the CPUs this process may run on, less one, so with one
-CPU there is none and the caller runs everything.  numpy releases the
-interpreter lock while it factorizes, fills and multiplies the arrays, so
-the shares run in parallel, and since no block or factor depends on
-another, the replicates are bit-identical for any number of workers.
+CPU there is none and the caller runs everything.  The blocks are shared
+block-major: the pool's share holds block 0 of every segment, the caller's
+the last block of every segment.  numpy releases the interpreter lock while
+it factorizes, fills and multiplies the arrays, so the shares run in
+parallel, and since no block or factor depends on another, the replicates
+are bit-identical for any number of workers.
+
+Segment 0's normals depend only on the seed, R and T, not on the data, and
+the first segment is always bootstrapped.  `draw_ahead` submits its blocks
+to the pool before the analysis has its segments, so the pool draws them
+while the caller runs detection and the relevant filter; `run_bootstrap`
+then takes them instead of drawing them (one block in each share).
 """
 
 from __future__ import annotations
@@ -204,21 +212,52 @@ def _substream(seed: int, key: tuple) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _fill_block(r: np.ndarray, seed: int, key: tuple, out: np.ndarray) -> None:
-    w = _substream(seed, key).standard_normal((out.shape[0], r.shape[0])) @ r
+def _row_bounds(replications: int) -> list:
+    """Block b holds rows [bounds[b], bounds[b + 1]) of the R replicates."""
+    return [b * replications // DRAW_BLOCKS for b in range(DRAW_BLOCKS + 1)]
+
+
+def _normals(seed: int, key: tuple, rows: int, width: int) -> np.ndarray:
+    return _substream(seed, key).standard_normal((rows, width))
+
+
+def draw_ahead(seed: int, replications: int, width: int) -> list | None:
+    """Futures of segment 0's DRAW_BLOCKS blocks of quantile normals, the
+    (rows, width) draws of the substreams keyed (_QUANTILE, 0, b), submitted
+    to the draw pool; None where there is no pool.  The caller passes them to
+    `run_bootstrap` with the same seed, R and T, or cancels and waits for
+    them."""
+    pool = _executor()
+    if pool is None:
+        return None
+    bounds = _row_bounds(replications)
+    return [
+        pool.submit(_normals, seed, (_QUANTILE, 0, b), hi - lo, width)
+        for b, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
+
+
+def _fill_block(r: np.ndarray, seed: int, key: tuple, out: np.ndarray, ahead) -> None:
+    """sup_t |z @ r| into `out` for the block's normals z: the result of the
+    future `ahead` when the block was drawn ahead, else drawn here."""
+    z = _normals(seed, key, out.shape[0], r.shape[0]) if ahead is None else ahead.result()
+    w = z @ r
     np.abs(w, out=w).max(axis=1, out=out)
 
 
-def _draw_sups(factors, replications: int, seed: int, keys) -> np.ndarray:
+def _draw_sups(factors, replications: int, seed: int, keys, ahead=None) -> np.ndarray:
     """(len(factors), R) array whose row k holds sup_t |z @ factors[k]| for
-    R draws z ~ N(0, I).  Rows [b*R // DRAW_BLOCKS, (b+1)*R // DRAW_BLOCKS)
-    of row k come from the substream of `seed` keyed (*keys[k], b)."""
+    R draws z ~ N(0, I).  Rows [bounds[b], bounds[b + 1]) of row k, with
+    bounds = _row_bounds(R), come from the substream of `seed` keyed
+    (*keys[k], b); `ahead`, if given, holds the futures of row 0's normal
+    blocks from those substreams.  The tasks are listed block-major, so each
+    share of `_run_split` holds one of row 0's blocks."""
     out = np.empty((len(factors), replications))
-    bounds = [b * replications // DRAW_BLOCKS for b in range(DRAW_BLOCKS + 1)]
+    bounds = _row_bounds(replications)
     tasks = [
-        (r, seed, (*key, b), out[k, lo:hi])
-        for k, (r, key) in enumerate(zip(factors, keys))
+        (r, seed, (*key, b), out[k, lo:hi], ahead[b] if ahead and k == 0 else None)
         for b, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        for k, (r, key) in enumerate(zip(factors, keys))
     ]
     _run_split(_fill_block, tasks)
     return out
@@ -262,13 +301,18 @@ def run_bootstrap(
     segments,
     sigma2: Curve,
     cfg: BootstrapConfig,
+    *,
+    ahead: list | None = None,
 ) -> BootstrapResult:
     """R replicate statistics T* and their empirical (1 - alpha)-quantile.
 
     Segment k's replicates come from the DRAW_BLOCKS SFC64 substreams of
     cfg.rng_seed keyed by k.  The calling thread and the module's thread pool
     share the segments' square-root factors and the draws, so results are
-    bit-identical for a fixed seed whatever the number of workers.
+    bit-identical for a fixed seed whatever the number of workers.  `ahead`
+    holds the futures that `draw_ahead(cfg.rng_seed, cfg.replications, T)`
+    returned, if the caller drew segment 0's normals ahead; they give the
+    same normals as drawing them here, so the result is the same bits.
     """
     segments = list(segments)
     if not segments:
@@ -292,7 +336,8 @@ def run_bootstrap(
     factors = _run_split(
         _sqrt_factor, [(B[seg.start : seg.end], np.sqrt(seg.length) * sigma) for seg in segments]
     )
-    per_segment = _draw_sups(factors, R, cfg.rng_seed, [(_QUANTILE, k) for k in range(len(segments))])
+    keys = [(_QUANTILE, k) for k in range(len(segments))]
+    per_segment = _draw_sups(factors, R, cfg.rng_seed, keys, ahead)
     stats = per_segment.max(axis=0)
     q = _empirical_quantile(stats, 1.0 - cfg.alpha)
 

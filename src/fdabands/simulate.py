@@ -30,6 +30,7 @@ from .core import (
     check_field_value,
     check_float,
     check_integer,
+    row_blocks,
     segments_from_locations,
     sup_norm,
 )
@@ -216,10 +217,11 @@ def _generate_batch(spec: ScenarioSpec, seeds):
     Row b of one (len(seeds), n + burn, T) array, with burn = 0, 1 and 100
     rows for iid, ma1 and ar1, takes the innovations of the Philox stream of
     seeds[b]; the serial dependence, the burn-in cut and the segment means
-    are then applied to the whole array in place, the AR(1) recursion one
-    time step at a time for all of the batch.  Every element goes through
-    the same operations as in a batch of one, so each series is
-    bit-identical whatever batch it is drawn in.  The array is read-only.
+    are then applied to the whole array in place, the MA(1) step in blocks of
+    time steps and the AR(1) recursion one time step at a time for all of
+    the batch.  Every element goes through the same operations as in a batch
+    of one, so each series is bit-identical whatever batch it is drawn in.
+    The array is read-only.
     """
     grid = Grid.uniform(spec.grid_size)
     tau2_vals = curve_values(spec.tau2, grid)
@@ -238,8 +240,12 @@ def _generate_batch(spec: ScenarioSpec, seeds):
         lrv_factor, pv_factor = 1.0, 1.0
     elif spec.error_process == "ma1":
         theta = spec.error_param
-        # the right side is formed before the add: row j is eta_j + theta * eta_{j-1}
-        eps[:, 1:] += theta * eps[:, :-1]
+        # row j becomes eta_j + theta * eta_{j-1}, in time blocks from the last
+        # back to row 1: each block reads the row before it, not yet updated,
+        # and the right side is formed before the add
+        for a, b in reversed(row_blocks(n + burn, eps.shape[0] * eps.shape[2])):
+            a = max(a, 1)
+            eps[:, a:b] += theta * eps[:, a - 1 : b - 1]
         lrv_factor, pv_factor = (1.0 + theta) ** 2, 1.0 + theta**2
     else:  # ar1
         rho = spec.error_param

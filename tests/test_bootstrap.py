@@ -32,6 +32,7 @@ from fdabands import (
 )
 import fdabands.bootstrap as bootstrap
 import fdabands.core as core
+import fdabands.pipeline as pipeline
 from fdabands.bootstrap import _block_averages, _draw_sups, _sqrt_factor, bootstrap_margin
 from oracles import block_averages_by_index, bootstrap_segment_mean
 
@@ -39,6 +40,11 @@ from oracles import block_averages_by_index, bootstrap_segment_mean
 def make_series(values):
     values = np.asarray(values, dtype=float)
     return FunctionalTimeSeries(values, Grid.uniform(values.shape[1]))
+
+
+def two_segment_series():
+    values = np.random.default_rng(34).normal(size=(200, 10))
+    return make_series(values + np.repeat([0.0, 5.0], 100)[:, None])
 
 
 def unit_sigma2(grid):
@@ -462,9 +468,10 @@ class TestDrawBlocks:
             results.append((res.statistics.tobytes(), margin))
         assert results[1:] == results[:-1]
 
-    @pytest.mark.parametrize("key", [(0, 1, 0), (0, 0, 0)], ids=["caller", "worker"])
+    @pytest.mark.parametrize("key", [(0, 0, 1), (0, 0, 0)], ids=["caller", "worker"])
     def test_failed_block_is_raised_after_every_share_ends(self, monkeypatch, key):
-        # segment 1's blocks are the caller's share and segment 0's the worker's
+        # the shares are block-major: every segment's block 1 is the caller's
+        # share and every segment's block 0 the worker's
         _, segs, y, sigma2 = residuals_fixture()
         cfg = BootstrapConfig(replications=301, rng_seed=4)
         expected = run_bootstrap(y, segs, sigma2, cfg).statistics.tobytes()
@@ -472,7 +479,7 @@ class TestDrawBlocks:
         running, failed_on_main = [], []
         other_share_started = threading.Event()
 
-        def failing(r, seed, block_key, out):
+        def failing(r, seed, block_key, out, ahead):
             if block_key == key:
                 failed_on_main.append(on_main_thread())
                 # fail while the other share is drawing
@@ -481,7 +488,7 @@ class TestDrawBlocks:
             running.append(block_key)
             other_share_started.set()
             time.sleep(0.05)
-            fill(r, seed, block_key, out)
+            fill(r, seed, block_key, out, ahead)
             running.remove(block_key)
 
         pool = ThreadPoolExecutor(1)
@@ -491,7 +498,7 @@ class TestDrawBlocks:
                 m.setattr(bootstrap, "_fill_block", failing)
                 with pytest.raises(RuntimeError, match="block failed"):
                     run_bootstrap(y, segs, sigma2, cfg)
-            assert failed_on_main == [key[1] == 1]
+            assert failed_on_main == [key[2] == 1]
             assert not running  # no block still writes into the discarded array
             assert run_bootstrap(y, segs, sigma2, cfg).statistics.tobytes() == expected
         finally:
@@ -501,9 +508,7 @@ class TestDrawBlocks:
         # Both configs' seeds default to 0, and SeedSequence pads short
         # entropy with zeros: keys (seed, k, b) for segment k and (seed, i, b)
         # for change i would give change 1's margin the stream of segment 1.
-        rng = np.random.default_rng(34)
-        values = rng.normal(size=(200, 10)) + np.repeat([0.0, 5.0], 100)[:, None]
-        x = FunctionalTimeSeries(values, Grid.uniform(10))
+        x = two_segment_series()
         seen = []
         substream = bootstrap._substream
 
@@ -520,6 +525,92 @@ class TestDrawBlocks:
         assert len(set(keys)) == len(keys) == len({state for _, state in seen})
 
 
+class TestDrawAhead:
+    """analyze has the pool draw segment 0's normals while it detects; the
+    bootstrap takes them over and returns the bits of drawing them itself."""
+
+    def test_analyze_matches_run_bootstrap_without_draw_ahead(self, monkeypatch):
+        x = two_segment_series()
+        cfg = PipelineConfig(replications=301, rng_seed=4, relevant=RelevantChangeConfig(delta=1.0, method="bootstrap"))
+        calls, taken = [], []
+        boot, fill = pipeline.run_bootstrap, bootstrap._fill_block
+
+        def record_call(*args, **kwargs):
+            calls.append(args)
+            return boot(*args, **kwargs)
+
+        def record_block(r, seed, key, out, ahead):
+            taken.append((key, ahead is not None))
+            fill(r, seed, key, out, ahead)
+
+        monkeypatch.setattr(pipeline, "run_bootstrap", record_call)
+        monkeypatch.setattr(bootstrap, "_fill_block", record_block)
+        results = []
+        for workers in ("default", 1, 2, "inline"):
+            pool = ThreadPoolExecutor(workers) if isinstance(workers, int) else None
+            with monkeypatch.context() as m:
+                if workers != "default":
+                    m.setattr(bootstrap, "_executor", lambda: pool)
+                threaded = bootstrap._executor() is not None
+                calls.clear()
+                taken.clear()
+                try:
+                    stats = analyze(x, cfg).bootstrap.statistics.tobytes()
+                    (args,) = calls
+                    drawn_ahead = sorted(key for key, ahead in taken if ahead)
+                    taken.clear()
+                    alone = boot(*args).statistics.tobytes()
+                finally:
+                    if pool is not None:
+                        pool.shutdown()
+            assert len(args[1]) == 2  # both segments relevant
+            assert drawn_ahead == ([(0, 0, b) for b in range(bootstrap.DRAW_BLOCKS)] if threaded else [])
+            assert not any(ahead for _, ahead in taken)
+            assert stats == alone
+            results.append(stats)
+        assert results[1:] == results[:-1]
+
+    @pytest.mark.parametrize("case", ["too_short", "zero_delta"])
+    def test_failed_analyze_leaves_no_draw_behind(self, monkeypatch, case):
+        if case == "too_short":  # below 2 * min_segment_length = 40
+            bad = make_series(np.random.default_rng(35).normal(size=(30, 10)))
+        else:  # identical end windows: the auto delta is zero
+            values = np.random.default_rng(35).normal(size=(200, 10))
+            values[-10:] = values[:10]
+            bad = make_series(values)
+        x, cfg = two_segment_series(), PipelineConfig(replications=301, rng_seed=4)
+        pool = ThreadPoolExecutor(1)
+        monkeypatch.setattr(bootstrap, "_executor", lambda: pool)
+        normals, draw_ahead = bootstrap._normals, pipeline.draw_ahead
+        running, submitted = [], []
+
+        def slow_normals(*args):
+            running.append(args[1])
+            time.sleep(0.05)  # still drawing, or queued, when analyze fails
+            out = normals(*args)
+            running.remove(args[1])
+            return out
+
+        def record_draw_ahead(*args):
+            futures = draw_ahead(*args)
+            submitted.extend(futures)
+            return futures
+
+        try:
+            expected = analyze(x, cfg).bootstrap.statistics.tobytes()
+            with monkeypatch.context() as m:
+                m.setattr(bootstrap, "_normals", slow_normals)
+                m.setattr(pipeline, "draw_ahead", record_draw_ahead)
+                with pytest.raises(InvalidInputError):
+                    analyze(bad, cfg)
+            assert len(submitted) == bootstrap.DRAW_BLOCKS
+            assert all(future.done() for future in submitted)
+            assert not running
+            assert analyze(x, cfg).bootstrap.statistics.tobytes() == expected
+        finally:
+            pool.shutdown()
+
+
 def _draw_statistics():
     _, segs, y, sigma2 = residuals_fixture()
     res = run_bootstrap(y, segs, sigma2, BootstrapConfig(replications=300, rng_seed=2))
@@ -527,9 +618,8 @@ def _draw_statistics():
 
 
 def _draw_threads_after_analyze():
-    values = np.random.default_rng(34).normal(size=(200, 10)) + np.repeat([0.0, 5.0], 100)[:, None]
     cfg = PipelineConfig(replications=300, relevant=RelevantChangeConfig(delta=1.0, method="bootstrap"))
-    analyze(make_series(values), cfg)  # a quantile and a margin on the pool
+    analyze(two_segment_series(), cfg)  # a quantile and a margin on the pool
     threads = [t for t in threading.enumerate() if t.name.startswith("fdabands-draw")]
     return len(threads), bootstrap._cpu_count()
 

@@ -207,10 +207,12 @@ class TestGenerate:
             assert values.tobytes() == x.values.tobytes()
             assert truth.lrv.values.tobytes() == truth_1.lrv.values.tobytes()
 
-    def test_peak_memory_is_near_one_series(self):
-        # the innovations, serial dependence and means share one array, and
-        # the series takes it over without a copy
-        spec = ScenarioSpec(n=10_000, grid_size=101, error_process="ar1", error_param=0.4)
+    @pytest.mark.parametrize("process", ["ar1", "ma1"])
+    def test_peak_memory_is_near_one_series(self, process):
+        # the innovations, serial dependence and means share one array, the
+        # MA(1) step forms block-sized temporaries only, and the series takes
+        # the array over without a copy
+        spec = ScenarioSpec(n=10_000, grid_size=101, error_process=process, error_param=0.4)
         tracemalloc.start()
         try:
             x, _ = generate(spec)
