@@ -3,20 +3,23 @@
 Detection is binary segmentation on the functional CUSUM statistic: within
 an interval, split at the argmax over candidate split points of
 sup_t |U(s, t)|, recursing while the sup exceeds the threshold xi_n.  The
-splits are taken best-first.  A `detect_change_points` call makes one
-transposed (T, n) copy of the series, so each interval's running sums run
-along contiguous rows, and memoizes the interval scan over it: the pilot
-threshold in `_auto_threshold` and the final threshold run the same loop and
-no interval is scanned twice.  A scan cumsums a few rows of that copy at a
-time (blocks of about `core._BLOCK_ENTRIES` entries), so its (T, m) sums
-stay in the cache, and keeps a running maximum: max is exact, so the blocks
-do not change the bits.  The pilot's first-difference proxy, formed once per
-call, is one pass over the whole series.  When the final threshold keeps
-the pilot's changes, the pilot's fit, residuals and default-config LRV are
-handed to a caller that asks for them through one list, `pilot_out`, so
-`analyze` neither forms the residuals nor estimates the LRV again.  The
-detector sits behind this module's function interface so an alternative
-detector can be substituted.
+splits are taken best-first.  A `detect_change_points` call forms one
+(T, n + 1) array of the series' prefix sums, P[:, i] = sum_{l<i} x_l, with
+one cumsum, and memoizes the interval scan over it: an interval [lo, hi)
+reads its partial sums as P[:, lo + k] - P[:, lo] and runs no cumsum of its
+own, and the pilot threshold in `_auto_threshold` and the final threshold
+run the same loop, so no interval is scanned twice.  A scan reads a few
+rows of P at a time (blocks of about `core._BLOCK_ENTRIES` entries), so its
+(T, m) temporaries stay in the cache, and keeps a running maximum: max is
+exact, so the blocks do not change the bits.  The pilot's first-difference
+proxy, formed once per call, is one pass over the whole series.  When the
+final threshold keeps the pilot's changes, the pilot's fit, residuals and
+default-config LRV are handed to a caller that asks for them through one
+list, `pilot_out`, so `analyze` neither forms the residuals nor estimates
+the LRV again.  A series whose sums of squares could overflow is refused
+before any of them is formed (`_check_scale`).  The detector sits behind
+this module's function interface so an alternative detector can be
+substituted.
 
 A change i is relevant when the plug-in jump estimate
 ||mu_hat_i - mu_hat_{i-1}||_inf strictly exceeds the threshold Delta.  Index
@@ -115,34 +118,35 @@ class RelevantSet:
     all_jumps: tuple  # ||mu_i - mu_{i-1}||_inf at every detected change i, in order
 
 
-def _best_split(columns: np.ndarray, lo: int, hi: int, msl: int):
+def _best_split(prefix: np.ndarray, lo: int, hi: int, msl: int):
     """Max over admissible splits of the interval CUSUM; ties -> smallest index.
 
-    `columns` is the series transposed to a C-ordered (T, n) array, so the
-    running sums of [lo, hi) run along contiguous rows.  The rows are scanned
+    `prefix` is the (T, n + 1) array of the series' prefix sums,
+    P[:, i] = sum_{l<i} x_l, so the partial sums of [lo, hi) are
+    S_k = P[:, lo + k] - P[:, lo] and the interval runs no cumsum of its
+    own.  U_k = S_k - (k / m) S_m is formed as P[:, lo + k] - (P[:, lo] +
+    (k / m) S_m), so one block-sized buffer holds it.  The rows are scanned
     in blocks of about `core._BLOCK_ENTRIES` entries, keeping a running
-    np.maximum of each block's column maxima, so the (T, m) sums and their
-    products never leave the cache; every row's sums are the same IEEE sums,
-    and max is exact, so blocking does not change the bits.  Returns
-    (statistic, global split index) or None when no split leaves both sides
-    with at least msl curves.  Only the column maxima are divided by
-    sqrt(m): rounding x / s is monotone in x, so this gives the same bits as
-    dividing every entry first.
+    np.maximum of each block's column maxima, so the (T, m) products never
+    leave the cache; max is exact, so blocking does not change the bits.
+    Returns (statistic, global split index) or None when no split leaves
+    both sides with at least msl curves.  Only the column maxima are divided
+    by sqrt(m): rounding x / s is monotone in x, so this gives the same bits
+    as dividing every entry first.
     """
     m = hi - lo
     if m < 2 * msl:
         return None
     ks = np.arange(msl, m - msl + 1)
     fractions = ks / m
-    blocks = row_blocks(columns.shape[0], m)
-    sums = np.empty((blocks[0][1], m))
+    blocks = row_blocks(prefix.shape[0], m)
     u = np.empty((blocks[0][1], ks.size))
     stats, block_max = np.full(ks.size, -np.inf), np.empty(ks.size)
     for a, b in blocks:
-        cs, ub = sums[: b - a], u[: b - a]
-        np.cumsum(columns[a:b, lo:hi], axis=1, out=cs)
-        np.multiply.outer(cs[:, -1], fractions, out=ub)
-        np.subtract(cs[:, msl - 1 : m - msl], ub, out=ub)
+        ub = u[: b - a]
+        np.multiply.outer(prefix[a:b, hi] - prefix[a:b, lo], fractions, out=ub)
+        ub += prefix[a:b, lo, None]
+        np.subtract(prefix[a:b, lo + msl : hi - msl + 1], ub, out=ub)
         np.abs(ub, out=ub).max(axis=0, out=block_max)
         np.maximum(stats, block_max, out=stats)
     stats /= np.sqrt(m)
@@ -181,7 +185,27 @@ def _default_msl(n: int) -> int:
     return max(20, int(np.ceil(np.sqrt(n))))
 
 
-def _auto_threshold(x: FunctionalTimeSeries, scan, max_changes: int) -> tuple:
+def _check_scale(x: FunctionalTimeSeries, peak: float) -> None:
+    """Refuse a series whose sums of squares could overflow float64.
+
+    With peak = max |x| = M, no sum of squares that `analyze` forms exceeds
+    (2M)^2 n^2 max(4, T): the first-difference proxy sums n - 1 squares of
+    differences |d| <= 2M; the LRV sums fewer than 4 n^2 lag products of
+    residuals |e| <= 2M and of their boundary steps (bandwidth c < n, kernel
+    weights <= 1); and the eigenvalues of the bootstrap's B^T B are at most
+    its trace, T n_i L squares of block sums |B| <= sqrt(L) 2M
+    (L <= n_i <= n).  Raised here, before any of them overflows into a numpy
+    warning or a non-finite variance.
+    """
+    n, width = x.values.shape
+    if 2.0 * peak * n * np.sqrt(max(4, width)) > np.sqrt(np.finfo(float).max):
+        raise InvalidInputError(
+            f"series values reach {peak:.3g}, so at n = {n}, T = {width} the analysis's "
+            "sums of squares could overflow; rescale the series (e.g. to unit scale)"
+        )
+
+
+def _auto_threshold(x: FunctionalTimeSeries, scan, max_changes: int, peak: float) -> tuple:
     """xi_n = 1.5 * sigma_bar * sqrt(2 log n), sigma_bar from the lag-window LRV.
 
     The LRV needs segment means, so a pilot segmentation breaks the circular
@@ -189,13 +213,12 @@ def _auto_threshold(x: FunctionalTimeSeries, scan, max_changes: int) -> tuple:
     robust to mean shifts.  The pilot segments with the caller's memoized
     `scan`, which the final threshold then reuses.  The pilot LRV always uses
     the default LrvConfig, whatever kernel and bandwidth the analysis asks for.
-    Returns xi_n, the pilot's change indices, and the pilot's (fit,
-    residuals, LRV).
+    `peak` is max |x|, which the thresholds' floor scales with.  Returns
+    xi_n, the pilot's change indices, and the pilot's (fit, residuals, LRV).
     """
     n = x.n
     scale = np.sqrt(2.0 * np.log(n))
-    # max |x| without an (n, T) array of absolute values
-    floor = 1e-10 * max(1.0, float(x.values.max()), -float(x.values.min()))
+    floor = 1e-10 * max(1.0, peak)
 
     d = np.diff(x.values, axis=0)
     np.square(d, out=d)
@@ -216,9 +239,11 @@ def detect_change_points(
 ) -> ChangePointSet:
     """Estimate the number and rescaled locations of mean change points.
 
-    The scans read one C-ordered transposed copy of the series per call.
-    With the auto threshold, when the final indices equal the pilot's and
-    the caller passes a list as `pilot_out`, the pilot's `SegmentFit`, its
+    The scans read one (T, n + 1) array of the series' prefix sums per
+    call.  A series whose values are so large that the analysis's sums of
+    squares could overflow raises InvalidInputError.  With the auto
+    threshold, when the final indices equal the pilot's and the caller
+    passes a list as `pilot_out`, the pilot's `SegmentFit`, its
     residuals and its default-config `LrvEstimate` are appended to it;
     otherwise the list is left empty.  They go to the caller, not onto the
     result, so a kept result holds no (n, T) matrix.
@@ -229,10 +254,17 @@ def detect_change_points(
         raise InvalidInputError(
             f"series length {x.n} is below 2 * min_segment_length = {2 * msl}"
         )
-    scan = cache(partial(_best_split, np.ascontiguousarray(x.values.T), msl=msl))
+    # max |x| without an (n, T) array of absolute values
+    peak = max(float(x.values.max()), -float(x.values.min()))
+    _check_scale(x, peak)
+    # P[:, i] = sum_{l<i} x_l, read off the series in one strided cumsum
+    prefix = np.empty((x.values.shape[1], x.n + 1))
+    prefix[:, 0] = 0.0
+    np.cumsum(x.values.T, axis=1, out=prefix[:, 1:])
+    scan = cache(partial(_best_split, prefix, msl=msl))
     pilot = None
     if cfg.threshold == "auto":
-        xi, pilot, pilot_results = _auto_threshold(x, scan, cfg.max_changes)
+        xi, pilot, pilot_results = _auto_threshold(x, scan, cfg.max_changes, peak)
     else:
         xi = float(cfg.threshold)
     changes = _binary_segmentation(scan, x.n, xi, cfg.max_changes)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import heapq
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -143,6 +144,25 @@ class TestDetectChangePoints:
         cps = detect_change_points(x, SegmentationConfig(max_changes=1))
         assert cps.m == 1
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_offset_leaves_indices_unchanged(self, seed):
+        # the scans take each partial sum as P[lo + k] - P[lo] of one prefix
+        # sum of the whole series, which cancels the offset's sums of up to
+        # n * c; the changes must not move
+        grid_size = 20
+        x = jump_series(
+            10_000,
+            grid_size,
+            [(0.3, np.linspace(0.0, 0.6, grid_size)), (0.7, np.full(grid_size, -0.4))],
+            noise_sd=1.0,
+            seed=seed,
+        )
+        base = detect_change_points(x).indices
+        assert len(base) == 2
+        for c in (1e4, 1e6, 1e8):
+            shifted = FunctionalTimeSeries(np.asarray(x.values) + c, x.grid)
+            assert detect_change_points(shifted).indices == base, c
+
 
 class TestAutoDelta:
     def test_identical_end_windows(self):
@@ -257,8 +277,12 @@ class TestConfigValidation:
 
 
 def columns(values):
-    """The C-ordered (T, n) copy of an (n, T) series that `_best_split` scans."""
-    return np.ascontiguousarray(np.asarray(values).T)
+    """The (T, n + 1) prefix sums P[:, i] = sum_{l<i} x_l of an (n, T) series,
+    the array that `_best_split` scans."""
+    values = np.asarray(values)
+    prefix = np.zeros((values.shape[1], values.shape[0] + 1))
+    np.cumsum(values.T, axis=1, out=prefix[:, 1:])
+    return prefix
 
 
 def heap_binseg(values, xi, msl, max_changes):
@@ -389,6 +413,23 @@ def old_best_split(values, lo, hi, msl):
     return float(stats[best]), lo + int(ks[best])
 
 
+def prefix_best_split(values, lo, hi, msl):
+    """The scan's formula without row blocks, on the (n, T) rows: from one
+    prefix sum P of the whole series, U_k = P[lo + k] - (P[lo] + (k / m) S_m)
+    with S_m = P[hi] - P[lo]; divide every entry, then take row maxima."""
+    m = hi - lo
+    if m < 2 * msl:
+        return None
+    prefix = np.zeros((values.shape[0] + 1, values.shape[1]))
+    np.cumsum(values, axis=0, out=prefix[1:])
+    ks = np.arange(msl, m - msl + 1)
+    total = prefix[hi] - prefix[lo]
+    u = (prefix[lo + ks] - (prefix[lo] + np.outer(ks / m, total))) / np.sqrt(m)
+    stats = np.abs(u).max(axis=1)
+    best = int(np.argmax(stats))
+    return float(stats[best]), lo + int(ks[best])
+
+
 class TestBestSplit:
     @pytest.mark.parametrize("seed", range(6))
     def test_fused_scan_is_bit_identical(self, seed):
@@ -396,7 +437,7 @@ class TestBestSplit:
         values = rng.normal(size=(157, 7)) * rng.uniform(1e-3, 1e3)
         cols = columns(values)
         for lo, hi, msl in ((0, 157, 5), (13, 140, 20), (3, 45, 21), (0, 157, 1), (10, 50, 21)):
-            assert _best_split(cols, lo, hi, msl) == old_best_split(values, lo, hi, msl)
+            assert _best_split(cols, lo, hi, msl) == prefix_best_split(values, lo, hi, msl)
 
     def test_random_intervals_of_a_larger_series(self):
         rng = np.random.default_rng(30)
@@ -405,7 +446,25 @@ class TestBestSplit:
         for _ in range(50):
             lo, hi = sorted(int(v) for v in rng.choice(3001, size=2, replace=False))
             msl = int(rng.integers(1, 60))
-            assert _best_split(cols, lo, hi, msl) == old_best_split(values, lo, hi, msl), (lo, hi, msl)
+            assert _best_split(cols, lo, hi, msl) == prefix_best_split(values, lo, hi, msl), (lo, hi, msl)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e2, 1e4])
+    def test_agrees_with_the_per_interval_cumsum(self, offset):
+        # P[lo + k] - P[lo] cancels the sums of the curves before lo, which
+        # grow with the offset; the per-interval cumsum never forms them
+        rng = np.random.default_rng(33)
+        values = rng.normal(size=(3000, 20)) + np.repeat(rng.normal(size=(6, 20)), 500, axis=0)
+        values += offset
+        cols = columns(values)
+        for _ in range(60):
+            lo, hi = sorted(int(v) for v in rng.choice(3001, size=2, replace=False))
+            msl = int(rng.integers(1, 60))
+            found, expected = _best_split(cols, lo, hi, msl), old_best_split(values, lo, hi, msl)
+            if expected is None:
+                assert found is None
+                continue
+            assert found[1] == expected[1], (lo, hi, msl)
+            assert found[0] == pytest.approx(expected[0], rel=1e-9), (lo, hi, msl)
 
     def test_ties_take_the_smallest_index(self):
         # a bump of equal steps up and down, at dyadic fractions so both ends
@@ -422,9 +481,9 @@ class TestBestSplit:
 
 
 class TestBlockedScan:
-    # the scan cumsums core._BLOCK_ENTRIES // m rows of the (T, n) copy at a
-    # time; T = 16 rows are one block up to m = _BLOCK_ENTRIES / 16 and two
-    # blocks of 15 and 1 rows just above
+    # the scan reads core._BLOCK_ENTRIES // m rows of the (T, n + 1) prefix
+    # sums at a time; T = 16 rows are one block up to m = _BLOCK_ENTRIES / 16
+    # and two blocks of 15 and 1 rows just above
     T = 16
 
     @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below", "at", "above"])
@@ -433,7 +492,7 @@ class TestBlockedScan:
         values = np.random.default_rng(extra + 1).normal(size=(m + 10, self.T))
         values[m // 3 :] += np.linspace(-1.0, 1.0, self.T)
         for lo, hi, msl in ((3, m + 3, 40), (10, m + 10, 1)):
-            assert _best_split(columns(values), lo, hi, msl) == old_best_split(values, lo, hi, msl)
+            assert _best_split(columns(values), lo, hi, msl) == prefix_best_split(values, lo, hi, msl)
 
     def test_many_small_blocks(self, monkeypatch):
         monkeypatch.setattr(core, "_BLOCK_ENTRIES", 150)
@@ -443,11 +502,11 @@ class TestBlockedScan:
         for _ in range(40):
             lo, hi = sorted(int(v) for v in rng.choice(401, size=2, replace=False))
             msl = int(rng.integers(1, 30))
-            assert _best_split(cols, lo, hi, msl) == old_best_split(values, lo, hi, msl), (lo, hi, msl)
+            assert _best_split(cols, lo, hi, msl) == prefix_best_split(values, lo, hi, msl), (lo, hi, msl)
 
     def test_extra_memory_is_a_few_blocks(self):
-        # the whole-interval scan held (T, n) running sums and products:
-        # about 16 MB at n = 10 000, T = 100
+        # a whole-interval scan of the prefix sums would hold (T, n)
+        # differences and products: about 16 MB at n = 10 000, T = 100
         cols = columns(np.random.default_rng(32).normal(size=(10_000, 100)))
         tracemalloc.start()
         try:
@@ -456,6 +515,57 @@ class TestBlockedScan:
         finally:
             tracemalloc.stop()
         assert peak_mb < 2.0
+
+    def test_detection_holds_one_series_sized_array_beside_the_series(self):
+        # the prefix sums replace the transposed copy of the series: at most
+        # the prefix and one other (n, T) array (the pilot's first
+        # differences, then its residuals) are alive at once
+        grid_size = 100
+        x = jump_series(
+            10_000,
+            grid_size,
+            [(0.25, np.full(grid_size, 0.5)), (0.6, np.linspace(-0.5, 0.5, grid_size))],
+            noise_sd=1.0,
+            seed=34,
+        )
+        tracemalloc.start()
+        try:
+            detect_change_points(x, pilot_out=[])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * x.values.nbytes
+
+
+class TestScale:
+    """A finite series whose sums of squares would overflow is refused
+    before numpy warns (CI turns RuntimeWarning into an error)."""
+
+    def series(self, scale):
+        values = np.random.default_rng(40).normal(size=(400, 20))
+        values[200:] += 2.0
+        return make_series(scale * values)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e306])
+    def test_overflowing_series_is_refused(self, scale):
+        x = self.series(scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="rescale"):
+                detect_change_points(x)
+            with pytest.raises(InvalidInputError, match="rescale"):
+                detect_change_points(x, SegmentationConfig(threshold=1.0))
+            with pytest.raises(InvalidInputError, match="rescale"):
+                analyze(x, PipelineConfig(replications=200))
+
+    def test_large_series_finds_the_unscaled_changes(self):
+        base = analyze(self.series(1.0), PipelineConfig(replications=200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = analyze(self.series(1e100), PipelineConfig(replications=200))
+        assert base.change_points.indices == (200,)
+        assert res.change_points.indices == base.change_points.indices
+        assert res.relevant.indices == base.relevant.indices
 
 
 def test_auto_threshold_scans_each_interval_once(monkeypatch):
@@ -472,7 +582,7 @@ def test_auto_threshold_scans_each_interval_once(monkeypatch):
     scanned = Counter()
 
     def counting(cols, lo, hi, msl):
-        assert cols.shape == (grid_size, x.n) and cols.flags["C_CONTIGUOUS"]
+        assert cols.shape == (grid_size, x.n + 1) and cols.flags["C_CONTIGUOUS"]
         scanned[lo, hi] += 1
         return _best_split(cols, lo, hi, msl)
 
@@ -542,7 +652,8 @@ def pilot_indices(x):
     """The changes that the auto threshold's pilot keeps, at the defaults."""
     msl = segmentation._default_msl(x.n)
     scan = functools.cache(functools.partial(_best_split, columns(x.values), msl=msl))
-    return tuple(segmentation._auto_threshold(x, scan, SegmentationConfig().max_changes)[1])
+    peak = float(np.abs(x.values).max())
+    return tuple(segmentation._auto_threshold(x, scan, SegmentationConfig().max_changes, peak)[1])
 
 
 @pytest.mark.parametrize(
