@@ -175,7 +175,7 @@ def _ingest_long(rows, header, grid: Grid) -> FunctionalTimeSeries:
         values = np.array([v for _, v in samples])
         if phases.size < 2:
             raise InvalidInputError(f"cycle {cid!r} has fewer than 2 samples")
-        if phases[0] < 0.0 or phases[-1] > 1.0:
+        if not np.all((phases >= 0.0) & (phases <= 1.0)):  # NaN fails both
             raise InvalidInputError(f"cycle {cid!r} has phases outside [0, 1]")
         if np.any(np.diff(phases) <= 0):
             raise InvalidInputError(f"cycle {cid!r} has duplicate phases")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import numbers
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,8 +134,7 @@ class Grid:
     @classmethod
     def uniform(cls, size: int = 100) -> "Grid":
         """Uniform grid t_k = k/(size-1), k = 0..size-1."""
-        if size < 2:
-            raise InvalidInputError("uniform grid needs size >= 2")
+        check_integer("grid size", size, 2)
         return cls(np.linspace(0.0, 1.0, size))
 
     def __len__(self) -> int:
@@ -175,10 +174,25 @@ class Curve:
 
 @dataclass(frozen=True, eq=False)
 class FunctionalTimeSeries:
-    """n curves on one shared grid, stored row-wise as an (n, T) matrix."""
+    """n curves on one shared grid, stored row-wise as an (n, T) matrix.
+
+    `peak` is max |x|, read once here from one max and one min, with no
+    (n, T) array of absolute values.  A series with a non-finite value, or
+    whose sums of squares could overflow float64, is refused where it is
+    built, so every entry point that takes a series is covered.  With
+    peak = M, no sum of squares that the analysis forms exceeds
+    (2M)^2 n^2 max(4, T): the first-difference proxy sums n - 1 squares of
+    differences |d| <= 2M; the LRV sums fewer than 4 n^2 lag products of
+    residuals |e| <= 2M and of their boundary steps (bandwidth c < n,
+    kernel weights <= 1); and the eigenvalues of the bootstrap's B^T B are
+    at most its trace, T n_i L squares of block sums |B| <= sqrt(L) 2M
+    (L <= n_i <= n).  So the series is refused before any of them
+    overflows into a numpy warning or a non-finite variance.
+    """
 
     values: np.ndarray
     grid: Grid
+    peak: float = field(init=False, repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -190,9 +204,18 @@ class FunctionalTimeSeries:
             raise InvalidInputError(
                 f"series has {vals.shape[1]} columns but grid has {len(self.grid)} points"
             )
-        if not np.all(np.isfinite(vals)):
+        # NaN and +-inf propagate through both reductions
+        peak = max(float(vals.max()), -float(vals.min()))
+        if not math.isfinite(peak):
             raise InvalidInputError("series values must be finite")
+        n, width = vals.shape
+        if 2.0 * peak * n * math.sqrt(max(4, width)) > math.sqrt(np.finfo(float).max):
+            raise InvalidInputError(
+                f"series values reach {peak:.3g}, so at n = {n}, T = {width} the analysis's "
+                "sums of squares could overflow; rescale the series (e.g. to unit scale)"
+            )
         object.__setattr__(self, "values", _frozen_array(vals))
+        object.__setattr__(self, "peak", peak)
 
     @property
     def n(self) -> int:

@@ -17,7 +17,7 @@ final threshold keeps the pilot's changes, the pilot's fit, residuals and
 default-config LRV are handed to a caller that asks for them through one
 list, `pilot_out`, so `analyze` neither forms the residuals nor estimates
 the LRV again.  A series whose sums of squares could overflow is refused
-before any of them is formed (`_check_scale`).  The detector sits behind
+where it is built (`FunctionalTimeSeries`).  The detector sits behind
 this module's function interface so an alternative detector can be
 substituted.
 
@@ -185,27 +185,7 @@ def _default_msl(n: int) -> int:
     return max(20, int(np.ceil(np.sqrt(n))))
 
 
-def _check_scale(x: FunctionalTimeSeries, peak: float) -> None:
-    """Refuse a series whose sums of squares could overflow float64.
-
-    With peak = max |x| = M, no sum of squares that `analyze` forms exceeds
-    (2M)^2 n^2 max(4, T): the first-difference proxy sums n - 1 squares of
-    differences |d| <= 2M; the LRV sums fewer than 4 n^2 lag products of
-    residuals |e| <= 2M and of their boundary steps (bandwidth c < n, kernel
-    weights <= 1); and the eigenvalues of the bootstrap's B^T B are at most
-    its trace, T n_i L squares of block sums |B| <= sqrt(L) 2M
-    (L <= n_i <= n).  Raised here, before any of them overflows into a numpy
-    warning or a non-finite variance.
-    """
-    n, width = x.values.shape
-    if 2.0 * peak * n * np.sqrt(max(4, width)) > np.sqrt(np.finfo(float).max):
-        raise InvalidInputError(
-            f"series values reach {peak:.3g}, so at n = {n}, T = {width} the analysis's "
-            "sums of squares could overflow; rescale the series (e.g. to unit scale)"
-        )
-
-
-def _auto_threshold(x: FunctionalTimeSeries, scan, max_changes: int, peak: float) -> tuple:
+def _auto_threshold(x: FunctionalTimeSeries, scan, max_changes: int) -> tuple:
     """xi_n = 1.5 * sigma_bar * sqrt(2 log n), sigma_bar from the lag-window LRV.
 
     The LRV needs segment means, so a pilot segmentation breaks the circular
@@ -213,12 +193,12 @@ def _auto_threshold(x: FunctionalTimeSeries, scan, max_changes: int, peak: float
     robust to mean shifts.  The pilot segments with the caller's memoized
     `scan`, which the final threshold then reuses.  The pilot LRV always uses
     the default LrvConfig, whatever kernel and bandwidth the analysis asks for.
-    `peak` is max |x|, which the thresholds' floor scales with.  Returns
-    xi_n, the pilot's change indices, and the pilot's (fit, residuals, LRV).
+    The thresholds' floor scales with max |x|, `x.peak`.  Returns xi_n, the
+    pilot's change indices, and the pilot's (fit, residuals, LRV).
     """
     n = x.n
     scale = np.sqrt(2.0 * np.log(n))
-    floor = 1e-10 * max(1.0, peak)
+    floor = 1e-10 * max(1.0, x.peak)
 
     d = np.diff(x.values, axis=0)
     np.square(d, out=d)
@@ -240,13 +220,11 @@ def detect_change_points(
     """Estimate the number and rescaled locations of mean change points.
 
     The scans read one (T, n + 1) array of the series' prefix sums per
-    call.  A series whose values are so large that the analysis's sums of
-    squares could overflow raises InvalidInputError.  With the auto
-    threshold, when the final indices equal the pilot's and the caller
-    passes a list as `pilot_out`, the pilot's `SegmentFit`, its
-    residuals and its default-config `LrvEstimate` are appended to it;
-    otherwise the list is left empty.  They go to the caller, not onto the
-    result, so a kept result holds no (n, T) matrix.
+    call.  With the auto threshold, when the final indices equal the
+    pilot's and the caller passes a list as `pilot_out`, the pilot's
+    `SegmentFit`, its residuals and its default-config `LrvEstimate` are
+    appended to it; otherwise the list is left empty.  They go to the
+    caller, not onto the result, so a kept result holds no (n, T) matrix.
     """
     cfg = cfg or SegmentationConfig()
     msl = cfg.min_segment_length or _default_msl(x.n)
@@ -254,9 +232,6 @@ def detect_change_points(
         raise InvalidInputError(
             f"series length {x.n} is below 2 * min_segment_length = {2 * msl}"
         )
-    # max |x| without an (n, T) array of absolute values
-    peak = max(float(x.values.max()), -float(x.values.min()))
-    _check_scale(x, peak)
     # P[:, i] = sum_{l<i} x_l, read off the series in one strided cumsum
     prefix = np.empty((x.values.shape[1], x.n + 1))
     prefix[:, 0] = 0.0
@@ -264,7 +239,7 @@ def detect_change_points(
     scan = cache(partial(_best_split, prefix, msl=msl))
     pilot = None
     if cfg.threshold == "auto":
-        xi, pilot, pilot_results = _auto_threshold(x, scan, cfg.max_changes, peak)
+        xi, pilot, pilot_results = _auto_threshold(x, scan, cfg.max_changes)
     else:
         xi = float(cfg.threshold)
     changes = _binary_segmentation(scan, x.n, xi, cfg.max_changes)

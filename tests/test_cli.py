@@ -145,6 +145,7 @@ class TestIngest:
             ("1,2,3\n4,5_0,6\n", "row 2, column 2: cannot parse '5_0'"),  # no float() underscores
             ("1,2,3\n4,nan,6\n", "series values must be finite"),
             ("1,2,3\n4,-inf,6\n", "series values must be finite"),
+            ("1,2,3\n4,inf,6\n", "series values must be finite"),
             # one phase sample per cycle would read as flat curves
             ("1.0\n2.0\n3.0\n", "matrix layout needs at least 2 columns, got 1"),
             ("a\n1.0\n2.0\n3.0\n", "matrix layout needs at least 2 columns, got 1"),
@@ -188,6 +189,25 @@ class TestIngest:
         f.write_text("cycle_id,phase,value\nc,0.5,1.0\nc,0.5,2.0\n")
         with pytest.raises(InvalidInputError, match="duplicate"):
             ingest(f, grid_size=3)
+
+    @pytest.mark.parametrize(
+        "rows", ["a,nan,1\na,0,2\na,1,3\n", "a,0,1\na,nan,2\na,1,3\n"], ids=["first", "middle"]
+    )
+    def test_long_layout_nan_phase(self, tmp_path, rows):
+        # every comparison with NaN is false: a NaN phase was dropped
+        # silently, or reported as a non-finite series value
+        f = tmp_path / "long.csv"
+        f.write_text("cycle_id,phase,value\n" + rows)
+        with pytest.raises(InvalidInputError, match=re.escape("cycle 'a' has phases outside [0, 1]")):
+            ingest(f, grid_size=3)
+
+    def test_overflowing_matrix_is_refused(self, tmp_path):
+        f = tmp_path / "data.csv"
+        f.write_text("1e300,2e300,3e300\n4e300,5e300,6e300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="rescale"):
+                ingest(f, grid_size=3)
 
 
 @st.composite

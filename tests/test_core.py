@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,37 @@ def test_series_copies_any_array_that_can_still_be_written():
         x = FunctionalTimeSeries(values, grid if values.shape[1] == 3 else Grid.uniform(4))
         assert (x.values is values) == values.flags.c_contiguous
         assert x.values.flags.c_contiguous and not x.values.flags.writeable
+
+
+class TestSeriesPeak:
+    """The series is checked once, where it is built: one max and one min
+    give max |x| and refuse NaN and +-inf."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[np.nan], [np.inf], [-np.inf], [np.nan, np.inf], [np.inf, np.nan], [-np.inf, np.nan]],
+        ids=["nan", "inf", "-inf", "nan_inf", "inf_nan", "-inf_nan"],
+    )
+    def test_non_finite_values_are_refused(self, bad):
+        values = np.zeros((4, 3))
+        values.flat[[1, 7][: len(bad)]] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="^series values must be finite$"):
+                FunctionalTimeSeries(values, Grid.uniform(3))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_peak_is_the_largest_absolute_value(self, order):
+        values = np.random.default_rng(5).normal(size=(30, 7))
+        for sign in (1.0, -1.0):  # the peak may be a maximum or minus a minimum
+            signed = np.array(sign * values, order=order)
+            x = FunctionalTimeSeries(signed, Grid.uniform(7))
+            assert x.peak == np.abs(x.values).max() == np.abs(signed).max()
+
+    def test_peak_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError, match="peak"):
+            FunctionalTimeSeries(np.ones((4, 3)), Grid.uniform(3), peak=1.0)
+        assert "peak" not in repr(FunctionalTimeSeries(np.ones((4, 3)), Grid.uniform(3)))
 
 
 class TestCurve:
@@ -243,6 +275,14 @@ BAD_INTEGER_SETTINGS = [
 def test_integer_settings_are_checked_as_integers(cls, kwargs):
     with pytest.raises(InvalidInputError, match=f"^{list(kwargs)[-1]} must be an integer >= "):
         cls(**kwargs)
+
+
+@pytest.mark.parametrize("size", [2.5, "5", True, 1])
+def test_uniform_grid_size_is_checked_as_an_integer(size):
+    # reached by ingest(path, grid_size=...) and cli.run_pipeline, which a
+    # library caller may call without the command line's checks
+    with pytest.raises(InvalidInputError, match="^grid size must be an integer >= 2"):
+        Grid.uniform(size)
 
 
 # (config class, keyword arguments, message start); the last argument is the bad float

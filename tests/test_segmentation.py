@@ -539,7 +539,8 @@ class TestBlockedScan:
 
 class TestScale:
     """A finite series whose sums of squares would overflow is refused
-    before numpy warns (CI turns RuntimeWarning into an error)."""
+    where it is built, before numpy warns (CI turns RuntimeWarning into an
+    error), so every entry point that takes a series is covered."""
 
     def series(self, scale):
         values = np.random.default_rng(40).normal(size=(400, 20))
@@ -548,15 +549,24 @@ class TestScale:
 
     @pytest.mark.parametrize("scale", [1e300, 1e306])
     def test_overflowing_series_is_refused(self, scale):
-        x = self.series(scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="rescale"):
-                detect_change_points(x)
+                self.series(scale)
+
+    @pytest.mark.parametrize("entry", ["relevant_set", "estimate_lrv"])
+    def test_entry_points_that_skip_detection_are_covered(self, entry):
+        # called directly, both once overflowed on a series detection refused
+        cps = ChangePointSet(indices=(200,), n=400, threshold=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="rescale"):
-                detect_change_points(x, SegmentationConfig(threshold=1.0))
-            with pytest.raises(InvalidInputError, match="rescale"):
-                analyze(x, PipelineConfig(replications=200))
+                x = self.series(1e300)
+                if entry == "relevant_set":
+                    relevant_set(x, cps, RelevantChangeConfig(method="bootstrap"))
+                else:
+                    fit = fit_segments(x, cps.segments)
+                    estimate_lrv(fit.residuals(x), fit)
 
     def test_large_series_finds_the_unscaled_changes(self):
         base = analyze(self.series(1.0), PipelineConfig(replications=200))
@@ -652,8 +662,7 @@ def pilot_indices(x):
     """The changes that the auto threshold's pilot keeps, at the defaults."""
     msl = segmentation._default_msl(x.n)
     scan = functools.cache(functools.partial(_best_split, columns(x.values), msl=msl))
-    peak = float(np.abs(x.values).max())
-    return tuple(segmentation._auto_threshold(x, scan, SegmentationConfig().max_changes, peak)[1])
+    return tuple(segmentation._auto_threshold(x, scan, SegmentationConfig().max_changes)[1])
 
 
 @pytest.mark.parametrize(

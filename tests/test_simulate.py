@@ -221,6 +221,12 @@ class TestGenerate:
             tracemalloc.stop()
         assert peak <= 1.35 * x.values.nbytes
 
+    def test_overflowing_mean_is_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="rescale"):
+                generate(ScenarioSpec(n=100, grid_size=10, means=[1e300], change_locations=[]))
+
     def test_ma1_negative_theta(self):
         # theta = -0.5 gives a long-run variance (1 + theta)^2 = 0.25 well
         # below the pointwise variance 1.25
