@@ -39,6 +39,11 @@ def _fmt(x) -> str:
     return format(float(x), _SIG_DIGITS)
 
 
+def _render(value):
+    """A float (Python or numpy) to 12 significant digits, anything else as is."""
+    return _fmt(value) if isinstance(value, (float, np.floating)) else value
+
+
 # ---------------------------------------------------------------------------
 # ingestion
 
@@ -186,8 +191,10 @@ def _ingest_long(rows, header, grid: Grid) -> FunctionalTimeSeries:
 
 
 def _has_header(cells) -> bool:
+    """A row is a header when its first cell is not a number; a bad cell
+    further along is a data row's, reported by row and column."""
     try:
-        [float(c) for c in cells]
+        float(cells[0])
     except ValueError:
         return True
     return False
@@ -317,28 +324,30 @@ class RunConfig:
 # serialization
 
 
-def write_changepoints(path, result: AnalysisResult) -> None:
+def _write_csv(path, rows) -> None:
+    """One CSV line per row (CRLF line ends), cells rendered by `_render`."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "s_hat", "jump_size", "relevant"])
-        for i, (j, s) in enumerate(
-            zip(result.change_points.indices, result.change_points.locations), start=1
-        ):
-            w.writerow([j, _fmt(s), _fmt(result.relevant.all_jumps[i - 1]), int(i in result.relevant.indices)])
+        csv.writer(fh).writerows([_render(v) for v in row] for row in rows)
+
+
+def _key_values(rows) -> str:
+    """One `key = value` line per (key, value) row, values rendered by `_render`."""
+    return "".join(f"{key} = {_render(value)}\n" for key, value in rows)
+
+
+def write_changepoints(path, result: AnalysisResult) -> None:
+    cps, relevant = result.change_points, result.relevant
+    flags = [int(i in relevant.indices) for i in range(1, cps.m + 1)]
+    rows = zip(cps.indices, cps.locations, relevant.all_jumps, flags)
+    _write_csv(path, [("index", "s_hat", "jump_size", "relevant"), *rows])
 
 
 def write_bands(path, band_set) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["segment", "t", "lower", "center", "upper"])
-        for band in band_set.bands:
-            for t, lo, c, up in zip(
-                band.center.grid.points,
-                band.lower.values,
-                band.center.values,
-                band.upper.values,
-            ):
-                w.writerow([band.index, _fmt(t), _fmt(lo), _fmt(c), _fmt(up)])
+    rows = [("segment", "t", "lower", "center", "upper")]
+    for b in band_set.bands:
+        columns = (b.center.grid.points, b.lower.values, b.center.values, b.upper.values)
+        rows += ((b.index, *values) for values in zip(*columns))
+    _write_csv(path, rows)
 
 
 def read_bands(path) -> dict:
@@ -354,8 +363,7 @@ def read_bands(path) -> dict:
 
 
 def write_diagnostics(path, result: AnalysisResult) -> None:
-    """One `key = value` line per run fact, keys sorted, floats to 12
-    significant digits."""
+    """One `key = value` line per run fact, keys sorted."""
     cfg = result.config
     sigma2 = result.lrv.sigma2.values
     entries = {
@@ -374,16 +382,11 @@ def write_diagnostics(path, result: AnalysisResult) -> None:
         "segmentation_threshold": result.change_points.threshold,
         "num_changes": result.change_points.m,
         "relevant_indices": ",".join(str(i) for i in result.relevant.indices),
-        "sigma2_min": _fmt(sigma2.min()),
-        "sigma2_median": _fmt(np.median(sigma2)),
-        "sigma2_max": _fmt(sigma2.max()),
+        "sigma2_min": sigma2.min(),
+        "sigma2_median": np.median(sigma2),
+        "sigma2_max": sigma2.max(),
     }
-    with open(path, "w") as fh:
-        for key in sorted(entries):
-            value = entries[key]
-            if isinstance(value, float):
-                value = _fmt(value)
-            fh.write(f"{key} = {value}\n")
+    Path(path).write_text(_key_values(sorted(entries.items())))
 
 
 def _output_dir(path) -> Path:
@@ -513,10 +516,7 @@ def _cmd_simulate(args) -> int:
     spec = ScenarioSpec.from_dict(_load_json(args.spec))
     out = _output_dir(args.output_dir)
     x, truth = generate(spec)
-    with open(out / "dataset.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in x.values:
-            w.writerow([_fmt(v) for v in row])
+    _write_csv(out / "dataset.csv", x.values)
     truth_doc = {
         "spec": spec.to_dict(),
         "grid": [float(t) for t in x.grid.points],
@@ -536,16 +536,10 @@ def _cmd_coverage(args) -> int:
     # coverage reads no input file and writes no analysis tables
     cfg = _run_config(args, input="-", output_dir="-").pipeline_config()
     out = _output_dir(args.output_dir) if args.output_dir else None
-    report = run_coverage_study(spec, cfg, replications=args.study_replications)
-    rows = report.summary_rows()
-    for key, value in rows:
-        print(f"{key} = {_fmt(value) if isinstance(value, float) else value}")
+    rows = run_coverage_study(spec, cfg, replications=args.study_replications).summary_rows()
+    print(_key_values(rows), end="")
     if out is not None:
-        with open(out / "coverage.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["metric", "value"])
-            for key, value in rows:
-                w.writerow([key, _fmt(value) if isinstance(value, float) else value])
+        _write_csv(out / "coverage.csv", [("metric", "value"), *rows])
     return 0
 
 

@@ -17,7 +17,7 @@ either way.  The study aggregates one record per successful replication.
 from __future__ import annotations
 
 import numbers
-from dataclasses import MISSING, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, replace
 
 import numpy as np
 
@@ -160,16 +160,7 @@ class ScenarioSpec:
                     raise InvalidInputError(f"scenario key {key!r}: {exc}") from None
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "grid_size": self.grid_size,
-            "means": list(self.means),
-            "change_locations": list(self.change_locations),
-            "error_process": self.error_process,
-            "error_param": self.error_param,
-            "tau2": self.tau2,
-            "rng_seed": self.rng_seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":

@@ -98,7 +98,7 @@ def matrix_by_lines(text: str, grid_size: int) -> np.ndarray:
     line of the first 4096 characters that has a non-blank cell has the same
     number (at least 2) of cells; otherwise it is the one csv.Sniffer finds
     in those characters (',' when it finds none).  The lines whose cells are
-    all blank are dropped; a first line with a cell that is not a number is
+    all blank are dropped; a first line whose first cell is not a number is
     a header; np.loadtxt parses the list of the remaining lines, and each
     row of width W is interpolated from the phases linspace(0, 1, W) by
     np.interp.
@@ -126,7 +126,7 @@ def matrix_by_lines(text: str, grid_size: int) -> np.ndarray:
         raise ValueError("no rows")
     first = next(csv.reader([lines[0]], delimiter=delimiter))
     try:
-        [float(c) for c in first]
+        float(first[0])
         start = 0
     except ValueError:
         start = 1

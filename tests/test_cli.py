@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import re
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdabands.cli as cli
-from fdabands import __version__
+from fdabands import ScenarioSpec, __version__, generate
 from fdabands.cli import RunConfig, _build_parser, ingest, main, read_bands
 from oracles import matrix_by_lines
 
@@ -140,7 +141,10 @@ class TestIngest:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("1,2,\n3,4,\n", "row 2, column 3: cannot parse ''"),  # first row read as a header
+            ("1,2,\n3,4,\n", "row 1, column 3: cannot parse ''"),
+            # a first row is a header only when its first cell is not a number
+            ("1.0,NA,3.0\n4.0,5.0,6.0\n7.0,8.0,9.0\n", "row 1, column 2: cannot parse 'NA'"),
+            ("1\tNA\t3\n4\t5\t6\n", "row 1, column 2: cannot parse 'NA'"),
             ("1,2\n\n3,x\n", "row 2, column 2: cannot parse 'x'"),  # rows counted without blanks
             ("1,2,3\n4,5_0,6\n", "row 2, column 2: cannot parse '5_0'"),  # no float() underscores
             ("1,2,3\n4,nan,6\n", "series values must be finite"),
@@ -633,8 +637,12 @@ class TestSimulateCommand:
         out = tmp_path / "sim"
         assert main(["simulate", "--spec", str(spec_file), "--output-dir", str(out)]) == 0
 
-        data = np.loadtxt(out / "dataset.csv", delimiter=",")
-        assert data.shape == (50, 8)
+        x, _ = generate(ScenarioSpec.from_dict(spec))
+        lines = (out / "dataset.csv").read_bytes().decode().split("\r\n")
+        assert lines[-1] == ""  # every row ends in CRLF
+        assert [line.split(",") for line in lines[:-1]] == [
+            [format(v, ".12g") for v in row] for row in x.values
+        ]
         truth = json.loads((out / "truth.json").read_text())
         assert truth["change_locations"] == [0.5]
         assert truth["jump_sizes"] == [3.0]
@@ -694,12 +702,20 @@ class TestCoverageCommand:
             "--output-dir", str(out),
         ])
         assert rc == 0
-        report = capsys.readouterr().out
-        assert "coverage = " in report
-        assert "m_match_rate = 1" in report
-        csv_text = (out / "coverage.csv").read_text()
-        assert csv_text.startswith("metric,value")
-        assert "m_match_rate,1" in csv_text
+        printed = [tuple(line.split(" = ")) for line in capsys.readouterr().out.splitlines()]
+        with open(out / "coverage.csv", newline="") as fh:
+            header, *table = [tuple(row) for row in csv.reader(fh)]
+        assert header == ("metric", "value")
+        # one rendering of the same rows: floats to 12 significant digits, counts as is
+        assert printed == table
+        assert [key for key, _ in printed] == [
+            "replications", "coverage", "average_band_width", "m_match_rate",
+            "relevant_match_rate", "mean_location_error", "failures",
+        ]
+        values = dict(printed)
+        assert values["replications"] == "10" and values["failures"] == "0"
+        assert values["m_match_rate"] == "1"
+        assert values["average_band_width"] == format(float(values["average_band_width"]), ".12g")
 
     def test_scenario_every_replication_rejects_is_exit_2(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"
