@@ -52,6 +52,8 @@ def _render(value):
 # layout; the csv sniffer sees the first _SNIFF_CHARS of it
 _HEAD_CHARS = 65536
 _SNIFF_CHARS = 4096
+# the long layout's columns, named in its header row
+_LONG_COLUMNS = ("cycle_id", "phase", "value")
 
 
 def _read_text(path: Path, size: int = -1) -> str:
@@ -103,7 +105,12 @@ def ingest(path, grid_size: int = 100) -> FunctionalTimeSeries:
     spaced phases) and long (columns cycle_id, phase, value; arbitrary
     per-cycle sampling).  Cycle order is preserved.  Rows end at line ends
     (LF, CRLF or CR) only.  Lines whose cells are all blank are skipped, and
-    rows are numbered among the rest.
+    rows are numbered among the rest.  `_first_row` names the first row the
+    long layout's header, a matrix header or a data row, for both parses
+    below.  A blank first cell is a missing value, refused by row and
+    column: a `,p0,p1` header, which an index column writes, is refused,
+    since its data rows would read the index as phase 0.  A header with no
+    data rows after it, in either layout, is refused.
 
     Only a bounded head of the file is read as text up front, for the
     delimiter, the layout and a header row.  A matrix whose first line is
@@ -130,11 +137,19 @@ def ingest(path, grid_size: int = 100) -> FunctionalTimeSeries:
         lines = [line for line in text.split("\n") if not _blank_line(line, delimiter)]
         if not lines:
             raise InvalidInputError(f"input file is empty: {path}")
-        first = _cells(lines[0], delimiter)
-        header = [c.strip().lower() for c in first]
-        if "cycle_id" in header:
-            return _ingest_long(list(csv.reader(lines, delimiter=delimiter)), header, grid)
-        values = _parse_matrix_lines(lines, delimiter, first)
+        role = _first_row(_cells(lines[0], delimiter))
+        if role != "data" and len(lines) == 1:
+            layout = "long" if role == "long" else "matrix"
+            raise InvalidInputError(f"{layout} layout has a header but no data rows")
+        if role == "long":
+            return _ingest_long(list(csv.reader(lines, delimiter=delimiter)), grid)
+        start = int(role == "header")
+        try:
+            values = np.loadtxt(
+                lines[start:], delimiter=delimiter, comments=None, quotechar='"', ndmin=2
+            )
+        except ValueError as exc:
+            _raise_matrix_error(lines, delimiter, start, exc)
     if values.shape[1] < 2:
         raise InvalidInputError(f"matrix layout needs at least 2 columns, got {values.shape[1]}")
     if values.shape[1] != len(grid):
@@ -157,12 +172,14 @@ def _blank_line(line: str, delimiter: str) -> bool:
     return not any(c.strip() for c in _cells(line, delimiter))
 
 
-def _ingest_long(rows, header, grid: Grid) -> FunctionalTimeSeries:
+def _ingest_long(rows, grid: Grid) -> FunctionalTimeSeries:
+    """The cycles of a long-layout file, its header in `rows[0]`."""
+    header = [c.strip().lower() for c in rows[0]]
     try:
-        ci, pi, vi = header.index("cycle_id"), header.index("phase"), header.index("value")
+        ci, pi, vi = (header.index(name) for name in _LONG_COLUMNS)
     except ValueError:
         raise InvalidInputError(
-            "long layout needs columns cycle_id, phase, value"
+            f"long layout needs columns {', '.join(_LONG_COLUMNS)}"
         ) from None
     width = max(ci, pi, vi) + 1
     cycles: dict = {}
@@ -190,14 +207,19 @@ def _ingest_long(rows, header, grid: Grid) -> FunctionalTimeSeries:
     return FunctionalTimeSeries(values, grid)
 
 
-def _has_header(cells) -> bool:
-    """A row is a header when its first cell is not a number; a bad cell
-    further along is a data row's, reported by row and column."""
+def _first_row(cells) -> str:
+    """The role of a file's first non-blank row: "long" when a cell reads
+    cycle_id (the long layout's header), "header" when its first cell is
+    neither blank nor a number (a matrix header), else "data".  A blank
+    first cell is a missing value, which the data row's parse refuses by
+    row and column."""
+    if _LONG_COLUMNS[0] in (c.strip().lower() for c in cells):
+        return "long"
     try:
         float(cells[0])
     except ValueError:
-        return True
-    return False
+        return "header" if cells[0].strip() else "data"
+    return "data"
 
 
 def _parse_matrix_file(path: Path, head: str, delimiter: str):
@@ -209,11 +231,8 @@ def _parse_matrix_file(path: Path, head: str, delimiter: str):
     first, newline, rest = head.partition("\n")
     if not (newline or len(head) < _HEAD_CHARS) or _blank_line(first, delimiter):
         return None
-    cells = _cells(first, delimiter)
-    if "cycle_id" in (c.strip().lower() for c in cells):
-        return None
-    start = int(_has_header(cells))
-    if start and not rest.strip():
+    role = _first_row(_cells(first, delimiter))
+    if role == "long" or (role == "header" and not rest.strip()):
         return None
     try:
         return np.loadtxt(
@@ -222,23 +241,11 @@ def _parse_matrix_file(path: Path, head: str, delimiter: str):
             comments=None,
             quotechar='"',
             ndmin=2,
-            skiprows=start,
+            skiprows=int(role == "header"),
             encoding="utf-8-sig",
         )
     except ValueError:  # also UnicodeDecodeError, which the line path's read reports
         return None
-
-
-def _parse_matrix_lines(lines, delimiter: str, first) -> np.ndarray:
-    start = int(_has_header(first))
-    if start and len(lines) == 1:
-        raise InvalidInputError("matrix layout has a header but no data rows")
-    try:
-        return np.loadtxt(
-            lines[start:], delimiter=delimiter, comments=None, quotechar='"', ndmin=2
-        )
-    except ValueError as exc:
-        _raise_matrix_error(lines, delimiter, start, exc)
 
 
 def _raise_matrix_error(lines, delimiter: str, start: int, exc: ValueError):

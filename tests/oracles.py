@@ -98,8 +98,9 @@ def matrix_by_lines(text: str, grid_size: int) -> np.ndarray:
     line of the first 4096 characters that has a non-blank cell has the same
     number (at least 2) of cells; otherwise it is the one csv.Sniffer finds
     in those characters (',' when it finds none).  The lines whose cells are
-    all blank are dropped; a first line whose first cell is not a number is
-    a header; np.loadtxt parses the list of the remaining lines, and each
+    all blank are dropped; a first line whose first cell is neither blank
+    nor a number is a header (a blank cell is a missing value, which
+    np.loadtxt refuses); np.loadtxt parses the list of the remaining lines, and each
     row of width W is interpolated from the phases linspace(0, 1, W) by
     np.interp.
     Raises ValueError where the file is not such a matrix.
@@ -124,12 +125,12 @@ def matrix_by_lines(text: str, grid_size: int) -> np.ndarray:
     lines = [line for line, row in zip(text.splitlines(), rows) if any(c.strip() for c in row)]
     if not lines:
         raise ValueError("no rows")
-    first = next(csv.reader([lines[0]], delimiter=delimiter))
+    first = next(csv.reader([lines[0]], delimiter=delimiter))[0]
     try:
-        float(first[0])
+        float(first)
         start = 0
     except ValueError:
-        start = 1
+        start = int(bool(first.strip()))
     if len(lines) == start:
         raise ValueError("a header and no rows")
     values = np.loadtxt(lines[start:], delimiter=delimiter, comments=None, quotechar='"', ndmin=2)

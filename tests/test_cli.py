@@ -153,6 +153,10 @@ class TestIngest:
             # one phase sample per cycle would read as flat curves
             ("1.0\n2.0\n3.0\n", "matrix layout needs at least 2 columns, got 1"),
             ("a\n1.0\n2.0\n3.0\n", "matrix layout needs at least 2 columns, got 1"),
+            # a blank first cell is a missing value, in the first row too
+            (",1.0,2.0\n4.0,5.0,6.0\n7.0,8.0,9.0\n", "row 1, column 1: cannot parse ''"),
+            (" 1.0 2.0 3.0\n 4.0 5.0 6.0\n", "row 1, column 1: cannot parse ''"),
+            (",p0,p1\n1,2,3\n", "row 1, column 1: cannot parse ''"),  # an index column's header
         ],
     )
     def test_matrix_errors_name_the_cell(self, tmp_path, text, message):
@@ -217,8 +221,9 @@ class TestIngest:
 @st.composite
 def matrix_files(draw):
     """Matrix-layout text: repr values, padded, quoted or padded inside
-    quotes, delimited by ',', ';', tab or space, an optional header, blank
-    lines anywhere (the first line included), LF or CRLF line ends."""
+    quotes, delimited by ',', ';', tab or space, sometimes one data row's
+    first cell blank, an optional header, blank lines anywhere (the first
+    line included), LF or CRLF line ends."""
     delimiter = draw(st.sampled_from([",", ";", "\t", " "]))
     width = draw(st.integers(2, 9))
     n_rows = draw(st.integers(1, 6))
@@ -226,7 +231,10 @@ def matrix_files(draw):
     pad = st.just("") if delimiter == " " else st.sampled_from(["", " ", "  "])
     padded = st.tuples(pad, number, pad).map("".join)
     cell = padded.map(lambda v: f'"{v}"') | padded
-    lines = [delimiter.join(draw(st.lists(cell, min_size=width, max_size=width))) for _ in range(n_rows)]
+    rows = [draw(st.lists(cell, min_size=width, max_size=width)) for _ in range(n_rows)]
+    if draw(st.integers(0, 3)) == 0:  # a missing value, which ingest refuses
+        rows[draw(st.integers(0, n_rows - 1))][0] = draw(st.sampled_from(["", '""']))
+    lines = [delimiter.join(row) for row in rows]
     if draw(st.booleans()):
         lines.insert(0, delimiter.join(f"p{j}" for j in range(width)))
     blank = st.sampled_from(["", " ", "\t", '""', delimiter * (width - 1)])
@@ -302,14 +310,35 @@ class TestIngestEquivalence:
         expected = np.loadtxt(f, delimiter=delimiter, ndmin=2)
         assert np.array_equal(ingest(f, grid_size=50).values, expected)
 
-    @pytest.mark.parametrize("tail", ["", "\n\n", " \n,,\n", "\n" * 70_000], ids=["none", "empty", "blank", "past_head"])
-    def test_header_only(self, tmp_path, tail):
+    @pytest.mark.parametrize(
+        "header, layout, tail",
+        [
+            pytest.param(header, layout, tail, id=prefix + name)
+            for header, layout, prefix in (("p0,p1,p2", "matrix", ""), ("cycle_id,phase,value", "long", "long-"))
+            for name, tail in (("none", ""), ("empty", "\n\n"), ("blank", " \n,,\n"), ("past_head", "\n" * 70_000))
+        ],
+    )
+    def test_header_only(self, tmp_path, header, layout, tail):
         f = tmp_path / "data.csv"
-        f.write_text("p0,p1,p2\n" + tail)
+        f.write_text(header + "\n" + tail)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidInputError, match="header but no data rows"):
+            with pytest.raises(InvalidInputError, match=f"{layout} layout has a header but no data rows"):
                 ingest(f, grid_size=3)
+
+    @pytest.mark.parametrize("w, T", [(9, 9), (5, 9), (14, 9)], ids=["equal_T", "below_T", "above_T"])
+    def test_long_layout_matches_matrix_layout(self, tmp_path, w, T):
+        # the same cycles in both layouts, each cycle's long rows shuffled
+        rng = np.random.default_rng([w, T])
+        vals = rng.normal(size=(6, w))
+        phases = [repr(float(p)) for p in np.linspace(0.0, 1.0, w)]
+        matrix, long = tmp_path / "matrix.csv", tmp_path / "long.csv"
+        write_matrix(matrix, vals)
+        rows = ["cycle_id,phase,value"]
+        for i, row in enumerate(vals):
+            rows += [f"c{i},{phases[j]},{float(row[j])!r}" for j in rng.permutation(w)]
+        long.write_text("\n".join(rows) + "\n")
+        assert ingest(long, grid_size=T).values.tobytes() == ingest(matrix, grid_size=T).values.tobytes()
 
 
 def jump_dataset(tmp_path, n=120, grid_size=12, jump=8.0, noise_sd=0.3, seed=0):
@@ -444,6 +473,12 @@ class TestAnalyzeCommand:
             rc = main(["analyze", "--input", str(data), "--output-dir", str(tmp_path)])
             assert rc == 2
             assert message in capsys.readouterr().err
+
+    def test_long_layout_header_only_is_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "long.csv"
+        data.write_text("cycle_id,phase,value\n")
+        assert main(["analyze", "--input", str(data), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "long layout has a header but no data rows" in capsys.readouterr().err
 
     def test_nan_threshold_is_exit_2(self, tmp_path, capsys):
         # pure noise: a NaN xi would accept every split
