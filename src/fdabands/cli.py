@@ -26,6 +26,7 @@ from .core import (
     InternalInvariantError,
     InvalidInputError,
     check_field_value,
+    check_integer,
 )
 from .lrv import LrvConfig
 from .pipeline import AnalysisResult, PipelineConfig, analyze
@@ -62,6 +63,8 @@ def _read_text(path: Path, size: int = -1) -> str:
     try:
         with open(path, encoding="utf-8-sig") as fh:
             return fh.read(size)
+    except FileNotFoundError:
+        raise InvalidInputError(f"file not found: {path}") from None
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -90,12 +93,27 @@ def _sniff_delimiter(head: str) -> str:
 
 
 def _parse_cell(text: str, row: int, col: int) -> float:
+    """The cell as a number, read by np.loadtxt's rule: a float() literal
+    without underscores or non-ASCII text, else refused by row and column."""
     try:
+        if "_" in text or not text.strip().isascii():
+            raise ValueError
         return float(text)
     except ValueError:
         raise InvalidInputError(
             f"row {row}, column {col}: cannot parse {text!r} as a number"
         ) from None
+
+
+def _rows(rows, first: int):
+    """(row number, row) for the csv `rows`, numbered from `first`; a row
+    whose width differs from the first row's is refused."""
+    width = None
+    for r, row in enumerate(rows, start=first):
+        width = width or len(row)
+        if len(row) != width:
+            raise InvalidInputError(f"row {r} has {len(row)} values, expected {width}")
+        yield r, row
 
 
 def ingest(path, grid_size: int = 100) -> FunctionalTimeSeries:
@@ -110,7 +128,11 @@ def ingest(path, grid_size: int = 100) -> FunctionalTimeSeries:
     below.  A blank first cell is a missing value, refused by row and
     column: a `,p0,p1` header, which an index column writes, is refused,
     since its data rows would read the index as phase 0.  A header with no
-    data rows after it, in either layout, is refused.
+    data rows after it, in either layout, is refused.  Both layouts read
+    rows by one rule, `_rows` (every row has the first row's width: a long
+    row has its header's), and cells by one rule, `_parse_cell` (a float()
+    literal without underscores or non-ASCII text, as `np.loadtxt` reads
+    it); a blank cycle_id is a missing value, refused by row and column.
 
     Only a bounded head of the file is read as text up front, for the
     delimiter, the layout and a header row.  A matrix whose first line is
@@ -125,8 +147,6 @@ def ingest(path, grid_size: int = 100) -> FunctionalTimeSeries:
     unparseable cell.
     """
     path = Path(path)
-    if not path.exists():
-        raise InvalidInputError(f"input file not found: {path}")
     head = _read_text(path, _HEAD_CHARS)
     delimiter = _sniff_delimiter(head)
     grid = Grid.uniform(grid_size)
@@ -142,7 +162,7 @@ def ingest(path, grid_size: int = 100) -> FunctionalTimeSeries:
             layout = "long" if role == "long" else "matrix"
             raise InvalidInputError(f"{layout} layout has a header but no data rows")
         if role == "long":
-            return _ingest_long(list(csv.reader(lines, delimiter=delimiter)), grid)
+            return _ingest_long(csv.reader(lines, delimiter=delimiter), grid)
         start = int(role == "header")
         try:
             values = np.loadtxt(
@@ -173,20 +193,22 @@ def _blank_line(line: str, delimiter: str) -> bool:
 
 
 def _ingest_long(rows, grid: Grid) -> FunctionalTimeSeries:
-    """The cycles of a long-layout file, its header in `rows[0]`."""
-    header = [c.strip().lower() for c in rows[0]]
+    """The cycles of a long-layout file from its csv `rows`, the header
+    first: every row has the header's width, and a blank cycle_id is a
+    missing value, refused by row and column."""
+    rows = _rows(rows, 1)
+    header = [c.strip().lower() for c in next(rows)[1]]
     try:
         ci, pi, vi = (header.index(name) for name in _LONG_COLUMNS)
     except ValueError:
         raise InvalidInputError(
             f"long layout needs columns {', '.join(_LONG_COLUMNS)}"
         ) from None
-    width = max(ci, pi, vi) + 1
     cycles: dict = {}
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) < width:
-            raise InvalidInputError(f"row {r} has {len(row)} values, expected {width}")
+    for r, row in rows:
         cid = row[ci].strip()
+        if not cid:
+            raise InvalidInputError(f"row {r}, column {ci + 1}: blank cycle_id")
         phase = _parse_cell(row[pi], r, pi + 1)
         value = _parse_cell(row[vi], r, vi + 1)
         cycles.setdefault(cid, []).append((phase, value))
@@ -251,16 +273,8 @@ def _parse_matrix_file(path: Path, head: str, delimiter: str):
 def _raise_matrix_error(lines, delimiter: str, start: int, exc: ValueError):
     """Raise for the first ragged row or unparseable cell `np.loadtxt`
     stopped at, by row number among the non-blank lines."""
-    rows = csv.reader(lines[start:], delimiter=delimiter)
-    width = None
-    for r, row in enumerate(rows, start=start + 1):
-        width = width or len(row)
-        if len(row) != width:
-            raise InvalidInputError(f"row {r} has {len(row)} values, expected {width}")
+    for r, row in _rows(csv.reader(lines[start:], delimiter=delimiter), start + 1):
         for j, cell in enumerate(row, start=1):
-            # np.loadtxt reads float() literals without underscores or non-ASCII text
-            if "_" in cell or not cell.strip().isascii():
-                raise InvalidInputError(f"row {r}, column {j}: cannot parse {cell!r} as a number")
             _parse_cell(cell, r, j)
     raise InvalidInputError(f"cannot parse the matrix rows: {exc}")
 
@@ -409,11 +423,13 @@ def _output_dir(path) -> Path:
 def run_pipeline(cfg: RunConfig) -> AnalysisResult:
     """Ingest, analyze, and write the changepoints/bands/diagnostics tables.
 
-    The output directory is created after the settings are checked and
-    before the input is read, so one that cannot be is reported before the
-    work (an empty one is left when ingest then fails).
+    The output directory is created after the settings (the grid size
+    among them) are checked and before the input is read, so one that
+    cannot be is reported before the work (an empty one is left when ingest
+    then fails).
     """
     pipeline_cfg = cfg.pipeline_config()
+    check_integer("grid size", cfg.grid_size, 2)  # Grid.uniform's check, before the mkdir
     out = _output_dir(cfg.output_dir)
     x = ingest(cfg.input, cfg.grid_size)
     result = analyze(x, pipeline_cfg)
@@ -474,9 +490,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_json(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise InvalidInputError(f"file not found: {path}")
     try:
         document = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:

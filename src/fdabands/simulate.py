@@ -130,8 +130,11 @@ class ScenarioSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "means", tuple(self.means))
-        object.__setattr__(self, "change_locations", tuple(self.change_locations))
+        for key in ("means", "change_locations"):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)):
+                raise InvalidInputError(f"scenario key {key!r} must be a list or tuple, got {value!r}")
+            object.__setattr__(self, key, tuple(value))
         check_integer("n", self.n, 1)
         check_integer("grid_size", self.grid_size, 2)
         check_integer("rng_seed", self.rng_seed, 0)

@@ -142,6 +142,12 @@ class TestCheckContainment:
         with pytest.raises(InvalidInputError):
             check_containment(bs, [np.zeros(4), np.zeros(3)])
 
+    def test_grid_mismatch(self):
+        bs, _ = self.band_set()
+        other = Grid(np.array([0.0, 0.3, 1.0]))
+        with pytest.raises(InvalidInputError, match="truth curve grid does not match the band grid"):
+            check_containment(bs, [Curve(np.zeros(3), other), np.full(3, 10.0)])
+
     def test_alpha_monotone_widths(self):
         # a band built from a larger quantile contains the smaller one
         fit, grid = make_fit([np.random.default_rng(3).normal(size=5)], [16])

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import inspect
 import json
 import re
 import tempfile
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdabands.cli as cli
-from fdabands import ScenarioSpec, __version__, generate
+from fdabands import PipelineConfig, ScenarioSpec, __version__, generate
 from fdabands.cli import RunConfig, _build_parser, ingest, main, read_bands
 from oracles import matrix_by_lines
 
@@ -180,6 +181,44 @@ class TestIngest:
         f = tmp_path / "data.csv"
         f.write_bytes(b"\xef\xbb\xbf" + text.encode())
         assert np.array_equal(ingest(f, grid_size=3).values, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the matrix layout's cell rule: a float() literal without
+            # underscores or non-ASCII text
+            ("cycle_id,phase,value\na,0,1_0\na,1,2\n", "row 2, column 3: cannot parse '1_0'"),
+            ("cycle_id,phase,value\na,0,\u0661\na,1,2\n", "row 2, column 3: cannot parse '\u0661'"),
+            ("cycle_id,phase,value\na,0,\uff11\na,1,2\n", "row 2, column 3: cannot parse '\uff11'"),
+            # every row has the header's width: a decimal comma in a comma
+            # file, and rows one cell short of a 4-column header
+            ("cycle_id,phase,value\na,0,1,5\na,1,2\n", "row 2 has 4 values, expected 3"),
+            ("cycle_id,phase,value,note\na,0,1\na,1,2\n", "row 2 has 3 values, expected 4"),
+            # a blank cycle_id is a missing value
+            ("cycle_id,phase,value\na,0,1\na,1,2\n ,0,1\n,1,2\n", "row 4, column 1: blank cycle_id"),
+        ],
+        ids=["underscore", "arabic_indic_digit", "fullwidth_digit", "decimal_comma",
+             "short_row", "blank_id"],
+    )
+    def test_long_layout_errors_name_the_cell(self, tmp_path, text, message):
+        f = tmp_path / "long.csv"
+        f.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            ingest(f, grid_size=3)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("cycle_id,t,y\na,0,1\na,1,2\n", "long layout needs columns cycle_id, phase, value"),
+            ("cycle_id,phase,value\na,0,1\na,1,2\nb,0.5,3\n", "cycle 'b' has fewer than 2 samples"),
+        ],
+        ids=["columns", "one_sample"],
+    )
+    def test_long_layout_refusals(self, tmp_path, text, message):
+        f = tmp_path / "long.csv"
+        f.write_text(text)
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            ingest(f, grid_size=3)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InvalidInputError, match="not found"):
@@ -474,6 +513,25 @@ class TestAnalyzeCommand:
             assert rc == 2
             assert message in capsys.readouterr().err
 
+    def test_missing_input_or_output_flag_is_exit_2(self, tmp_path, capsys):
+        data = jump_dataset(tmp_path)
+        assert main(["analyze", "--output-dir", str(tmp_path / "o")]) == 2
+        assert "no input file given" in capsys.readouterr().err
+        assert main(["analyze", "--input", str(data)]) == 2
+        assert "no output directory given" in capsys.readouterr().err
+
+    def test_config_that_is_not_json_is_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text("input = data.csv\n")
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        assert f"cannot parse {cfg}" in capsys.readouterr().err
+
+    def test_bad_grid_size_is_exit_2_before_the_output_dir_is_made(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        assert main(analyze_args(jump_dataset(tmp_path), out, "--grid-size", "1")) == 2
+        assert "grid size must be an integer >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_long_layout_header_only_is_exit_2(self, tmp_path, capsys):
         data = tmp_path / "long.csv"
         data.write_text("cycle_id,phase,value\n")
@@ -556,6 +614,12 @@ def test_every_flag_sets_a_run_config_field(command):
 def test_every_run_config_field_has_a_flag():
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     assert sorted(fields - flag_dests("analyze")) == []
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    # RunConfig restates the defaults of the configs it builds and of ingest
+    assert RunConfig(input="i", output_dir="o").pipeline_config() == PipelineConfig()
+    assert RunConfig.grid_size == inspect.signature(ingest).parameters["grid_size"].default
 
 
 class TestSeeds:

@@ -100,6 +100,20 @@ class TestSeriesPeak:
         assert "peak" not in repr(FunctionalTimeSeries(np.ones((4, 3)), Grid.uniform(3)))
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (np.zeros(3), "series values must be an (n, T) matrix"),
+        (np.zeros((0, 3)), "series needs at least one curve"),
+        (np.zeros((4, 2)), "series has 2 columns but grid has 3 points"),
+    ],
+    ids=["one_dimensional", "no_curves", "grid_mismatch"],
+)
+def test_series_shape_is_checked(values, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        FunctionalTimeSeries(values, Grid.uniform(3))
+
+
 class TestCurve:
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):

@@ -252,6 +252,12 @@ class TestRelevantSet:
         # one never does
         assert rel.indices == (0, 1)
 
+    def test_change_points_of_another_series_rejected(self):
+        x = two_jump_series((8.1, 2.0))
+        cps = ChangePointSet(indices=(40, 80), n=x.n + 1, threshold=1.0)
+        with pytest.raises(InvalidInputError, match="change point set was computed for a different series"):
+            relevant_set(x, cps, RelevantChangeConfig(delta=3.0))
+
     def test_auto_delta_zero_rejected(self):
         x = make_series(np.ones((60, 3)))
         cps = ChangePointSet(indices=(), n=60, threshold=1.0)
@@ -269,6 +275,10 @@ class TestConfigValidation:
     def test_bad_delta_rejected(self, value):
         with pytest.raises(InvalidInputError, match="delta"):
             RelevantChangeConfig(delta=value)
+
+    def test_unknown_relevant_method_rejected(self):
+        with pytest.raises(InvalidInputError, match="method must be 'plugin' or 'bootstrap'"):
+            RelevantChangeConfig(method="x")
 
     def test_numbers_and_auto_accepted(self):
         for value in ("auto", 2, 0.5, np.float64(3.0)):

@@ -62,6 +62,7 @@ class TestCurveValues:
             ("x", "not a number, an array or a dict"),
             (float("inf"), "non-finite"),
             ({"kind": "hat", "peak": 1.0, "center": 1.5}, "hat center must lie in"),
+            (Curve(np.zeros(5), Grid(np.array([0.0, 0.1, 0.5, 0.9, 1.0]))), "curve spec is on a different grid"),
         ):
             with pytest.raises(InvalidInputError, match=message):
                 curve_values(spec, g)
@@ -77,6 +78,23 @@ class TestScenarioSpec:
             ScenarioSpec(n=100, means=[0.0, 1.0, 2.0], change_locations=[0.7, 0.3])
         with pytest.raises(InvalidInputError):
             ScenarioSpec(n=100, means=[0.0, 1.0], change_locations=[1.0])
+
+    @pytest.mark.parametrize(
+        "kwargs, key",
+        [
+            ({"means": 5}, "means"),
+            ({"means": {"kind": "constant", "value": 1.0}}, "means"),
+            ({"means": [0.0, 1.0], "change_locations": 0.5}, "change_locations"),
+        ],
+        ids=["int_means", "dict_means", "float_change_locations"],
+    )
+    def test_sequence_keys_must_be_lists(self, kwargs, key):
+        with pytest.raises(InvalidInputError, match=f"^scenario key {key!r} must be a list or tuple, got "):
+            ScenarioSpec(n=100, **kwargs)
+
+    def test_unknown_error_process(self):
+        with pytest.raises(InvalidInputError, match="error_process must be one of"):
+            ScenarioSpec(n=100, error_process="arma")
 
     def test_ar_coefficient_bound(self):
         with pytest.raises(InvalidInputError):
