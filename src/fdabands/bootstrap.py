@@ -30,13 +30,6 @@ every block-sized array, and the pool only fills them: each share draws
 its blocks' normals into one (z, w) scratch pair of its own, z the normals
 and w their product with the factor, so the pool thread's heap never takes
 on, and keeps, a block.
-
-Segment 0's normals depend only on the seed, R and T, not on the data, and
-the first segment is always bootstrapped.  `draw_ahead` allocates its
-blocks and submits them to the pool before the analysis has its segments,
-so the pool fills them while the caller runs detection and the relevant
-filter; `run_bootstrap` then takes them instead of drawing them (one block
-in each share).
 """
 
 from __future__ import annotations
@@ -229,42 +222,22 @@ def _normals(seed: int, key: tuple, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def draw_ahead(seed: int, replications: int, width: int) -> list | None:
-    """Futures of segment 0's DRAW_BLOCKS blocks of quantile normals, the
-    (rows, width) draws of the substreams keyed (_QUANTILE, 0, b), submitted
-    to the draw pool; None where there is no pool.  The blocks are allocated
-    here and the pool only fills them.  The caller passes the futures to
-    `run_bootstrap` with the same seed, R and T, or cancels and waits for
-    them."""
-    pool = _executor()
-    if pool is None:
-        return None
-    bounds = _row_bounds(replications)
-    return [
-        pool.submit(_normals, seed, (_QUANTILE, 0, b), np.empty((hi - lo, width)))
-        for b, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-    ]
-
-
-def _fill_block(r: np.ndarray, seed: int, key: tuple, out: np.ndarray, ahead, scratch) -> None:
-    """sup_t |z @ r| into `out` for the block's normals z: the result of the
-    future `ahead` when the block was drawn ahead, else drawn here into the
+def _fill_block(r: np.ndarray, seed: int, key: tuple, out: np.ndarray, scratch) -> None:
+    """sup_t |z @ r| into `out` for the block's normals z, drawn into the
     first array of the (z, w) pair `scratch`; z @ r goes into w."""
     z, w = scratch
-    z = _normals(seed, key, z) if ahead is None else ahead.result()
-    np.matmul(z, r, out=w)
+    np.matmul(_normals(seed, key, z), r, out=w)
     np.abs(w, out=w).max(axis=1, out=out)
 
 
-def _draw_sups(factors, replications: int, seed: int, keys, ahead=None) -> np.ndarray:
+def _draw_sups(factors, replications: int, seed: int, keys) -> np.ndarray:
     """(len(factors), R) array whose row k holds sup_t |z @ factors[k]| for
     R draws z ~ N(0, I).  Rows [bounds[b], bounds[b + 1]) of row k, with
     bounds = _row_bounds(R), come from the substream of `seed` keyed
-    (*keys[k], b); `ahead`, if given, holds the futures of row 0's normal
-    blocks from those substreams.  The tasks are listed block-major, so
-    block b's tasks are share b of `_run_split`: each share holds one of row
-    0's blocks, and its tasks, which run one after another, share one (z, w)
-    scratch pair that this thread allocates and no other share touches."""
+    (*keys[k], b).  The tasks are listed block-major, so block b's tasks
+    are share b of `_run_split`: they run one after another and share one
+    (z, w) scratch pair that this thread allocates and no other share
+    touches."""
     out = np.empty((len(factors), replications))
     bounds = _row_bounds(replications)
     width = factors[0].shape[0]
@@ -272,7 +245,7 @@ def _draw_sups(factors, replications: int, seed: int, keys, ahead=None) -> np.nd
     for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         scratch = (np.empty((hi - lo, width)), np.empty((hi - lo, width)))
         tasks += [
-            (r, seed, (*key, b), out[k, lo:hi], ahead[b] if ahead and k == 0 else None, scratch)
+            (r, seed, (*key, b), out[k, lo:hi], scratch)
             for k, (r, key) in enumerate(zip(factors, keys))
         ]
     _run_split(_fill_block, tasks)
@@ -317,18 +290,13 @@ def run_bootstrap(
     segments,
     sigma2: Curve,
     cfg: BootstrapConfig,
-    *,
-    ahead: list | None = None,
 ) -> BootstrapResult:
     """R replicate statistics T* and their empirical (1 - alpha)-quantile.
 
     Segment k's replicates come from the DRAW_BLOCKS SFC64 substreams of
     cfg.rng_seed keyed by k.  The calling thread and the module's thread pool
     share the segments' square-root factors and the draws, so results are
-    bit-identical for a fixed seed whatever the number of workers.  `ahead`
-    holds the futures that `draw_ahead(cfg.rng_seed, cfg.replications, T)`
-    returned, if the caller drew segment 0's normals ahead; they give the
-    same normals as drawing them here, so the result is the same bits.
+    bit-identical for a fixed seed whatever the number of workers.
     """
     segments = list(segments)
     if not segments:
@@ -353,7 +321,7 @@ def run_bootstrap(
         _sqrt_factor, [(B[seg.start : seg.end], np.sqrt(seg.length) * sigma) for seg in segments]
     )
     keys = [(_QUANTILE, k) for k in range(len(segments))]
-    per_segment = _draw_sups(factors, R, cfg.rng_seed, keys, ahead)
+    per_segment = _draw_sups(factors, R, cfg.rng_seed, keys)
     stats = per_segment.max(axis=0)
     q = _empirical_quantile(stats, 1.0 - cfg.alpha)
 

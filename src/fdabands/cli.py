@@ -566,6 +566,7 @@ def _cmd_coverage(args) -> int:
     spec = ScenarioSpec.from_dict(_load_json(args.spec))
     # coverage reads no input file and writes no analysis tables
     cfg = _run_config(args, input="-", output_dir="-").pipeline_config()
+    check_integer("study replications", args.study_replications, 1)  # before the mkdir
     out = _output_dir(args.output_dir) if args.output_dir else None
     rows = run_coverage_study(spec, cfg, replications=args.study_replications).summary_rows()
     print(_key_values(rows), end="")

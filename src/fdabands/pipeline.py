@@ -8,11 +8,10 @@ pilot's and is empty otherwise."""
 
 from __future__ import annotations
 
-from concurrent.futures import wait
 from dataclasses import dataclass, field
 
 from .bands import ConfidenceBandSet, build_bands
-from .bootstrap import BootstrapConfig, BootstrapResult, draw_ahead, run_bootstrap
+from .bootstrap import BootstrapConfig, BootstrapResult, run_bootstrap
 from .core import FunctionalTimeSeries, check_float, check_integer, fit_segments
 from .lrv import LrvConfig, LrvEstimate, estimate_lrv
 from .segmentation import (
@@ -62,49 +61,34 @@ def analyze(x: FunctionalTimeSeries, cfg: PipelineConfig | None = None) -> Analy
     residuals and its default-config LRV through `pilot_out`; the LRV is
     estimated again only when there is no pilot or the analysis asks for
     another LrvConfig.
-
-    The first relevant segment is always segment 0, and its bootstrap normals
-    depend only on the seed, R and T: the draw pool (if there is one) draws
-    them while detection, the relevant filter and the LRV run here, and
-    `run_bootstrap` takes them over.  If anything raises first, the draws
-    are cancelled or waited for before the error leaves `analyze`.
     """
     cfg = cfg or PipelineConfig()
 
-    ahead = draw_ahead(cfg.rng_seed, cfg.replications, x.values.shape[1])
-    try:
-        pilot = []
-        cps = detect_change_points(x, cfg.segmentation, pilot_out=pilot)
-        if pilot:
-            fit, y, lrv_est = pilot
-        else:
-            fit = fit_segments(x, cps.segments)
-            y = fit.residuals(x)
-        rel = relevant_set(x, cps, cfg.relevant, fit=fit, residuals=y)
-        if not pilot or cfg.lrv != LrvConfig():
-            lrv_est = estimate_lrv(y, fit, cfg.lrv)
+    pilot = []
+    cps = detect_change_points(x, cfg.segmentation, pilot_out=pilot)
+    if pilot:
+        fit, y, lrv_est = pilot
+    else:
+        fit = fit_segments(x, cps.segments)
+        y = fit.residuals(x)
+    rel = relevant_set(x, cps, cfg.relevant, fit=fit, residuals=y)
+    if not pilot or cfg.lrv != LrvConfig():
+        lrv_est = estimate_lrv(y, fit, cfg.lrv)
 
-        # The bands use the (1 - alpha/2)-quantile of T*, not the (1 - alpha)-
-        # quantile: at moderate n the block bootstrap scale is biased low for
-        # short blocks, and the (1 - alpha)-quantile undercovers.
-        boot = run_bootstrap(
-            y,
-            [fit.segments[i] for i in rel.indices],
-            lrv_est.sigma2,
-            BootstrapConfig(
-                block_length=cfg.block_length,
-                replications=cfg.replications,
-                alpha=cfg.alpha / 2.0,
-                rng_seed=cfg.rng_seed,
-            ),
-            ahead=ahead,
-        )
-    finally:
-        # no draw outlives the call: after run_bootstrap all are done already
-        if ahead is not None:
-            for future in ahead:
-                future.cancel()
-            wait(ahead)
+    # The bands use the (1 - alpha/2)-quantile of T*, not the (1 - alpha)-
+    # quantile: at moderate n the block bootstrap scale is biased low for
+    # short blocks, and the (1 - alpha)-quantile undercovers.
+    boot = run_bootstrap(
+        y,
+        [fit.segments[i] for i in rel.indices],
+        lrv_est.sigma2,
+        BootstrapConfig(
+            block_length=cfg.block_length,
+            replications=cfg.replications,
+            alpha=cfg.alpha / 2.0,
+            rng_seed=cfg.rng_seed,
+        ),
+    )
 
     bands = build_bands(fit, rel.indices, lrv_est.sigma2, boot.quantile)
 

@@ -4,7 +4,7 @@ import os
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -479,7 +479,7 @@ class TestDrawBlocks:
         running, failed_on_main = [], []
         other_share_started = threading.Event()
 
-        def failing(r, seed, block_key, out, ahead, scratch):
+        def failing(r, seed, block_key, out, scratch):
             if block_key == key:
                 failed_on_main.append(on_main_thread())
                 # fail while the other share is drawing
@@ -488,7 +488,7 @@ class TestDrawBlocks:
             running.append(block_key)
             other_share_started.set()
             time.sleep(0.05)
-            fill(r, seed, block_key, out, ahead, scratch)
+            fill(r, seed, block_key, out, scratch)
             running.remove(block_key)
 
         pool = ThreadPoolExecutor(1)
@@ -526,89 +526,38 @@ class TestDrawBlocks:
 
 
 class TestDrawAhead:
-    """analyze has the pool draw segment 0's normals while it detects; the
-    bootstrap takes them over and returns the bits of drawing them itself."""
+    """analyze's bootstrap statistics are those of run_bootstrap run alone on
+    the same arguments, with any number of draw workers."""
 
     def test_analyze_matches_run_bootstrap_without_draw_ahead(self, monkeypatch):
         x = two_segment_series()
         cfg = PipelineConfig(replications=301, rng_seed=4, relevant=RelevantChangeConfig(delta=1.0, method="bootstrap"))
-        calls, taken = [], []
-        boot, fill = pipeline.run_bootstrap, bootstrap._fill_block
+        calls = []
+        boot = pipeline.run_bootstrap
 
         def record_call(*args, **kwargs):
             calls.append(args)
             return boot(*args, **kwargs)
 
-        def record_block(r, seed, key, out, ahead, scratch):
-            taken.append((key, ahead is not None))
-            fill(r, seed, key, out, ahead, scratch)
-
         monkeypatch.setattr(pipeline, "run_bootstrap", record_call)
-        monkeypatch.setattr(bootstrap, "_fill_block", record_block)
         results = []
         for workers in ("default", 1, 2, "inline"):
             pool = ThreadPoolExecutor(workers) if isinstance(workers, int) else None
             with monkeypatch.context() as m:
                 if workers != "default":
                     m.setattr(bootstrap, "_executor", lambda: pool)
-                threaded = bootstrap._executor() is not None
                 calls.clear()
-                taken.clear()
                 try:
                     stats = analyze(x, cfg).bootstrap.statistics.tobytes()
                     (args,) = calls
-                    drawn_ahead = sorted(key for key, ahead in taken if ahead)
-                    taken.clear()
                     alone = boot(*args).statistics.tobytes()
                 finally:
                     if pool is not None:
                         pool.shutdown()
             assert len(args[1]) == 2  # both segments relevant
-            assert drawn_ahead == ([(0, 0, b) for b in range(bootstrap.DRAW_BLOCKS)] if threaded else [])
-            assert not any(ahead for _, ahead in taken)
             assert stats == alone
             results.append(stats)
         assert results[1:] == results[:-1]
-
-    @pytest.mark.parametrize("case", ["too_short", "zero_delta"])
-    def test_failed_analyze_leaves_no_draw_behind(self, monkeypatch, case):
-        if case == "too_short":  # below 2 * min_segment_length = 40
-            bad = make_series(np.random.default_rng(35).normal(size=(30, 10)))
-        else:  # identical end windows: the auto delta is zero
-            values = np.random.default_rng(35).normal(size=(200, 10))
-            values[-10:] = values[:10]
-            bad = make_series(values)
-        x, cfg = two_segment_series(), PipelineConfig(replications=301, rng_seed=4)
-        pool = ThreadPoolExecutor(1)
-        monkeypatch.setattr(bootstrap, "_executor", lambda: pool)
-        normals, draw_ahead = bootstrap._normals, pipeline.draw_ahead
-        running, submitted = [], []
-
-        def slow_normals(*args):
-            running.append(args[1])
-            time.sleep(0.05)  # still drawing, or queued, when analyze fails
-            out = normals(*args)
-            running.remove(args[1])
-            return out
-
-        def record_draw_ahead(*args):
-            futures = draw_ahead(*args)
-            submitted.extend(futures)
-            return futures
-
-        try:
-            expected = analyze(x, cfg).bootstrap.statistics.tobytes()
-            with monkeypatch.context() as m:
-                m.setattr(bootstrap, "_normals", slow_normals)
-                m.setattr(pipeline, "draw_ahead", record_draw_ahead)
-                with pytest.raises(InvalidInputError):
-                    analyze(bad, cfg)
-            assert len(submitted) == bootstrap.DRAW_BLOCKS
-            assert all(future.done() for future in submitted)
-            assert not running
-            assert analyze(x, cfg).bootstrap.statistics.tobytes() == expected
-        finally:
-            pool.shutdown()
 
 
 class TestDrawBuffers:
@@ -619,8 +568,7 @@ class TestDrawBuffers:
     R, T = 2000, 100
     BLOCK_BYTES = R // 2 * T * 8
 
-    @pytest.mark.parametrize("drawn_ahead", [False, True], ids=["drawn_here", "drawn_ahead"])
-    def test_worker_share_allocates_less_than_a_block(self, monkeypatch, drawn_ahead):
+    def test_worker_share_allocates_less_than_a_block(self, monkeypatch):
         n = 300
         y = ResidualSeries(np.random.default_rng(36).normal(size=(n, self.T)), Grid.uniform(self.T))
         segs = segments_from_locations(n, [1 / 3, 2 / 3])
@@ -632,10 +580,9 @@ class TestDrawBuffers:
         worker_done = threading.Event()
         worker_peaks, written = [], []
 
-        def recording_fill(r, seed, key, out, ahead, scratch):
-            z = scratch[0] if ahead is None else ahead.result()
-            written.append((on_main_thread(), (out, z, scratch[1])))
-            fill(r, seed, key, out, ahead, scratch)
+        def recording_fill(r, seed, key, out, scratch):
+            written.append((on_main_thread(), (out, *scratch)))
+            fill(r, seed, key, out, scratch)
 
         def held_share(fn, share):
             if fn is not recording_fill:  # the square-root factors
@@ -655,8 +602,7 @@ class TestDrawBuffers:
         monkeypatch.setattr(bootstrap, "_run_share", held_share)
         tracemalloc.start()
         try:
-            ahead = bootstrap.draw_ahead(cfg.rng_seed, self.R, self.T) if drawn_ahead else None
-            stats = run_bootstrap(y, segs, unit_sigma2(y.grid), cfg, ahead=ahead).statistics.tobytes()
+            stats = run_bootstrap(y, segs, unit_sigma2(y.grid), cfg).statistics.tobytes()
         finally:
             tracemalloc.stop()
             pool.shutdown()
@@ -670,30 +616,6 @@ class TestDrawBuffers:
             for other_main, others in written:
                 if main != other_main:
                     assert not any(np.shares_memory(a, b) for a in arrays for b in others)
-
-    def test_draw_ahead_fills_blocks_the_caller_allocated(self, monkeypatch):
-        pool = ThreadPoolExecutor(1)
-        monkeypatch.setattr(bootstrap, "_executor", lambda: pool)
-        release = threading.Event()
-        tracemalloc.start()
-        try:
-            held = pool.submit(release.wait, 30)  # the worker draws nothing before this ends
-            ahead = bootstrap.draw_ahead(4, self.R, self.T)
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            release.set()
-            wait(ahead)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            release.set()
-            tracemalloc.stop()
-            pool.shutdown()
-        assert held.result()
-        assert peak < self.BLOCK_BYTES
-        bounds = bootstrap._row_bounds(self.R)
-        for b, future in enumerate(ahead):
-            whole = bootstrap._substream(4, (0, 0, b)).standard_normal((bounds[b + 1] - bounds[b], self.T))
-            assert future.result().tobytes() == whole.tobytes()
 
 
 def _draw_statistics():

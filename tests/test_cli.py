@@ -862,6 +862,16 @@ class TestCoverageCommand:
         assert err.startswith("error: 5 of 5 replications failed")
         assert "series length 30 is below 2 * min_segment_length = 40" in err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bad_study_replications_is_exit_2_before_the_output_dir_is_made(self, tmp_path, capsys, value):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"n": 80, "grid_size": 6}))
+        out = tmp_path / "never"
+        rc = main(["coverage", "--spec", str(spec_file), "--study-replications", value, "--output-dir", str(out)])
+        assert rc == 2
+        assert f"study replications must be an integer >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVersionCommand:
     def test_prints_version(self, capsys):
