@@ -27,6 +27,7 @@ from .core import (
     InvalidInputError,
     check_field_value,
     check_integer,
+    median,
 )
 from .lrv import LrvConfig
 from .pipeline import AnalysisResult, PipelineConfig, analyze
@@ -415,7 +416,7 @@ def write_diagnostics(path, result: AnalysisResult) -> None:
         "num_changes": result.change_points.m,
         "relevant_indices": ",".join(str(i) for i in result.relevant.indices),
         "sigma2_min": sigma2.min(),
-        "sigma2_median": np.median(sigma2),
+        "sigma2_median": median(sigma2),
         "sigma2_max": sigma2.max(),
     }
     Path(path).write_text(_key_values(sorted(entries.items())))

@@ -247,6 +247,21 @@ def sup_norm(c) -> float:
     return float(np.max(np.abs(vals)))
 
 
+def median(values) -> float:
+    """The median of the finite 1-D `values`, with np.median's exact bits.
+
+    np.median takes the mean of the one or two middle values of the sorted
+    array, and that mean sums from +0.0, so a -0.0 middle value reads +0.0.
+    Written out because numpy >= 2 imports numpy.ma on a process's first
+    np.median call, and the analysis builds no masked array.
+    """
+    v = np.sort(np.asarray(values, dtype=float))
+    mid = v.size // 2
+    if v.size % 2:
+        return float(0.0 + v[mid])
+    return float((0.0 + v[mid - 1] + v[mid]) / 2.0)
+
+
 def segments_from_indices(n: int, cuts) -> list:
     """Partition [0, n) at the integer change indices `cuts` (ascending):
     segments [cut_i, cut_{i+1}) with cut_0 = 0 and a final cut at n."""

@@ -77,6 +77,18 @@ def auto_bandwidth(n: int) -> int:
     return max(1, int(np.floor(n**0.25 + 1e-9)))
 
 
+def _boundary_rows(changes: np.ndarray, a: int, n: int) -> np.ndarray:
+    """Rows j < n - a whose lag-a partner j + a lies past a segment boundary,
+    where a boundary follows each row in `changes`: each row once, ascending.
+
+    These are np.unique's rows, sorted and deduplicated here because numpy
+    >= 2 imports numpy.ma on a process's first np.unique call.
+    """
+    j = np.sort(changes[:, None] - np.arange(a), axis=None)
+    j = j[(j >= 0) & (j < n - a)]
+    return j[np.diff(j, prepend=-1) != 0]  # the -1 keeps the first row
+
+
 def estimate_lrv(y: ResidualSeries, fit: SegmentFit, cfg: LrvConfig | None = None) -> LrvEstimate:
     """Lag-window long-run variance estimate from `y`, the residuals of `fit`.
 
@@ -107,9 +119,7 @@ def estimate_lrv(y: ResidualSeries, fit: SegmentFit, cfg: LrvConfig | None = Non
     total = float(kernel(0.0)) * np.einsum("ij,ij->j", e, e)
     for a in range(1, c + 1):
         main = np.einsum("ij,ij->j", e[: n - a], e[a:])
-        # rows j whose lag-a partner j + a lies past a segment boundary
-        j = np.unique(changes[:, None] - np.arange(a))
-        j = j[(j >= 0) & (j < n - a)]
+        j = _boundary_rows(changes, a, n)
         step = fit.means[k[j + a]] - fit.means[k[j]]
         plus = main + np.einsum("ij,ij->j", e[j], step)
         minus = main - np.einsum("ij,ij->j", e[j + a], step)

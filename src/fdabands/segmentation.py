@@ -44,6 +44,7 @@ from .core import (
     check_integer,
     check_positive_or_auto,
     fit_segments,
+    median,
     row_blocks,
     segments_from_indices,
     sup_norm,
@@ -204,13 +205,13 @@ def _auto_threshold(x: FunctionalTimeSeries, scan, max_changes: int) -> tuple:
     np.square(d, out=d)
     proxy = d.mean(axis=0) / 2.0
     del d  # not held through the pilot's fit and LRV
-    pilot_xi = max(XI_SCALE * float(np.median(np.sqrt(proxy))) * scale, floor)
+    pilot_xi = max(XI_SCALE * median(np.sqrt(proxy)) * scale, floor)
     pilot = _binary_segmentation(scan, n, pilot_xi, max_changes)
 
     fit = fit_segments(x, segments_from_indices(n, pilot))
     residuals = fit.residuals(x)
     lrv = estimate_lrv(residuals, fit)
-    sigma_bar = float(np.median(np.sqrt(lrv.sigma2.values)))
+    sigma_bar = median(np.sqrt(lrv.sigma2.values))
     return max(XI_SCALE * sigma_bar * scale, floor), pilot, (fit, residuals, lrv)
 
 

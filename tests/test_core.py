@@ -23,6 +23,7 @@ from fdabands import (
     segments_from_locations,
     sup_norm,
 )
+from fdabands.core import median
 from fdabands.segmentation import ChangePointSet
 
 
@@ -213,6 +214,40 @@ class TestSupNormProperties:
     def test_zero_iff_identical(self, a, b):
         assert (sup_norm(a - b) == 0.0) == bool(np.array_equal(a, b))
         assert sup_norm(a - a) == 0.0
+
+
+def float_bytes(value):
+    return np.float64(value).tobytes()
+
+
+class TestMedian:
+    """`median` returns np.median's bits, so compare float64 bytes: `==`
+    would take -0.0 for +0.0."""
+
+    def test_matches_np_median_for_sizes_1_to_64(self):
+        rng = np.random.default_rng(3)
+        for size in range(1, 65):
+            for values in (
+                rng.standard_normal(size),  # negative and positive values
+                rng.integers(-2, 3, size).astype(float),  # ties
+                rng.choice([-0.0, 0.0, -1.0], size),  # signed zeros in the middle
+            ):
+                assert float_bytes(median(values)) == float_bytes(np.median(values)), values
+
+    @pytest.mark.parametrize(
+        "values",
+        [[-0.0], [-0.0, -0.0], [-1.0, -0.0, 2.0], [-0.0, -0.0, 0.0, 3.0], [-2.0, -0.0, -0.0, -0.0]],
+    )
+    def test_negative_zero_middle_reads_positive_zero(self, values):
+        assert float_bytes(np.median(values)) == float_bytes(0.0)
+        assert float_bytes(median(values)) == float_bytes(0.0)
+
+    # bounded so that the middle pair's sum stays finite: np.median would
+    # warn on the overflow
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_np_median_on_finite_floats(self, values):
+        assert float_bytes(median(values)) == float_bytes(np.median(values))
 
 
 class TestSegmentProperties:

@@ -12,7 +12,8 @@ would make its per-layer metric read 0 without a failure; the last test
 keeps the set of missing targets from growing.
 
 Importing the package starts no thread: the bootstrap's draw pool starts on
-the first draw.
+the first draw.  And the analysis never imports numpy.ma, which numpy >= 2
+loads on the first np.median or np.unique call.
 """
 
 import ast
@@ -73,3 +74,42 @@ def test_import_starts_no_thread():
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "['MainThread']"
+
+
+# analyze with both relevant filters, the CLI pipeline with auto delta and
+# its writers, and a coverage study; prints whether numpy.ma was imported by
+# `import numpy` alone and by the end
+NO_MASKED_ARRAYS = """
+import sys
+from pathlib import Path
+
+import numpy
+
+print("numpy.ma" in sys.modules)
+from fdabands import PipelineConfig, RelevantChangeConfig, ScenarioSpec, analyze, generate, run_coverage_study
+from fdabands.cli import RunConfig, run_pipeline
+
+spec = ScenarioSpec(n=120, grid_size=20, means=[0.0, 4.0], change_locations=[0.5], rng_seed=3)
+x, _ = generate(spec)
+cfg = PipelineConfig(replications=200)
+analyze(x, cfg)
+analyze(x, PipelineConfig(replications=200, relevant=RelevantChangeConfig(method="bootstrap")))
+work = Path(sys.argv[1])
+(work / "x.csv").write_text("".join(",".join(map(repr, row)) + "\\n" for row in x.values.tolist()))
+run_pipeline(RunConfig(input=str(work / "x.csv"), output_dir=str(work / "out"), grid_size=20, replications=200))
+run_coverage_study(spec, cfg, replications=2)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_analysis_imports_no_numpy_ma(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    with_numpy, at_end = out.stdout.split()
+    if with_numpy == "True":
+        pytest.skip("this numpy imports numpy.ma with `import numpy`")
+    assert (tmp_path / "out" / "diagnostics.txt").is_file()
+    assert at_end == "False"

@@ -15,6 +15,7 @@ from fdabands import (
     segments_from_indices,
     segments_from_locations,
 )
+from fdabands.lrv import _boundary_rows
 from oracles import lag_covariance
 
 
@@ -118,6 +119,33 @@ class TestAutoBandwidth:
     def test_too_small(self):
         with pytest.raises(InvalidInputError):
             auto_bandwidth(3)
+
+
+def unique_boundary_rows(changes, a, n):
+    """The corrected rows as np.unique found them: every row within a - 1
+    before a boundary row, once each and ascending, cut to [0, n - a)."""
+    j = np.unique(changes[:, None] - np.arange(a))
+    return j[(j >= 0) & (j < n - a)]
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        [],  # one segment: no boundary
+        [0, 30],  # windows cut at row 0
+        [10, 48],  # a segment of one row at the end: windows cut at row n - 1 - a
+        [20, 22, 23, 24],  # segments shorter than the lag: windows overlap
+    ],
+    ids=["no_boundary", "reaches_row_0", "reaches_row_n_minus_1_minus_a", "overlapping"],
+)
+def test_boundary_rows_equal_np_unique(changes):
+    n = 50
+    changes = np.array(changes, dtype=int)
+    for a in range(1, 9):
+        rows = _boundary_rows(changes, a, n)
+        expected = unique_boundary_rows(changes, a, n)
+        assert rows.dtype == expected.dtype
+        assert rows.tolist() == expected.tolist()
 
 
 class TestEstimateLrv:
