@@ -17,27 +17,13 @@ tests/oracles.py.
 Every segment's (or pair's) R replicates are split into DRAW_BLOCKS row
 blocks, and each block is drawn from its own SFC64 substream, keyed by the
 seed, the purpose, the segment or pair and the block.  The calling thread
-runs one share of the blocks, and of the segments' square-root factors, and
-a thread pool of DRAW_BLOCKS - 1 workers runs the rest; the pool has no
-more workers than the CPUs this process may run on, less one, so with one
-CPU there is none and the caller runs everything.  The blocks are shared
-block-major: the pool's share holds block 0 of every segment, the caller's
-the last block of every segment.  numpy releases the interpreter lock while
-it factorizes, fills and multiplies the arrays, so the shares run in
-parallel, and since no block or factor depends on another, the replicates
-are bit-identical for any number of workers.  The calling thread allocates
-every block-sized array, and the pool only fills them: each share draws
-its blocks' normals into one (z, w) scratch pair of its own, z the normals
-and w their product with the factor, so the pool thread's heap never takes
-on, and keeps, a block.
+draws the blocks in turn into one (z, w) scratch pair, z the normals and w
+their product with the factor.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +41,7 @@ from .core import (
 # the bit generator of every draw, named in diagnostics.txt
 RNG_ALGORITHM = "sfc64"
 # row blocks per segment or pair, each from its own substream; the draws
-# depend on this number, never on the number of workers
+# depend on this number
 DRAW_BLOCKS = 2
 # the first spawn-key entry of each substream: SeedSequence pads short
 # entropy with zeros, so keys of one length plus a purpose never collide
@@ -146,66 +132,6 @@ def _sqrt_factor(mat: np.ndarray, scale=1.0) -> np.ndarray:
     return (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.T / scale
 
 
-# the draw pool, one per process, started by the first split on two or more CPUs
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool():
-    # a forked child inherits the executor but none of its worker threads,
-    # and the lock as it was, possibly held by a thread that is gone
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _executor() -> ThreadPoolExecutor | None:
-    """The draw pool of min(DRAW_BLOCKS, CPUs) - 1 workers beside the
-    calling thread, started on first use; None where one CPU is available."""
-    global _pool
-    workers = min(DRAW_BLOCKS, _cpu_count()) - 1
-    if workers < 1:
-        return None
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="fdabands-draw")
-        return _pool
-
-
-def _run_share(fn, share) -> list:
-    return [fn(*task) for task in share]
-
-
-def _run_split(fn, tasks) -> list:
-    """[fn(*task) for task in tasks], with the calling thread and the draw
-    pool sharing the work: the tasks are cut into DRAW_BLOCKS consecutive
-    shares, the caller runs the last one and the pool every other share that
-    is not empty, each as one pool task.  The caller waits for every share
-    before it returns or raises, so no task outlives the call; an exception
-    in a pool share is raised here, after the caller's own share."""
-    pool = _executor()
-    if pool is None:
-        return _run_share(fn, tasks)
-    cuts = [i * len(tasks) // DRAW_BLOCKS for i in range(DRAW_BLOCKS + 1)]
-    shares = [tasks[a:b] for a, b in zip(cuts, cuts[1:])]
-    futures = [pool.submit(_run_share, fn, share) for share in shares[:-1] if share]
-    try:
-        own = _run_share(fn, shares[-1])
-    finally:
-        wait(futures)
-    return [result for future in futures for result in future.result()] + own
-
-
 def _substream(seed: int, key: tuple) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
 
@@ -215,40 +141,22 @@ def _row_bounds(replications: int) -> list:
     return [b * replications // DRAW_BLOCKS for b in range(DRAW_BLOCKS + 1)]
 
 
-def _normals(seed: int, key: tuple, out: np.ndarray) -> np.ndarray:
-    """`out` filled with the standard normals of the substream keyed `key`,
-    the same bits as drawing an array of its shape."""
-    _substream(seed, key).standard_normal(out=out)
-    return out
-
-
-def _fill_block(r: np.ndarray, seed: int, key: tuple, out: np.ndarray, scratch) -> None:
-    """sup_t |z @ r| into `out` for the block's normals z, drawn into the
-    first array of the (z, w) pair `scratch`; z @ r goes into w."""
-    z, w = scratch
-    np.matmul(_normals(seed, key, z), r, out=w)
-    np.abs(w, out=w).max(axis=1, out=out)
-
-
 def _draw_sups(factors, replications: int, seed: int, keys) -> np.ndarray:
     """(len(factors), R) array whose row k holds sup_t |z @ factors[k]| for
     R draws z ~ N(0, I).  Rows [bounds[b], bounds[b + 1]) of row k, with
     bounds = _row_bounds(R), come from the substream of `seed` keyed
-    (*keys[k], b).  The tasks are listed block-major, so block b's tasks
-    are share b of `_run_split`: they run one after another and share one
-    (z, w) scratch pair that this thread allocates and no other share
-    touches."""
+    (*keys[k], b).  Each block's normals z, and z @ factors[k] in w, go into
+    the leading rows of one (z, w) scratch pair."""
     out = np.empty((len(factors), replications))
     bounds = _row_bounds(replications)
-    width = factors[0].shape[0]
-    tasks = []
-    for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        scratch = (np.empty((hi - lo, width)), np.empty((hi - lo, width)))
-        tasks += [
-            (r, seed, (*key, b), out[k, lo:hi], scratch)
-            for k, (r, key) in enumerate(zip(factors, keys))
-        ]
-    _run_split(_fill_block, tasks)
+    rows, width = -(-replications // DRAW_BLOCKS), factors[0].shape[0]
+    z_rows, w_rows = np.empty((rows, width)), np.empty((rows, width))
+    for k, (r, key) in enumerate(zip(factors, keys)):
+        for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            z, w = z_rows[: hi - lo], w_rows[: hi - lo]
+            _substream(seed, (*key, b)).standard_normal(out=z)
+            np.matmul(z, r, out=w)
+            np.abs(w, out=w).max(axis=1, out=out[k, lo:hi])
     return out
 
 
@@ -294,9 +202,7 @@ def run_bootstrap(
     """R replicate statistics T* and their empirical (1 - alpha)-quantile.
 
     Segment k's replicates come from the DRAW_BLOCKS SFC64 substreams of
-    cfg.rng_seed keyed by k.  The calling thread and the module's thread pool
-    share the segments' square-root factors and the draws, so results are
-    bit-identical for a fixed seed whatever the number of workers.
+    cfg.rng_seed keyed by k, so results are bit-identical for a fixed seed.
     """
     segments = list(segments)
     if not segments:
@@ -317,9 +223,7 @@ def run_bootstrap(
     # no relevant segment reads a block average past the last one's end
     B = _block_averages(y.values, L, max(seg.end for seg in segments))
     # nu @ block / (sqrt(n_i) * sigma) is sqrt(n_i) * mu_i* / sigma
-    factors = _run_split(
-        _sqrt_factor, [(B[seg.start : seg.end], np.sqrt(seg.length) * sigma) for seg in segments]
-    )
+    factors = [_sqrt_factor(B[seg.start : seg.end], np.sqrt(seg.length) * sigma) for seg in segments]
     keys = [(_QUANTILE, k) for k in range(len(segments))]
     per_segment = _draw_sups(factors, R, cfg.rng_seed, keys)
     stats = per_segment.max(axis=0)

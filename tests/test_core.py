@@ -193,6 +193,35 @@ class TestSegmentMean:
         assert y.values.flags["C_CONTIGUOUS"] and not y.values.flags["WRITEABLE"]
 
 
+class TestFitResiduals:
+    def test_noise_free_piecewise_constant(self):
+        vals = np.vstack([np.zeros((5, 3)), np.full((5, 3), 4.0)])
+        x = series_from(vals)
+        y = fit_segments(x, segments_from_locations(10, [0.5])).residuals(x)
+        assert np.array_equal(y.values, np.zeros((10, 3)))
+
+    def test_single_segment_mean_subtraction(self):
+        rng = np.random.default_rng(0)
+        noise = rng.normal(size=(8, 4))
+        x = series_from(2.5 + noise)
+        y = fit_segments(x, segments_from_locations(8, [])).residuals(x)
+        assert np.allclose(y.values, noise - noise.mean(axis=0), atol=1e-13)
+
+    def test_per_segment_means_vanish(self):
+        rng = np.random.default_rng(1)
+        x = series_from(rng.normal(size=(60, 5)) + 3.0)
+        segs = segments_from_locations(60, [0.4])
+        y = fit_segments(x, segs).residuals(x)
+        for seg in segs:
+            # independently recomputed per-segment residual means
+            assert np.max(np.abs(y.values[seg.start : seg.end].mean(axis=0))) < 1e-10
+
+    def test_uncovered_index_is_internal_error(self):
+        x = series_from(np.zeros((10, 2)))
+        with pytest.raises(InternalInvariantError):
+            fit_segments(x, [Segment(0, 5)])
+
+
 finite_curves = st.integers(0, 2**32 - 1).map(
     lambda seed: np.random.default_rng(seed).normal(scale=5.0, size=11)
 )
