@@ -17,13 +17,26 @@ tests/oracles.py.
 Every segment's (or pair's) R replicates are split into DRAW_BLOCKS row
 blocks, and each block is drawn from its own SFC64 substream, keyed by the
 seed, the purpose, the segment or pair and the block.  The calling thread
-draws the blocks in turn into one (z, w) scratch pair, z the normals and w
-their product with the factor.
+runs one share of the blocks, and of the segments' square-root factors, and
+the module's draw pool, one worker thread started on its first task, runs
+the rest; with one CPU the pool is not used and the caller runs everything.
+A forked child gets a new pool, since it inherits none of the worker
+threads.  The blocks are shared block-major: the pool draws block 0 of
+every segment, the caller the last block.  numpy releases the interpreter
+lock while it factorizes, fills and multiplies the arrays, so the shares run
+in parallel, and since no block or factor depends on another, the
+replicates are bit-identical for any number of workers.  Each share draws
+its blocks' normals z, and their product w with the factor, into the
+leading rows of one (z, w) scratch pair of its own, allocated by the
+calling thread, so the pool thread's heap never takes on, and keeps, a
+block.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +54,7 @@ from .core import (
 # the bit generator of every draw, named in diagnostics.txt
 RNG_ALGORITHM = "sfc64"
 # row blocks per segment or pair, each from its own substream; the draws
-# depend on this number
+# depend on this number, never on the number of workers
 DRAW_BLOCKS = 2
 # the first spawn-key entry of each substream: SeedSequence pads short
 # entropy with zeros, so keys of one length plus a purpose never collide
@@ -132,6 +145,56 @@ def _sqrt_factor(mat: np.ndarray, scale=1.0) -> np.ndarray:
     return (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.T / scale
 
 
+def _make_pool():
+    """Make the draw pool, one per process.  An executor starts its worker
+    on its first task, so this starts no thread.  A forked child makes its
+    own, as it inherits the executor but not its worker thread."""
+    global _pool
+    _pool = ThreadPoolExecutor(1, thread_name_prefix="fdabands-draw")
+
+
+_make_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_make_pool)
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _executor() -> ThreadPoolExecutor | None:
+    """The draw pool, one worker beside the calling thread; None where one
+    CPU is available."""
+    return _pool if _cpu_count() > 1 else None
+
+
+def _run_share(fn, share) -> list:
+    return [fn(*task) for task in share]
+
+
+def _run_split(pool, fn, tasks) -> list:
+    """[fn(*task) for task in tasks], with the calling thread and `pool`
+    sharing the work: the tasks are cut into DRAW_BLOCKS consecutive shares,
+    the caller runs the last one and the pool every other share that is not
+    empty, each as one pool task.  The caller waits for every share before
+    it returns or raises, so no task outlives the call; an exception in a
+    pool share is raised here, after the caller's own share.  With no pool
+    the caller runs every task."""
+    if pool is None:
+        return _run_share(fn, tasks)
+    cuts = [i * len(tasks) // DRAW_BLOCKS for i in range(DRAW_BLOCKS + 1)]
+    shares = [tasks[a:b] for a, b in zip(cuts, cuts[1:])]
+    futures = [pool.submit(_run_share, fn, share) for share in shares[:-1] if share]
+    try:
+        own = _run_share(fn, shares[-1])
+    finally:
+        wait(futures)
+    return [result for future in futures for result in future.result()] + own
+
+
 def _substream(seed: int, key: tuple) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
 
@@ -141,22 +204,37 @@ def _row_bounds(replications: int) -> list:
     return [b * replications // DRAW_BLOCKS for b in range(DRAW_BLOCKS + 1)]
 
 
-def _draw_sups(factors, replications: int, seed: int, keys) -> np.ndarray:
+def _fill_block(r: np.ndarray, seed: int, key: tuple, out: np.ndarray, scratch) -> None:
+    """sup_t |z @ r| into `out` for the block's normals z, drawn into the
+    leading rows of the first array of the (z, w) pair `scratch`; z @ r
+    goes into the leading rows of w."""
+    z, w = (rows[: len(out)] for rows in scratch)
+    _substream(seed, key).standard_normal(out=z)
+    np.matmul(z, r, out=w)
+    np.abs(w, out=w).max(axis=1, out=out)
+
+
+def _draw_sups(factors, replications: int, seed: int, keys, pool) -> np.ndarray:
     """(len(factors), R) array whose row k holds sup_t |z @ factors[k]| for
     R draws z ~ N(0, I).  Rows [bounds[b], bounds[b + 1]) of row k, with
     bounds = _row_bounds(R), come from the substream of `seed` keyed
-    (*keys[k], b).  Each block's normals z, and z @ factors[k] in w, go into
-    the leading rows of one (z, w) scratch pair."""
+    (*keys[k], b).  The tasks are listed block-major, so with a pool block
+    b's tasks are share b of `_run_split`, and each block has a (z, w)
+    scratch pair of ceil(R / DRAW_BLOCKS) rows that no other share touches;
+    with no pool every block is drawn into one pair."""
     out = np.empty((len(factors), replications))
     bounds = _row_bounds(replications)
     rows, width = -(-replications // DRAW_BLOCKS), factors[0].shape[0]
-    z_rows, w_rows = np.empty((rows, width)), np.empty((rows, width))
-    for k, (r, key) in enumerate(zip(factors, keys)):
-        for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            z, w = z_rows[: hi - lo], w_rows[: hi - lo]
-            _substream(seed, (*key, b)).standard_normal(out=z)
-            np.matmul(z, r, out=w)
-            np.abs(w, out=w).max(axis=1, out=out[k, lo:hi])
+    pairs = [
+        (np.empty((rows, width)), np.empty((rows, width)))
+        for _ in range(1 if pool is None else DRAW_BLOCKS)
+    ]
+    tasks = [
+        (r, seed, (*key, b), out[k, lo:hi], pairs[b % len(pairs)])
+        for b, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        for k, (r, key) in enumerate(zip(factors, keys))
+    ]
+    _run_split(pool, _fill_block, tasks)
     return out
 
 
@@ -189,7 +267,7 @@ def bootstrap_margin(
     L = auto_block_length(min(left.length, right.length))
     B = _block_averages(resid, L)
     diff = np.vstack([-B[: left.length] / left.length, B[left.length :] / right.length])
-    (draws,) = _draw_sups([_sqrt_factor(diff)], replications, seed, [(_MARGIN, pair)])
+    (draws,) = _draw_sups([_sqrt_factor(diff)], replications, seed, [(_MARGIN, pair)], _executor())
     return _empirical_quantile(draws, 1.0 - beta)
 
 
@@ -202,7 +280,9 @@ def run_bootstrap(
     """R replicate statistics T* and their empirical (1 - alpha)-quantile.
 
     Segment k's replicates come from the DRAW_BLOCKS SFC64 substreams of
-    cfg.rng_seed keyed by k, so results are bit-identical for a fixed seed.
+    cfg.rng_seed keyed by k.  The calling thread and the module's draw pool
+    share the segments' square-root factors and the draws, so results are
+    bit-identical for a fixed seed whatever the number of workers.
     """
     segments = list(segments)
     if not segments:
@@ -223,9 +303,12 @@ def run_bootstrap(
     # no relevant segment reads a block average past the last one's end
     B = _block_averages(y.values, L, max(seg.end for seg in segments))
     # nu @ block / (sqrt(n_i) * sigma) is sqrt(n_i) * mu_i* / sigma
-    factors = [_sqrt_factor(B[seg.start : seg.end], np.sqrt(seg.length) * sigma) for seg in segments]
+    pool = _executor()
+    factors = _run_split(
+        pool, _sqrt_factor, [(B[seg.start : seg.end], np.sqrt(seg.length) * sigma) for seg in segments]
+    )
     keys = [(_QUANTILE, k) for k in range(len(segments))]
-    per_segment = _draw_sups(factors, R, cfg.rng_seed, keys)
+    per_segment = _draw_sups(factors, R, cfg.rng_seed, keys, pool)
     stats = per_segment.max(axis=0)
     q = _empirical_quantile(stats, 1.0 - cfg.alpha)
 

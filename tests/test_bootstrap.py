@@ -1,5 +1,10 @@
 import dataclasses
+import multiprocessing
+import os
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,6 +31,7 @@ from fdabands import (
 )
 import fdabands.bootstrap as bootstrap
 import fdabands.core as core
+import fdabands.pipeline as pipeline
 from fdabands.bootstrap import _block_averages, _draw_sups, _sqrt_factor, bootstrap_margin
 from oracles import block_averages_by_index, bootstrap_segment_mean
 
@@ -317,7 +323,8 @@ class TestGaussianDraws:
         monkeypatch.setattr(bootstrap, "_sqrt_factor", recording)
         run_bootstrap(y, segs, unit_sigma2(y.grid), BootstrapConfig(block_length=L, replications=100))
         full = block_averages_by_index(y.values, L)
-        assert seen == [full[seg.start : seg.end].tobytes() for seg in segs]
+        # the caller and a pool worker may factorize in either order
+        assert sorted(seen) == sorted(full[seg.start : seg.end].tobytes() for seg in segs)
 
     @pytest.mark.parametrize(
         "left, right",
@@ -328,9 +335,9 @@ class TestGaussianDraws:
         resid = np.random.default_rng(32).normal(size=(70, 8))
         seen = []
 
-        def record(factors, replications, seed, keys):
+        def record(factors, replications, seed, keys, pool):
             seen.extend(factors)
-            return _draw_sups(factors, replications, seed, keys)
+            return _draw_sups(factors, replications, seed, keys, pool)
 
         monkeypatch.setattr(bootstrap, "_draw_sups", record)
         bootstrap_margin(resid, left, right, 0.1, 50, 0, 1)
@@ -350,33 +357,144 @@ def substream_sups(r, replications, seed, key):
     return np.concatenate(rows)
 
 
+def _in_child(queue, one_cpu, target):
+    if one_cpu:
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    queue.put(target())
+
+
+def run_in_forked_child(target, one_cpu):
+    """target() run in a forked child, on one CPU if `one_cpu`."""
+    if one_cpu and not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no sched_setaffinity")
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_in_child, args=(queue, one_cpu, target))
+    child.start()
+    try:
+        result = queue.get(timeout=60)
+        child.join(timeout=30)
+        assert not child.is_alive()
+    finally:
+        child.kill()
+    return result
+
+
+def on_main_thread():
+    return threading.current_thread() is threading.main_thread()
+
+
 class TestDrawBlocks:
-    """Each (segment or pair, row block) has its own substream, and every
-    block is drawn into the leading rows of one (z, w) scratch pair."""
+    """Each (segment or pair, row block) has its own substream, so the draws
+    do not depend on which thread runs a block, or on how many there are."""
 
     def test_blocks_come_from_their_substreams(self):
         rng = np.random.default_rng(33)
         factors = [rng.normal(size=(5, 5)), rng.normal(size=(5, 5))]
         keys = [(0, 0), (1, 3)]
-        out = _draw_sups(factors, 101, 9, keys)
+        out = _draw_sups(factors, 101, 9, keys, None)
         assert out.shape == (2, 101)
         for r, key, row in zip(factors, keys, out):
             assert np.array_equal(row, substream_sups(r, 101, 9, key))
 
-    def test_draws_hold_one_scratch_pair(self):
+    def test_results_independent_of_worker_count(self, monkeypatch):
+        # inline the caller runs every factor and block; with a pool it runs
+        # one share of run_bootstrap's two factors and of every call's
+        # blocks, and a pool worker runs the other
+        _, segs, y, sigma2 = residuals_fixture()
+        cfg = BootstrapConfig(replications=301, rng_seed=4)
+        blocks_on_main, factors_on_main = [], []
+        fill, factor = bootstrap._fill_block, bootstrap._sqrt_factor
+
+        def record_block(*args):
+            blocks_on_main.append(on_main_thread())
+            fill(*args)
+
+        def record_factor(*args):
+            factors_on_main.append(on_main_thread())
+            return factor(*args)
+
+        monkeypatch.setattr(bootstrap, "_fill_block", record_block)
+        results = []
+        for workers in ("default", 1, 2, "inline"):
+            pool = ThreadPoolExecutor(workers) if isinstance(workers, int) else None
+            if workers != "default":
+                monkeypatch.setattr(bootstrap, "_executor", lambda: pool)
+            threaded = bootstrap._executor() is not None
+            blocks_on_main.clear()
+            factors_on_main.clear()
+            try:
+                with monkeypatch.context() as m:
+                    m.setattr(bootstrap, "_sqrt_factor", record_factor)
+                    res = run_bootstrap(y, segs, sigma2, cfg)
+                margin = bootstrap_margin(y.values, segs[0], segs[1], 0.1, 301, 4, 1)
+            finally:
+                if pool is not None:
+                    pool.shutdown()
+            assert len(blocks_on_main) == 3 * bootstrap.DRAW_BLOCKS
+            assert len(factors_on_main) == len(segs)
+            shared = {True, False} if threaded else {True}
+            assert set(blocks_on_main) == set(factors_on_main) == shared
+            results.append((res.statistics.tobytes(), margin))
+        assert results[1:] == results[:-1]
+
+    @pytest.mark.parametrize("key", [(0, 0, 1), (0, 0, 0)], ids=["caller", "worker"])
+    def test_failed_block_is_raised_after_every_share_ends(self, monkeypatch, key):
+        # the shares are block-major: every segment's block 1 is the caller's
+        # share and every segment's block 0 the worker's
+        _, segs, y, sigma2 = residuals_fixture()
+        cfg = BootstrapConfig(replications=301, rng_seed=4)
+        expected = run_bootstrap(y, segs, sigma2, cfg).statistics.tobytes()
+        fill = bootstrap._fill_block
+        running, failed_on_main = [], []
+        other_share_started = threading.Event()
+
+        def failing(r, seed, block_key, out, scratch):
+            if block_key == key:
+                failed_on_main.append(on_main_thread())
+                # fail while the other share is drawing
+                assert other_share_started.wait(timeout=10)
+                raise RuntimeError("block failed")
+            running.append(block_key)
+            other_share_started.set()
+            time.sleep(0.05)
+            fill(r, seed, block_key, out, scratch)
+            running.remove(block_key)
+
+        pool = ThreadPoolExecutor(1)
+        monkeypatch.setattr(bootstrap, "_executor", lambda: pool)
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(bootstrap, "_fill_block", failing)
+                with pytest.raises(RuntimeError, match="block failed"):
+                    run_bootstrap(y, segs, sigma2, cfg)
+            assert failed_on_main == [key[2] == 1]
+            assert not running  # no block still writes into the discarded array
+            assert run_bootstrap(y, segs, sigma2, cfg).statistics.tobytes() == expected
+        finally:
+            pool.shutdown()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_draws_hold_one_scratch_pair_per_share(self, monkeypatch, cpus):
         # 3 factors at R = 2000, T = 100: one (z, w) pair of 1000-row blocks
-        # is 1.6 MB, and a pair per block would be twice that
+        # is 1.6 MB; on one CPU every block is drawn into one pair, on two
+        # each share has its own
         R, T = 2000, 100
         pair_bytes = 2 * (R // bootstrap.DRAW_BLOCKS) * T * 8
+        shares = min(bootstrap.DRAW_BLOCKS, cpus)
         rng = np.random.default_rng(36)
         factors = [rng.normal(size=(T, T)) for _ in range(3)]
+        keys = [(0, k) for k in range(3)]
+        monkeypatch.setattr(bootstrap, "_cpu_count", lambda: cpus)
+        expected = np.vstack([substream_sups(r, R, 4, key) for r, key in zip(factors, keys)])
         tracemalloc.start()
         try:
-            out = _draw_sups(factors, R, 4, [(0, k) for k in range(3)])
+            out = _draw_sups(factors, R, 4, keys, bootstrap._executor())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - out.nbytes < 1.5 * pair_bytes
+        assert np.array_equal(out, expected)
+        assert peak - out.nbytes < (shares + 0.5) * pair_bytes
 
     def test_substream_keys_are_distinct_in_one_analyze(self, monkeypatch):
         # Both configs' seeds default to 0, and SeedSequence pads short
@@ -397,6 +515,135 @@ class TestDrawBlocks:
         keys = [key for key, _ in seen]
         assert {(0, 1, 0), (1, 1, 0)} <= set(keys)
         assert len(set(keys)) == len(keys) == len({state for _, state in seen})
+
+
+class TestDrawAhead:
+    """analyze's bootstrap statistics are those of run_bootstrap run alone on
+    the same arguments, with any number of draw workers."""
+
+    def test_analyze_matches_run_bootstrap_without_draw_ahead(self, monkeypatch):
+        x = two_segment_series()
+        cfg = PipelineConfig(replications=301, rng_seed=4, relevant=RelevantChangeConfig(delta=1.0, method="bootstrap"))
+        calls = []
+        boot = pipeline.run_bootstrap
+
+        def record_call(*args, **kwargs):
+            calls.append(args)
+            return boot(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_bootstrap", record_call)
+        results = []
+        for workers in ("default", 1, 2, "inline"):
+            pool = ThreadPoolExecutor(workers) if isinstance(workers, int) else None
+            with monkeypatch.context() as m:
+                if workers != "default":
+                    m.setattr(bootstrap, "_executor", lambda: pool)
+                calls.clear()
+                try:
+                    stats = analyze(x, cfg).bootstrap.statistics.tobytes()
+                    (args,) = calls
+                    alone = boot(*args).statistics.tobytes()
+                finally:
+                    if pool is not None:
+                        pool.shutdown()
+            assert len(args[1]) == 2  # both segments relevant
+            assert stats == alone
+            results.append(stats)
+        assert results[1:] == results[:-1]
+
+
+class TestDrawBuffers:
+    """The calling thread allocates every block-sized array of the draws and
+    the pool's thread only fills them, so no block is ever allocated, and
+    cached, by the pool thread's heap."""
+
+    R, T = 2000, 100
+    BLOCK_BYTES = R // 2 * T * 8
+
+    def test_worker_share_allocates_less_than_a_block(self, monkeypatch):
+        n = 300
+        y = ResidualSeries(np.random.default_rng(36).normal(size=(n, self.T)), Grid.uniform(self.T))
+        segs = segments_from_locations(n, [1 / 3, 2 / 3])
+        cfg = BootstrapConfig(replications=self.R, rng_seed=4)
+        expected = run_bootstrap(y, segs, unit_sigma2(y.grid), cfg).statistics.tobytes()
+        pool = ThreadPoolExecutor(1)
+        monkeypatch.setattr(bootstrap, "_executor", lambda: pool)
+        run_share, fill = bootstrap._run_share, bootstrap._fill_block
+        worker_done = threading.Event()
+        worker_peaks, written = [], []
+
+        def recording_fill(r, seed, key, out, scratch):
+            written.append((on_main_thread(), (out, *scratch)))
+            fill(r, seed, key, out, scratch)
+
+        def held_share(fn, share):
+            if fn is not recording_fill:  # the square-root factors
+                return run_share(fn, share)
+            if on_main_thread():  # the caller's draws wait for the worker's
+                assert worker_done.wait(timeout=30)
+                return run_share(fn, share)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            try:
+                return run_share(fn, share)
+            finally:
+                worker_peaks.append(tracemalloc.get_traced_memory()[1] - start)
+                worker_done.set()
+
+        monkeypatch.setattr(bootstrap, "_fill_block", recording_fill)
+        monkeypatch.setattr(bootstrap, "_run_share", held_share)
+        tracemalloc.start()
+        try:
+            stats = run_bootstrap(y, segs, unit_sigma2(y.grid), cfg).statistics.tobytes()
+        finally:
+            tracemalloc.stop()
+            pool.shutdown()
+        assert stats == expected
+        assert len(worker_peaks) == 1 and worker_peaks[0] < self.BLOCK_BYTES
+        assert len(written) == bootstrap.DRAW_BLOCKS * len(segs)
+        assert {main for main, _ in written} == {True, False}
+        # tasks of different shares run at the same time: they write into
+        # no common array
+        for main, arrays in written:
+            for other_main, others in written:
+                if main != other_main:
+                    assert not any(np.shares_memory(a, b) for a in arrays for b in others)
+
+
+def _draw_statistics():
+    _, segs, y, sigma2 = residuals_fixture()
+    res = run_bootstrap(y, segs, sigma2, BootstrapConfig(replications=300, rng_seed=2))
+    return res.statistics.tobytes(), bootstrap._executor() is None
+
+
+def _draw_threads_after_analyze():
+    cfg = PipelineConfig(replications=300, relevant=RelevantChangeConfig(delta=1.0, method="bootstrap"))
+    analyze(two_segment_series(), cfg)  # a quantile and a margin on the pool
+    threads = [t for t in threading.enumerate() if t.name.startswith("fdabands-draw")]
+    return len(threads), bootstrap._cpu_count()
+
+
+fork_only = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+cpus = pytest.mark.parametrize("one_cpu", [False, True], ids=["all_cpus", "one_cpu"])
+
+
+@fork_only
+@cpus
+def test_forked_child_draws_on_its_own_pool(one_cpu):
+    # the child inherits the parent's pool object but none of its threads;
+    # drawing on it would wait forever
+    expected = _draw_statistics()[0]
+    stats, inline = run_in_forked_child(_draw_statistics, one_cpu)
+    assert stats == expected
+    assert inline == (one_cpu or bootstrap._cpu_count() < 2)
+
+
+@fork_only
+@cpus
+def test_draw_pool_threads_leave_a_cpu_to_the_caller(one_cpu):
+    threads, cpu_count = run_in_forked_child(_draw_threads_after_analyze, one_cpu)
+    assert threads <= min(bootstrap.DRAW_BLOCKS, cpu_count) - 1
+    assert cpu_count > 1 or threads == 0
 
 
 def ar1_fixture(n=120, grid_size=6, rho=0.5, seed=41):

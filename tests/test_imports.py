@@ -11,10 +11,9 @@ The tracer skips a target whose name is gone, so a renamed or moved call
 would make its per-layer metric read 0 without a failure; the last test
 keeps the set of missing targets from growing.
 
-Neither importing the package nor an analysis or a coverage study starts a
-thread: the bootstrap draws on the calling thread.  And the analysis never
-imports numpy.ma, which numpy >= 2 loads on the first np.median or np.unique
-call.
+Importing the package starts no thread: the bootstrap's draw pool starts on
+the first draw.  And the analysis never imports numpy.ma, which numpy >= 2
+loads on the first np.median or np.unique call.
 """
 
 import ast
@@ -70,30 +69,11 @@ def test_trace_targets_exist(monkeypatch):
     assert set(spans.Tracer().missing) <= STALE_TRACE_TARGETS
 
 
-# the thread names after `import fdabands`, then after analyze with the
-# bootstrap relevant filter and a coverage study
-NO_THREADS = """
-import threading
-
-import fdabands
-
-print([t.name for t in threading.enumerate()])
-from fdabands import PipelineConfig, RelevantChangeConfig, ScenarioSpec, analyze, generate, run_coverage_study
-
-spec = ScenarioSpec(n=120, grid_size=20, means=[0.0, 4.0], change_locations=[0.5], rng_seed=3)
-x, _ = generate(spec)
-analyze(x, PipelineConfig(replications=200, relevant=RelevantChangeConfig(method="bootstrap")))
-run_coverage_study(spec, PipelineConfig(replications=200), replications=2)
-print([t.name for t in threading.enumerate()])
-"""
-
-
 def test_import_starts_no_thread():
+    code = "import threading, fdabands; print([t.name for t in threading.enumerate()])"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    out = subprocess.run(
-        [sys.executable, "-c", NO_THREADS], env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    assert out.stdout.splitlines() == ["['MainThread']"] * 2
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "['MainThread']"
 
 
 # analyze with both relevant filters, the CLI pipeline with auto delta and
