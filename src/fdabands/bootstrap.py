@@ -6,7 +6,9 @@ segment i's sqrt(n_i) * mu_i* / sigma_hat is then exactly N(0, M_i^T M_i) for
 its scaled block matrix M_i = B_i / (sqrt(n_i) * sigma_hat), independently
 across segments, and is drawn as z @ r with z ~ N(0, I) and r the symmetric
 square root of B_i^T B_i with its columns divided by sqrt(n_i) * sigma_hat:
-no (R, n) multiplier matrix.  The empirical (1 - alpha)-quantile of the
+no (R, n) multiplier matrix.  Nor is B an (n, T) matrix: `_block_averages`
+forms it a row block at a time, and each segment's Gram matrix B_i^T B_i is
+summed over those blocks.  The empirical (1 - alpha)-quantile of the
 replicates of T* = max_i sqrt(n_i) * sup_t |mu_i*(t) / sigma_hat(t)|
 calibrates the bands.
 `bootstrap_margin` draws the relevant filter's jump-estimate fluctuation
@@ -26,8 +28,9 @@ every segment, the caller the last block.  numpy releases the interpreter
 lock while it factorizes, fills and multiplies the arrays, so the shares run
 in parallel, and since no block or factor depends on another, the
 replicates are bit-identical for any number of workers.  Each share draws
-its blocks' normals z, and their product w with the factor, into the
-leading rows of one (z, w) scratch pair of its own, allocated by the
+its blocks in chunks of `core.row_blocks` rows: a chunk's normals z, and
+their product w with the factor, go into the leading rows of one (z, w)
+scratch pair of one chunk's size, the share's own, allocated by the
 calling thread, so the pool thread's heap never takes on, and keeps, a
 block.
 """
@@ -91,15 +94,16 @@ def auto_block_length(n_min: int) -> int:
     return min(n_min, max(1, int(np.floor(np.cbrt(n_min) + 1e-9))))
 
 
-def _block_averages(y_values: np.ndarray, L: int, stop: int | None = None) -> np.ndarray:
-    """B_j = len_j^(-1/2) * sum_{l<L} Y_{j+l} for j < stop (default n),
-    truncated at the series end.
+def _block_averages(y_values: np.ndarray, L: int, stop: int | None = None):
+    """Yield (a, B[a:b]) over consecutive row blocks of the block averages
+    B_j = len_j^(-1/2) * sum_{l<L} Y_{j+l}, j < stop (default n), truncated
+    at the series end; each block is overwritten by the next.
 
     Blocks that would run past the last index use the available indices only
     and rescale by the square root of the actual block length.  B_j is
     P_{j+len_j} - P_j for the prefix sums P_i = sum_{l<i} Y_l, formed in row
-    blocks of about `core._BLOCK_ENTRIES` entries instead of one (n + 1, T)
-    array: a window holds the P rows that one block of B reads, and each
+    blocks of about `core._BLOCK_ENTRIES` entries, so no (n, T) array is
+    formed: a window holds the P rows that one block of B reads, and each
     block's running sums carry the previous block's last prefix sum in as
     their first row, so every P_i is P_{i-1} + Y_{i-1} in the same order as
     one cumsum over the whole series.  Y is read up to row stop + L - 2
@@ -108,8 +112,8 @@ def _block_averages(y_values: np.ndarray, L: int, stop: int | None = None) -> np
     n, width = y_values.shape
     stop = n if stop is None else stop
     full = n + 1 - L  # blocks j < full hold L indices, block j >= full holds n - j
-    out = np.empty((stop, width))
     blocks = row_blocks(min(stop, full), width)
+    out = np.empty((blocks[0][1], width))
     window = np.empty((blocks[0][1] + L, width))  # P_{a + i} in row i for block [a, b)
     window[0] = 0.0
     np.cumsum(y_values[: blocks[0][1] + L - 1], axis=0, out=window[1 : blocks[0][1] + L])
@@ -120,28 +124,44 @@ def _block_averages(y_values: np.ndarray, L: int, stop: int | None = None) -> np
             window[:L] = window[a - last : a - last + L]
             window[L : b - a + L] = y_values[a + L - 1 : b + L - 1]
             np.cumsum(window[L - 1 : b - a + L], axis=0, out=window[L - 1 : b - a + L])
-        np.subtract(window[L : b - a + L], window[: b - a], out=out[a:b])
-        out[a:b] /= np.sqrt(L)
+        block = np.subtract(window[L : b - a + L], window[: b - a], out=out[: b - a])
+        block /= np.sqrt(L)
         last = a
+        yield a, block
     if stop > full:  # the window ends at P_n
-        np.subtract(window[n - last], window[full - last : stop - last], out=out[full:])
-        out[full:] /= np.sqrt(n - np.arange(full, stop))[:, None]  # len_j = n - j
-    return out
+        tail = np.subtract(window[n - last], window[full - last : stop - last])
+        tail /= np.sqrt(n - np.arange(full, stop))[:, None]  # len_j = n - j
+        yield full, tail
 
 
-def _sqrt_factor(mat: np.ndarray, scale=1.0) -> np.ndarray:
-    """r with r^T r = M^T M for M = mat / scale (columns divided by a
-    positive `scale`): with S the symmetric square root of mat^T mat,
-    r = S / scale, also when mat is rank-deficient or zero.  z @ r for
-    standard normal z then has the law of nu @ M for standard normal nu.
+def _segment_grams(y_values: np.ndarray, L: int, segments) -> np.ndarray:
+    """(k, T, T) array whose entry i is B_i^T B_i for the block averages
+    B_i = B[seg.start : seg.end] of segments[i], summed over the row blocks
+    of `_block_averages`, split at the segments' edges, so no (n, T) block
+    matrix is formed.  B is formed up to the last segment's end only."""
+    grams = np.zeros((len(segments), y_values.shape[1], y_values.shape[1]))
+    for a, block in _block_averages(y_values, L, max(seg.end for seg in segments)):
+        for gram, seg in zip(grams, segments):
+            part = block[max(seg.start - a, 0) : max(seg.end - a, 0)]
+            if len(part):
+                gram += part.T @ part
+    return grams
 
-    S is continuous in mat: a change of eps in mat^T mat moves S by at most
+
+def _sqrt_factor(gram: np.ndarray, scale=1.0) -> np.ndarray:
+    """r with r^T r = M^T M for M = B / scale (columns divided by a
+    positive `scale`), given the Gram matrix gram = B^T B: with S the
+    symmetric square root of gram, r = S / scale, also when B is
+    rank-deficient or zero.  z @ r for standard normal z then has the law
+    of nu @ M for standard normal nu.
+
+    S is continuous in B: a change of eps in B^T B moves S by at most
     about sqrt(eps), where a QR factor of a block matrix of low numerical rank
     turns by far more.  For the same reason the columns of S are scaled
-    rather than those of mat: a last-bit change in sigma_hat then only
+    rather than those of B: a last-bit change in sigma_hat then only
     rescales the draws.
     """
-    lam, v = np.linalg.eigh(mat.T @ mat)
+    lam, v = np.linalg.eigh(gram)
     return (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.T / scale
 
 
@@ -205,13 +225,16 @@ def _row_bounds(replications: int) -> list:
 
 
 def _fill_block(r: np.ndarray, seed: int, key: tuple, out: np.ndarray, scratch) -> None:
-    """sup_t |z @ r| into `out` for the block's normals z, drawn into the
-    leading rows of the first array of the (z, w) pair `scratch`; z @ r
-    goes into the leading rows of w."""
-    z, w = (rows[: len(out)] for rows in scratch)
-    _substream(seed, key).standard_normal(out=z)
-    np.matmul(z, r, out=w)
-    np.abs(w, out=w).max(axis=1, out=out)
+    """sup_t |z @ r| into `out` for the block's normals z, drawn in chunks of
+    `core.row_blocks` rows: a chunk's normals go into the leading rows of the
+    first array of the (z, w) pair `scratch`, and their product with r into
+    the leading rows of w."""
+    rng = _substream(seed, key)
+    for a, b in row_blocks(len(out), r.shape[0]):
+        z, w = (rows[: b - a] for rows in scratch)
+        rng.standard_normal(out=z)
+        np.matmul(z, r, out=w)
+        np.abs(w, out=w).max(axis=1, out=out[a:b])
 
 
 def _draw_sups(factors, replications: int, seed: int, keys, pool) -> np.ndarray:
@@ -220,11 +243,12 @@ def _draw_sups(factors, replications: int, seed: int, keys, pool) -> np.ndarray:
     bounds = _row_bounds(R), come from the substream of `seed` keyed
     (*keys[k], b).  The tasks are listed block-major, so with a pool block
     b's tasks are share b of `_run_split`, and each block has a (z, w)
-    scratch pair of ceil(R / DRAW_BLOCKS) rows that no other share touches;
+    scratch pair of one draw chunk's rows that no other share touches;
     with no pool every block is drawn into one pair."""
     out = np.empty((len(factors), replications))
     bounds = _row_bounds(replications)
-    rows, width = -(-replications // DRAW_BLOCKS), factors[0].shape[0]
+    width = factors[0].shape[0]
+    rows = row_blocks(-(-replications // DRAW_BLOCKS), width)[0][1]  # the longest chunk
     pairs = [
         (np.empty((rows, width)), np.empty((rows, width)))
         for _ in range(1 if pool is None else DRAW_BLOCKS)
@@ -265,9 +289,11 @@ def bootstrap_margin(
     """
     resid = residuals[left.start : right.end]
     L = auto_block_length(min(left.length, right.length))
-    B = _block_averages(resid, L)
-    diff = np.vstack([-B[: left.length] / left.length, B[left.length :] / right.length])
-    (draws,) = _draw_sups([_sqrt_factor(diff)], replications, seed, [(_MARGIN, pair)], _executor())
+    halves = [Segment(0, left.length), Segment(left.length, len(resid))]
+    g_left, g_right = _segment_grams(resid, L, halves)
+    # the Gram matrix of [-B_left / n_left; B_right / n_right]
+    gram = g_left / left.length**2 + g_right / right.length**2
+    (draws,) = _draw_sups([_sqrt_factor(gram)], replications, seed, [(_MARGIN, pair)], _executor())
     return _empirical_quantile(draws, 1.0 - beta)
 
 
@@ -300,12 +326,11 @@ def run_bootstrap(
         raise InvalidInputError("sigma^2 must be floored strictly positive")
     sigma = np.sqrt(sigma2.values)
 
-    # no relevant segment reads a block average past the last one's end
-    B = _block_averages(y.values, L, max(seg.end for seg in segments))
-    # nu @ block / (sqrt(n_i) * sigma) is sqrt(n_i) * mu_i* / sigma
+    grams = _segment_grams(y.values, L, segments)
+    # nu @ B_i / (sqrt(n_i) * sigma) is sqrt(n_i) * mu_i* / sigma
     pool = _executor()
     factors = _run_split(
-        pool, _sqrt_factor, [(B[seg.start : seg.end], np.sqrt(seg.length) * sigma) for seg in segments]
+        pool, _sqrt_factor, [(gram, np.sqrt(seg.length) * sigma) for gram, seg in zip(grams, segments)]
     )
     keys = [(_QUANTILE, k) for k in range(len(segments))]
     per_segment = _draw_sups(factors, R, cfg.rng_seed, keys, pool)

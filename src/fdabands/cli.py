@@ -28,6 +28,7 @@ from .core import (
     check_field_value,
     check_integer,
     median,
+    row_blocks,
 )
 from .lrv import LrvConfig
 from .pipeline import AnalysisResult, PipelineConfig, analyze
@@ -295,6 +296,12 @@ def _resample(values: np.ndarray, t: np.ndarray) -> np.ndarray:
     """np.interp(t, linspace(0, 1, width), row) for every row, with
     np.interp's arithmetic: slope * (t - xp[j]) + row[j] between the phases
     xp[j] <= t < xp[j + 1], and row[j] itself where t == xp[j] or j is last.
+
+    The output is filled in row blocks of about `core._BLOCK_ENTRIES`
+    entries, so the gathered left neighbours are one block, not a second
+    (n, T) array beside the output; every entry is formed by the same
+    operations as on the whole matrix, so the bits do not depend on the
+    blocks.
     """
     width = values.shape[1]
     xp = np.linspace(0.0, 1.0, width)
@@ -302,18 +309,21 @@ def _resample(values: np.ndarray, t: np.ndarray) -> np.ndarray:
     k = np.minimum(j, width - 2)
     step, offset = xp[k + 1] - xp[k], t - xp[k]
     at_phase = (j == width - 1) | (xp[j] == t)
+    exact = j[at_phase]
     # C-ordered like the rows np.interp fills, so later reductions over
     # cycles add in the same order
     out = np.empty((values.shape[0], t.size))
     with np.errstate(all="ignore"):  # np.interp computes in C without warnings
-        left = values.take(k, axis=1)
-        values.take(k + 1, axis=1, out=out, mode="clip")  # 'clip' fills `out` unbuffered
-        # slope * (t - xp[k]) + left formed in place, rounded at the same steps
-        np.subtract(out, left, out=out)
-        out /= step
-        out *= offset
-        out += left
-        out[:, at_phase] = values.take(j[at_phase], axis=1)
+        for a, b in row_blocks(values.shape[0], t.size):
+            rows, block = values[a:b], out[a:b]
+            left = rows.take(k, axis=1)
+            rows.take(k + 1, axis=1, out=block, mode="clip")  # 'clip' fills `block` unbuffered
+            # slope * (t - xp[k]) + left formed in place, rounded at the same steps
+            np.subtract(block, left, out=block)
+            block /= step
+            block *= offset
+            block += left
+            block[:, at_phase] = rows.take(exact, axis=1)
     return out
 
 

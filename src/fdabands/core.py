@@ -73,11 +73,13 @@ def check_float(name: str, value, interval: tuple | None = None) -> None:
         raise InvalidInputError(f"{name} must lie in ({interval[0]:g}, {interval[1]:g})")
 
 
-# float64 entries per row block of three passes: the CUSUM interval scans
-# over the detection's prefix sums and the bootstrap's block-average prefix
-# sums, which run many times per analysis and measured faster blocked, and
-# the MA(1) step of simulate's `_generate_batch`, whose temporary a block
-# bounds: 512 KB, so a block and its temporaries stay in a 2 MB L2 cache
+# float64 entries per row block of the blocked passes: the CUSUM interval
+# scans over the detection's prefix sums and the bootstrap's block-average
+# prefix sums, which run many times per analysis and measured faster
+# blocked; ingest's resample, the bootstrap's Gram sums and its draw chunks,
+# and the MA(1) step of simulate's `_generate_batch`, whose temporaries a
+# block bounds, so none forms a second series-sized array: 512 KB, so a
+# block and its temporaries stay in a 2 MB L2 cache
 _BLOCK_ENTRIES = 1 << 16
 
 

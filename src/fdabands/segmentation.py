@@ -3,17 +3,22 @@
 Detection is binary segmentation on the functional CUSUM statistic: within
 an interval, split at the argmax over candidate split points of
 sup_t |U(s, t)|, recursing while the sup exceeds the threshold xi_n.  The
-splits are taken best-first.  A `detect_change_points` call forms one
-(T, n + 1) array of the series' prefix sums, P[:, i] = sum_{l<i} x_l, with
-one cumsum, and memoizes the interval scan over it: an interval [lo, hi)
-reads its partial sums as P[:, lo + k] - P[:, lo] and runs no cumsum of its
-own, and the pilot threshold in `_auto_threshold` and the final threshold
-run the same loop, so no interval is scanned twice.  A scan reads a few
-rows of P at a time (blocks of about `core._BLOCK_ENTRIES` entries), so its
-(T, m) temporaries stay in the cache, and keeps a running maximum: max is
-exact, so the blocks do not change the bits.  The pilot's first-difference
-proxy, formed once per call, is one pass over the whole series.  When the
-final threshold keeps the pilot's changes, the pilot's fit, residuals and
+splits are taken best-first.  A `detect_change_points` call memoizes the
+interval scan over one (T, n + 1) array of the series' prefix sums,
+P[:, i] = sum_{l<i} x_l, read off the series with one cumsum: an interval
+[lo, hi) reads its partial sums as P[:, lo + k] - P[:, lo] and runs no
+cumsum of its own, and the pilot threshold in `_auto_threshold` and the
+final threshold run the same loop, so no interval is scanned twice.  A scan
+reads a few rows of P at a time (blocks of about `core._BLOCK_ENTRIES`
+entries), so its (T, m) temporaries stay in the cache, and keeps a running
+maximum: max is exact, so the blocks do not change the bits.  P lives only
+while intervals are scanned, so one (n, T) array at a time is alive beside
+the series: the pilot's first-difference proxy, one pass over the whole
+series, runs first; P is formed on the first scan and dropped when the
+pilot's segmentation ends, before the pilot's residuals are formed.  The
+final threshold forms P again, beside those residuals, only for an interval
+that the pilot never scanned, which needs its xi below the pilot's.  When
+the final threshold keeps the pilot's changes, the pilot's fit, residuals and
 default-config LRV are handed to a caller that asks for them through one
 list, `pilot_out`, so `analyze` neither forms the residuals nor estimates
 the LRV again.  A series whose sums of squares could overflow is refused
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -186,13 +191,36 @@ def _default_msl(n: int) -> int:
     return max(20, int(np.ceil(np.sqrt(n))))
 
 
-def _auto_threshold(x: FunctionalTimeSeries, scan, max_changes: int) -> tuple:
+def _interval_scan(values: np.ndarray, msl: int) -> tuple:
+    """(scan, drop_prefix): scan(lo, hi) is the memoized `_best_split` of
+    [lo, hi) over the (T, n + 1) prefix sums P[:, i] = sum_{l<i} x_l of the
+    (n, T) series `values`.  P is read off the series in one strided cumsum
+    on the first interval that is not memoized, and drop_prefix() lets it
+    go; a later interval that is not memoized forms it again."""
+    prefix = []
+
+    @cache
+    def scan(lo: int, hi: int):
+        if not prefix:
+            p = np.empty((values.shape[1], values.shape[0] + 1))
+            p[:, 0] = 0.0
+            np.cumsum(values.T, axis=1, out=p[:, 1:])
+            prefix.append(p)
+        return _best_split(prefix[0], lo, hi, msl)
+
+    return scan, prefix.clear
+
+
+def _auto_threshold(x: FunctionalTimeSeries, scan, drop_prefix, max_changes: int) -> tuple:
     """xi_n = 1.5 * sigma_bar * sqrt(2 log n), sigma_bar from the lag-window LRV.
 
     The LRV needs segment means, so a pilot segmentation breaks the circular
     dependency: its threshold uses a first-difference variance proxy, which is
     robust to mean shifts.  The pilot segments with the caller's memoized
-    `scan`, which the final threshold then reuses.  The pilot LRV always uses
+    `scan`, which the final threshold then reuses.  The proxy's differences
+    are dropped before the pilot's scans form the prefix sums, and the prefix
+    sums (`drop_prefix`) before the pilot's residuals are formed, so no two
+    of these (n, T) arrays are alive at once.  The pilot LRV always uses
     the default LrvConfig, whatever kernel and bandwidth the analysis asks for.
     The thresholds' floor scales with max |x|, `x.peak`.  Returns xi_n, the
     pilot's change indices, and the pilot's (fit, residuals, LRV).
@@ -204,9 +232,10 @@ def _auto_threshold(x: FunctionalTimeSeries, scan, max_changes: int) -> tuple:
     d = np.diff(x.values, axis=0)
     np.square(d, out=d)
     proxy = d.mean(axis=0) / 2.0
-    del d  # not held through the pilot's fit and LRV
+    del d  # gone before the pilot's scans form the prefix sums
     pilot_xi = max(XI_SCALE * median(np.sqrt(proxy)) * scale, floor)
     pilot = _binary_segmentation(scan, n, pilot_xi, max_changes)
+    drop_prefix()
 
     fit = fit_segments(x, segments_from_indices(n, pilot))
     residuals = fit.residuals(x)
@@ -220,12 +249,14 @@ def detect_change_points(
 ) -> ChangePointSet:
     """Estimate the number and rescaled locations of mean change points.
 
-    The scans read one (T, n + 1) array of the series' prefix sums per
-    call.  With the auto threshold, when the final indices equal the
-    pilot's and the caller passes a list as `pilot_out`, the pilot's
-    `SegmentFit`, its residuals and its default-config `LrvEstimate` are
-    appended to it; otherwise the list is left empty.  They go to the
-    caller, not onto the result, so a kept result holds no (n, T) matrix.
+    The scans read the series' (T, n + 1) prefix sums.  With the auto
+    threshold, the final threshold forms them again only for an interval
+    the pilot never scanned, which needs a final xi below the pilot's.
+    When the final indices equal the pilot's and the caller passes a list
+    as `pilot_out`, the pilot's `SegmentFit`, its residuals and its
+    default-config `LrvEstimate` are appended to it; otherwise the list is
+    left empty.  They go to the caller, not onto the result, so a kept
+    result holds no (n, T) matrix.
     """
     cfg = cfg or SegmentationConfig()
     msl = cfg.min_segment_length or _default_msl(x.n)
@@ -233,14 +264,10 @@ def detect_change_points(
         raise InvalidInputError(
             f"series length {x.n} is below 2 * min_segment_length = {2 * msl}"
         )
-    # P[:, i] = sum_{l<i} x_l, read off the series in one strided cumsum
-    prefix = np.empty((x.values.shape[1], x.n + 1))
-    prefix[:, 0] = 0.0
-    np.cumsum(x.values.T, axis=1, out=prefix[:, 1:])
-    scan = cache(partial(_best_split, prefix, msl=msl))
+    scan, drop_prefix = _interval_scan(x.values, msl)
     pilot = None
     if cfg.threshold == "auto":
-        xi, pilot, pilot_results = _auto_threshold(x, scan, cfg.max_changes)
+        xi, pilot, pilot_results = _auto_threshold(x, scan, drop_prefix, cfg.max_changes)
     else:
         xi = float(cfg.threshold)
     changes = _binary_segmentation(scan, x.n, xi, cfg.max_changes)

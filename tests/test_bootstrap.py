@@ -32,7 +32,7 @@ from fdabands import (
 import fdabands.bootstrap as bootstrap
 import fdabands.core as core
 import fdabands.pipeline as pipeline
-from fdabands.bootstrap import _block_averages, _draw_sups, _sqrt_factor, bootstrap_margin
+from fdabands.bootstrap import _block_averages, _draw_sups, _segment_grams, _sqrt_factor, bootstrap_margin
 from oracles import block_averages_by_index, bootstrap_segment_mean
 
 
@@ -90,11 +90,22 @@ class TestBootstrapSegmentMean:
             bootstrap_segment_mean(y, Segment(0, 3), L=4, multipliers=np.zeros(3))
 
 
+def joined_block_averages(y_values, L, stop=None):
+    """The row blocks that `_block_averages` yields, joined into one array,
+    after checking that they follow one another from row 0."""
+    parts, start = [], 0
+    for a, block in _block_averages(y_values, L, stop):
+        assert a == start
+        parts.append(block.copy())  # the next block overwrites this one
+        start += len(block)
+    return np.concatenate(parts)
+
+
 class TestBlockAverages:
     @pytest.mark.parametrize("n, L", [(9, 1), (9, 9), (9, 4), (50, 7), (1, 1)], ids=["L=1", "L=n", "L<n", "long", "n=1"])
     def test_matches_index_formula(self, n, L):
         yv = np.random.default_rng(n + L).normal(size=(n, 3))
-        assert np.array_equal(_block_averages(yv, L), block_averages_by_index(yv, L))
+        assert np.array_equal(joined_block_averages(yv, L), block_averages_by_index(yv, L))
 
     @pytest.mark.parametrize("L", [1, 7, 1400, 3000])
     def test_matches_index_formula_across_blocks(self, L):
@@ -102,9 +113,9 @@ class TestBlockAverages:
         # needs prefix sums from beyond the next block
         yv = np.random.default_rng(L).normal(size=(3000, 50))
         expected = block_averages_by_index(yv, L)
-        assert _block_averages(yv, L).tobytes() == expected.tobytes()
+        assert joined_block_averages(yv, L).tobytes() == expected.tobytes()
         for stop in (1, 1310, 1311, 3000 - L + 1, 3000 - L // 2, 2999):
-            assert _block_averages(yv, L, stop).tobytes() == expected[:stop].tobytes(), stop
+            assert joined_block_averages(yv, L, stop).tobytes() == expected[:stop].tobytes(), stop
 
     def test_many_small_blocks(self, monkeypatch):
         monkeypatch.setattr(core, "_BLOCK_ENTRIES", 12)
@@ -113,14 +124,76 @@ class TestBlockAverages:
             yv = rng.normal(size=(n, T))
             expected = block_averages_by_index(yv, L)
             for stop in range(1, n + 1):
-                assert _block_averages(yv, L, stop).tobytes() == expected[:stop].tobytes(), (n, T, L, stop)
+                assert joined_block_averages(yv, L, stop).tobytes() == expected[:stop].tobytes(), (n, T, L, stop)
 
     def test_reads_the_series_only_up_to_the_last_block_needed(self):
         # block averages before `stop` read Y up to row stop + L - 2 only
         yv = np.random.default_rng(12).normal(size=(3000, 50))
         cut = yv.copy()
         cut[1000 + 6 :] = np.nan
-        assert _block_averages(cut, 7, 1000).tobytes() == _block_averages(yv, 7, 1000).tobytes()
+        assert joined_block_averages(cut, 7, 1000).tobytes() == joined_block_averages(yv, 7, 1000).tobytes()
+
+
+def assert_close_gram(gram, expected):
+    assert np.allclose(gram, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+class TestSegmentGrams:
+    """Each segment's Gram matrix, summed over the row blocks of the block
+    averages, is B_i^T B_i of the index formula's block averages to rounding."""
+
+    @pytest.mark.parametrize("entries", [None, 12], ids=["default_blocks", "many_blocks"])
+    def test_matches_index_formula(self, monkeypatch, entries):
+        if entries is not None:
+            # 12 // 5 = 2 rows of 5 per block: odd segment edges straddle blocks
+            monkeypatch.setattr(core, "_BLOCK_ENTRIES", entries)
+        yv = np.random.default_rng(37).normal(size=(41, 5))
+        for L in (1, 3, 5):
+            expected = block_averages_by_index(yv, L)
+            for segs in (
+                [Segment(0, 41)],
+                [Segment(0, 17), Segment(17, 41)],
+                [Segment(5, 10), Segment(23, 34)],  # stop = 34 < n, rows 0-4 unused
+                [Segment(23, 34), Segment(3, 23)],  # any order
+            ):
+                grams = _segment_grams(yv, L, segs)
+                assert grams.shape == (len(segs), 5, 5)
+                for gram, seg in zip(grams, segs):
+                    rows = expected[seg.start : seg.end]
+                    assert_close_gram(gram, rows.T @ rows)
+
+    def test_segments_across_default_blocks(self):
+        # 1310 rows of 50 per block; the segments straddle the block edges at
+        # 1310 and 2620, and the last ends before the truncated blocks
+        yv = np.random.default_rng(38).normal(size=(3000, 50))
+        segs = [Segment(0, 1000), Segment(1000, 2700), Segment(2700, 2990)]
+        expected = block_averages_by_index(yv, 7)
+        for gram, seg in zip(_segment_grams(yv, 7, segs), segs):
+            rows = expected[seg.start : seg.end]
+            assert_close_gram(gram, rows.T @ rows)
+
+    @pytest.mark.parametrize("entries", [None, 12], ids=["default_blocks", "many_blocks"])
+    def test_margin_gram_of_the_two_segment_window(self, monkeypatch, entries):
+        # G_l / n_l^2 + G_r / n_r^2 is the Gram matrix of
+        # [-B_l / n_l; B_r / n_r], the block averages of the two segments'
+        # window alone
+        if entries is not None:
+            monkeypatch.setattr(core, "_BLOCK_ENTRIES", entries)
+        resid = np.random.default_rng(39).normal(size=(90, 4))
+        left, right = Segment(11, 40), Segment(40, 77)
+        seen = []
+        factor = bootstrap._sqrt_factor
+
+        def recording(gram, scale=1.0):
+            seen.append(gram)
+            return factor(gram, scale)
+
+        monkeypatch.setattr(bootstrap, "_sqrt_factor", recording)
+        bootstrap_margin(resid, left, right, 0.1, 50, 0, 1)
+        B = block_averages_by_index(resid[left.start : right.end], auto_block_length(min(left.length, right.length)))
+        diff = np.vstack([-B[: left.length] / left.length, B[left.length :] / right.length])
+        (gram,) = seen
+        assert_close_gram(gram, diff.T @ diff)
 
 
 class TestAutoBlockLength:
@@ -301,30 +374,34 @@ class TestGaussianDraws:
         values = np.zeros((n, grid_size)) if zero else rng.normal(size=(n, grid_size))
         y = ResidualSeries(values, Grid.uniform(grid_size))
         sigma = np.sqrt(rng.uniform(0.5, 2.0, size=grid_size))
-        # the block matrix and column scale run_bootstrap draws this segment from
-        block = _block_averages(y.values, L)[seg.start : seg.end]
-        r = _sqrt_factor(block, np.sqrt(seg.length) * sigma)
+        # the Gram matrix and column scale run_bootstrap draws this segment from
+        (gram,) = _segment_grams(y.values, L, [seg])
+        r = _sqrt_factor(gram, np.sqrt(seg.length) * sigma)
         assert r.shape == (grid_size, grid_size)
         assert_same_covariance(r, basis_rows(y, seg, L, np.sqrt(seg.length) / sigma))
 
     def test_run_bootstrap_factors_read_whole_segments(self, monkeypatch):
         # run_bootstrap forms the block averages only up to the last
-        # segment's end; each factor still reads all of its segment's rows
+        # segment's end; each factor's Gram matrix still sums all of its
+        # segment's rows
         n, grid_size, L = 120, 4, 5
         y = ResidualSeries(np.random.default_rng(33).normal(size=(n, grid_size)), Grid.uniform(grid_size))
         segs = [Segment(0, 40), Segment(40, 90)]
         seen = []
         factor = bootstrap._sqrt_factor
 
-        def recording(mat, scale=1.0):
-            seen.append(mat.tobytes())
-            return factor(mat, scale)
+        def recording(gram, scale=1.0):
+            seen.append(gram)
+            return factor(gram, scale)
 
         monkeypatch.setattr(bootstrap, "_sqrt_factor", recording)
         run_bootstrap(y, segs, unit_sigma2(y.grid), BootstrapConfig(block_length=L, replications=100))
         full = block_averages_by_index(y.values, L)
+        expected = [full[seg.start : seg.end].T @ full[seg.start : seg.end] for seg in segs]
         # the caller and a pool worker may factorize in either order
-        assert sorted(seen) == sorted(full[seg.start : seg.end].tobytes() for seg in segs)
+        assert len(seen) == len(expected)
+        for gram in expected:
+            assert sum(np.allclose(g, gram, rtol=1e-12, atol=1e-12 * np.abs(gram).max()) for g in seen) == 1
 
     @pytest.mark.parametrize(
         "left, right",
@@ -347,13 +424,15 @@ class TestGaussianDraws:
 
 def substream_sups(r, replications, seed, key):
     """The row-block draws by hand: block b's rows from SeedSequence(seed,
-    spawn_key=(*key, b))."""
+    spawn_key=(*key, b)), drawn and multiplied in chunks of
+    `core.row_blocks` rows."""
     blocks = bootstrap.DRAW_BLOCKS
     rows = []
     for b in range(blocks):
         lo, hi = b * replications // blocks, (b + 1) * replications // blocks
         rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(*key, b))))
-        rows.append(np.abs(rng.standard_normal((hi - lo, r.shape[0])) @ r).max(axis=1))
+        for a, c in core.row_blocks(hi - lo, r.shape[0]):
+            rows.append(np.abs(rng.standard_normal((c - a, r.shape[0])) @ r).max(axis=1))
     return np.concatenate(rows)
 
 
@@ -476,11 +555,12 @@ class TestDrawBlocks:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_draws_hold_one_scratch_pair_per_share(self, monkeypatch, cpus):
-        # 3 factors at R = 2000, T = 100: one (z, w) pair of 1000-row blocks
-        # is 1.6 MB; on one CPU every block is drawn into one pair, on two
-        # each share has its own
+        # 3 factors at R = 2000, T = 100: each 1000-row block is drawn in
+        # chunks of 655 rows, and one (z, w) pair of chunks is 1.05 MB (a
+        # pair of whole blocks would be 1.6 MB); on one CPU every block is
+        # drawn into one pair, on two each share has its own
         R, T = 2000, 100
-        pair_bytes = 2 * (R // bootstrap.DRAW_BLOCKS) * T * 8
+        pair_bytes = 2 * core.row_blocks(R // bootstrap.DRAW_BLOCKS, T)[0][1] * T * 8
         shares = min(bootstrap.DRAW_BLOCKS, cpus)
         rng = np.random.default_rng(36)
         factors = [rng.normal(size=(T, T)) for _ in range(3)]
@@ -690,7 +770,11 @@ class TestDistributionalAgreement:
 
 
 def test_run_bootstrap_memory_is_independent_of_R_times_n():
-    # n = 10000, T = 20, R = 2000: an (R, n) multiplier matrix alone is 160 MB
+    # n = 10000, T = 20, R = 2000: an (R, n) multiplier matrix alone is 160 MB,
+    # and an (n, T) block-average matrix 1.6 MB.  What is left are arrays of
+    # one row block each (core._BLOCK_ENTRIES entries, 0.52 MB): the block
+    # averages' prefix window and one block of them, then the draws' (z, w)
+    # chunk pairs, two of 0.16 MB each per share
     n, grid_size, R = 10000, 20, 2000
     y = ResidualSeries(np.random.default_rng(8).normal(size=(n, grid_size)), Grid.uniform(grid_size))
     segs = segments_from_locations(n, [0.3, 0.7])
@@ -698,7 +782,7 @@ def test_run_bootstrap_memory_is_independent_of_R_times_n():
     tracemalloc.start()
     try:
         run_bootstrap(y, segs, sigma2, BootstrapConfig(replications=R))
-        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak_mb < 16.0
+    assert peak < 3 * 8 * core._BLOCK_ENTRIES

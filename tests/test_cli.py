@@ -5,6 +5,7 @@ import inspect
 import json
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -436,6 +437,36 @@ def analyze_args(data, out, *extra):
         "--replications", "300",
         "--delta", "2.0",
     ] + list(extra)
+
+
+def test_run_pipeline_holds_two_series_sized_arrays(tmp_path):
+    # a 10 000 x 101 matrix file at T = 100 and R = 2000: ingest holds the
+    # parsed matrix and the resampled series, detection the series and one
+    # (n, T) array at a time, the bootstrap the series and its residuals;
+    # the rest are row blocks and draw chunks of core._BLOCK_ENTRIES entries.
+    # At a smaller n those fixed-size chunks would weigh more against the
+    # series, so the bound holds at this size.
+    n, samples, grid_size = 10_000, 101, 100
+    spec = ScenarioSpec(
+        n=n,
+        grid_size=samples,
+        means=[0.0, {"kind": "constant", "value": 3.0}, {"kind": "constant", "value": 0.5}],
+        change_locations=[0.3, 0.7],
+        error_process="ar1",
+        error_param=0.4,
+        rng_seed=6,
+    )
+    data = tmp_path / "recording.csv"
+    np.savetxt(data, generate(spec)[0].values, fmt="%.12g", delimiter=",")
+    cfg = RunConfig(input=str(data), output_dir=str(tmp_path / "out"), grid_size=grid_size, delta=2.0)
+    tracemalloc.start()
+    try:
+        res = cli.run_pipeline(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.change_points.m == 2
+    assert peak <= 2.4 * n * grid_size * 8
 
 
 class TestAnalyzeCommand:

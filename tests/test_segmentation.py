@@ -527,9 +527,11 @@ class TestBlockedScan:
         assert peak_mb < 2.0
 
     def test_detection_holds_one_series_sized_array_beside_the_series(self):
-        # the prefix sums replace the transposed copy of the series: at most
-        # the prefix and one other (n, T) array (the pilot's first
-        # differences, then its residuals) are alive at once
+        # one (n, T) array at a time beside the series: the pilot's first
+        # differences, then the prefix sums while the pilot scans, then the
+        # pilot's residuals (the final threshold here scans no interval the
+        # pilot did not); the rest are block-sized temporaries and the LRV's
+        # (T,) rows
         grid_size = 100
         x = jump_series(
             10_000,
@@ -544,7 +546,7 @@ class TestBlockedScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * x.values.nbytes
+        assert peak <= 1.15 * x.values.nbytes
 
 
 class TestScale:
@@ -613,6 +615,58 @@ def test_auto_threshold_scans_each_interval_once(monkeypatch):
     assert max(scanned.values()) == 1
 
 
+def ma_jump_series(seed, n=400, grid_size=8, theta=-0.6):
+    """MA(1) errors e_j = z_j + theta z_{j-1}, a jump of 3 at n/2 and one of
+    1.2 at 3n/4 in the first two phases only.  At theta = -0.6 the errors'
+    LRV, (1 + theta)^2 = 0.16, lies far below the first-difference proxy,
+    1 + theta^2 - theta = 1.96, so the final threshold lies below the
+    pilot's: the pilot keeps the jump at n/2 only, and the final threshold
+    also keeps the one at 3n/4, which the median over phases of the pilot
+    LRV hardly sees."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n + 1, grid_size))
+    vals = z[1:] + theta * z[:-1]
+    vals[n // 2 :] += 3.0
+    vals[3 * n // 4 :, :2] += 1.2
+    return make_series(vals)
+
+
+def test_final_threshold_below_the_pilots_forms_the_prefix_again(monkeypatch):
+    # the pilot's prefix sums are dropped before its residuals are formed;
+    # the final threshold forms them again for the first interval the pilot
+    # never scanned, and scans no interval twice
+    x = ma_jump_series(0)
+    msl = segmentation._default_msl(x.n)
+    pilot = pilot_indices(x)
+    scans = []
+
+    def recording(cols, lo, hi, msl):
+        scans.append((cols, (lo, hi)))
+        return _best_split(cols, lo, hi, msl)
+
+    monkeypatch.setattr(segmentation, "_best_split", recording)
+    pilot_out = []
+    cps = detect_change_points(x, pilot_out=pilot_out)
+    assert pilot == (200,) and cps.indices == (200, 300) and pilot_out == []
+    assert cps.indices == tuple(heap_binseg(x.values, cps.threshold, msl, SegmentationConfig().max_changes))
+    prefixes = []  # the distinct prefix arrays, in the order they were formed
+    for cols, _ in scans:
+        if not any(cols is seen for seen in prefixes):
+            prefixes.append(cols)
+    assert len(prefixes) == 2
+    for cols in prefixes:
+        assert cols.tobytes() == columns(x.values).tobytes()
+    # the pilot's three intervals read the first prefix, the final
+    # threshold's two new ones the second
+    assert [(interval, cols is prefixes[1]) for cols, interval in scans] == [
+        ((0, 400), False),
+        ((0, 200), False),
+        ((200, 400), False),
+        ((200, 300), True),
+        ((300, 400), True),
+    ]
+
+
 def test_analyze_forms_each_fits_residuals_once(monkeypatch):
     # the final changes here are the pilot's: the pilot's residuals, formed
     # for its LRV, are handed to analyze, and the bootstrap margin, the LRV
@@ -670,9 +724,8 @@ def ar_jump_series(seed, n=300, grid_size=6, rho=0.6, jump=3.0):
 
 def pilot_indices(x):
     """The changes that the auto threshold's pilot keeps, at the defaults."""
-    msl = segmentation._default_msl(x.n)
-    scan = functools.cache(functools.partial(_best_split, columns(x.values), msl=msl))
-    return tuple(segmentation._auto_threshold(x, scan, SegmentationConfig().max_changes)[1])
+    scan, drop_prefix = segmentation._interval_scan(x.values, segmentation._default_msl(x.n))
+    return tuple(segmentation._auto_threshold(x, scan, drop_prefix, SegmentationConfig().max_changes)[1])
 
 
 @pytest.mark.parametrize(
