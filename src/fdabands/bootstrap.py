@@ -8,9 +8,11 @@ across segments, and is drawn as z @ r with z ~ N(0, I) and r the symmetric
 square root of B_i^T B_i with its columns divided by sqrt(n_i) * sigma_hat:
 no (R, n) multiplier matrix.  Nor is B an (n, T) matrix: `_block_averages`
 forms it a row block at a time, and each segment's Gram matrix B_i^T B_i is
-summed over those blocks.  The empirical (1 - alpha)-quantile of the
-replicates of T* = max_i sqrt(n_i) * sup_t |mu_i*(t) / sigma_hat(t)|
-calibrates the bands.
+summed over those blocks.  Nor are the residuals: a `ResidualSeries` is the
+series and its segment means, and `_block_averages` forms the residual rows
+that one block reads into its prefix-sum window.  The empirical
+(1 - alpha)-quantile of the replicates of
+T* = max_i sqrt(n_i) * sup_t |mu_i*(t) / sigma_hat(t)| calibrates the bands.
 `bootstrap_margin` draws the relevant filter's jump-estimate fluctuation
 between two adjacent segments the same way.  The definitional bootstrap
 segment mean that the tests compare against is `bootstrap_segment_mean` in
@@ -94,35 +96,37 @@ def auto_block_length(n_min: int) -> int:
     return min(n_min, max(1, int(np.floor(np.cbrt(n_min) + 1e-9))))
 
 
-def _block_averages(y_values: np.ndarray, L: int, stop: int | None = None):
+def _block_averages(y: ResidualSeries, L: int, span: Segment, stop: int):
     """Yield (a, B[a:b]) over consecutive row blocks of the block averages
-    B_j = len_j^(-1/2) * sum_{l<L} Y_{j+l}, j < stop (default n), truncated
-    at the series end; each block is overwritten by the next.
+    B_j = len_j^(-1/2) * sum_{l<L} Y_{s+j+l}, j < stop, of the residual rows
+    in `span` = [s, s + m), truncated at the span's end; each block is
+    overwritten by the next.
 
-    Blocks that would run past the last index use the available indices only
-    and rescale by the square root of the actual block length.  B_j is
-    P_{j+len_j} - P_j for the prefix sums P_i = sum_{l<i} Y_l, formed in row
-    blocks of about `core._BLOCK_ENTRIES` entries, so no (n, T) array is
-    formed: a window holds the P rows that one block of B reads, and each
+    Blocks that would run past the span's last row use the available rows
+    only and rescale by the square root of the actual block length.  B_j is
+    P_{j+len_j} - P_j for the prefix sums P_i = sum_{l<i} Y_{s+l}, formed in
+    row blocks of about `core._BLOCK_ENTRIES` entries, so no (m, T) array
+    is formed: a window holds the P rows that one block of B reads, and each
     block's running sums carry the previous block's last prefix sum in as
-    their first row, so every P_i is P_{i-1} + Y_{i-1} in the same order as
-    one cumsum over the whole series.  Y is read up to row stop + L - 2
-    only.  Needs 1 <= L <= n and 1 <= stop <= n.
+    their first row, so every P_i is P_{i-1} + Y_{s+i-1} in the same order
+    as one cumsum over the span.  The residual rows are formed into the
+    window itself, and only rows before s + stop + L - 1.  Needs
+    1 <= L <= m and 1 <= stop <= m.
     """
-    n, width = y_values.shape
-    stop = n if stop is None else stop
-    full = n + 1 - L  # blocks j < full hold L indices, block j >= full holds n - j
+    n, width = span.length, len(y.grid)
+    full = n + 1 - L  # blocks j < full hold L rows, block j >= full holds n - j
     blocks = row_blocks(min(stop, full), width)
     out = np.empty((blocks[0][1], width))
     window = np.empty((blocks[0][1] + L, width))  # P_{a + i} in row i for block [a, b)
     window[0] = 0.0
-    np.cumsum(y_values[: blocks[0][1] + L - 1], axis=0, out=window[1 : blocks[0][1] + L])
+    first = window[1 : blocks[0][1] + L]
+    np.cumsum(y.rows(span.start, span.start + blocks[0][1] + L - 1, out=first), axis=0, out=first)
     last = 0  # the first row of the previous block
     for a, b in blocks:
         if a:
             # keep P_a .. P_{a+L-1}, then continue the sums from P_{a+L-1}
             window[:L] = window[a - last : a - last + L]
-            window[L : b - a + L] = y_values[a + L - 1 : b + L - 1]
+            y.rows(span.start + a + L - 1, span.start + b + L - 1, out=window[L : b - a + L])
             np.cumsum(window[L - 1 : b - a + L], axis=0, out=window[L - 1 : b - a + L])
         block = np.subtract(window[L : b - a + L], window[: b - a], out=out[: b - a])
         block /= np.sqrt(L)
@@ -134,18 +138,30 @@ def _block_averages(y_values: np.ndarray, L: int, stop: int | None = None):
         yield full, tail
 
 
-def _segment_grams(y_values: np.ndarray, L: int, segments) -> np.ndarray:
+def _segment_grams(y: ResidualSeries, L: int, span: Segment, segments) -> np.ndarray:
     """(k, T, T) array whose entry i is B_i^T B_i for the block averages
-    B_i = B[seg.start : seg.end] of segments[i], summed over the row blocks
-    of `_block_averages`, split at the segments' edges, so no (n, T) block
-    matrix is formed.  B is formed up to the last segment's end only."""
-    grams = np.zeros((len(segments), y_values.shape[1], y_values.shape[1]))
-    for a, block in _block_averages(y_values, L, max(seg.end for seg in segments)):
+    B_i = B[seg.start : seg.end] of segments[i], with B those of the
+    residual rows in `span` and the segments' rows counted from its start.
+    Summed over the row blocks of `_block_averages`, split at the segments'
+    edges, so no (n, T) block matrix is formed; B is formed up to the last
+    segment's end only."""
+    width = len(y.grid)
+    grams = np.zeros((len(segments), width, width))
+    for a, block in _block_averages(y, L, span, max(seg.end for seg in segments)):
         for gram, seg in zip(grams, segments):
             part = block[max(seg.start - a, 0) : max(seg.end - a, 0)]
             if len(part):
                 gram += part.T @ part
     return grams
+
+
+def _check_within(y: ResidualSeries, segments) -> None:
+    """Every segment lies in [0, n) of the residual series `y`."""
+    for seg in segments:
+        if seg.end > y.n:
+            raise InvalidInputError(
+                f"segment [{seg.start}, {seg.end}) runs past the end of the series (n = {y.n})"
+            )
 
 
 def _sqrt_factor(gram: np.ndarray, scale=1.0) -> np.ndarray:
@@ -271,7 +287,7 @@ def _empirical_quantile(values: np.ndarray, level: float) -> float:
 
 
 def bootstrap_margin(
-    residuals: np.ndarray,
+    residuals: ResidualSeries,
     left: Segment,
     right: Segment,
     beta: float,
@@ -285,12 +301,14 @@ def bootstrap_margin(
     adjacent to a change to calibrate how far a jump estimate can stray from
     its target under the null; the jump difference nu @ [-B_left / n_left;
     B_right / n_right] is Gaussian given the data and is drawn exactly, from
-    the substreams of change `pair`.
+    the substreams of change `pair`.  The block averages are those of the
+    rows [left.start, right.end) alone, cut off at right.end.
     """
-    resid = residuals[left.start : right.end]
+    _check_within(residuals, (left, right))
     L = auto_block_length(min(left.length, right.length))
-    halves = [Segment(0, left.length), Segment(left.length, len(resid))]
-    g_left, g_right = _segment_grams(resid, L, halves)
+    span = Segment(left.start, right.end)
+    halves = [Segment(0, left.length), Segment(left.length, span.length)]
+    g_left, g_right = _segment_grams(residuals, L, span, halves)
     # the Gram matrix of [-B_left / n_left; B_right / n_right]
     gram = g_left / left.length**2 + g_right / right.length**2
     (draws,) = _draw_sups([_sqrt_factor(gram)], replications, seed, [(_MARGIN, pair)], _executor())
@@ -313,6 +331,7 @@ def run_bootstrap(
     segments = list(segments)
     if not segments:
         raise InvalidInputError("need at least one segment (index 0 is always relevant)")
+    _check_within(y, segments)
     R = cfg.replications
     if R < 100:
         warnings.warn("fewer than 100 bootstrap replications: quantile unstable", stacklevel=2)
@@ -326,7 +345,7 @@ def run_bootstrap(
         raise InvalidInputError("sigma^2 must be floored strictly positive")
     sigma = np.sqrt(sigma2.values)
 
-    grams = _segment_grams(y.values, L, segments)
+    grams = _segment_grams(y, L, Segment(0, y.n), segments)
     # nu @ B_i / (sqrt(n_i) * sigma) is sqrt(n_i) * mu_i* / sigma
     pool = _executor()
     factors = _run_split(

@@ -6,6 +6,7 @@ read-only) and safe to share across parallel workers.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 import typing
@@ -76,9 +77,10 @@ def check_float(name: str, value, interval: tuple | None = None) -> None:
 # float64 entries per row block of the blocked passes: the CUSUM interval
 # scans over the detection's prefix sums and the bootstrap's block-average
 # prefix sums, which run many times per analysis and measured faster
-# blocked; ingest's resample, the bootstrap's Gram sums and its draw chunks,
-# and the MA(1) step of simulate's `_generate_batch`, whose temporaries a
-# block bounds, so none forms a second series-sized array: 512 KB, so a
+# blocked; ingest's resample, the LRV's lag sums over the residual rows, the
+# bootstrap's Gram sums and its draw chunks, and the MA(1) step of
+# simulate's `_generate_batch`, whose temporaries a block bounds, so none
+# forms a second series-sized array: 512 KB, so a
 # block and its temporaries stay in a 2 MB L2 cache
 _BLOCK_ENTRIES = 1 << 16
 
@@ -281,22 +283,52 @@ def segments_from_locations(n: int, locations) -> list:
 
 @dataclass(frozen=True, eq=False)
 class ResidualSeries:
-    """Y_j = X_j - mu_hat^(j): observations minus their segment mean."""
+    """Y_j = X_j - mu_hat^(j): the rows of `series` minus their segment mean
+    under `fit`, the fit of that series.
 
-    values: np.ndarray
-    grid: object
+    Holds the series and the k mean curves, not an (n, T) matrix: `rows`
+    forms a range of residual rows where it is read, so a pass over the
+    residuals needs one block-sized buffer.
+    """
+
+    series: FunctionalTimeSeries
+    fit: SegmentFit
+
+    def __post_init__(self):
+        if self.fit.segments[-1].end != self.series.n or self.fit.grid != self.series.grid:
+            raise InvalidInputError("segment fit does not match the series")
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.series.n
+
+    @property
+    def grid(self) -> Grid:
+        return self.series.grid
+
+    def rows(self, a: int, b: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Residual rows [a, b), 0 <= a < b <= n, written into out[: b - a]
+        (a new array where `out` is None) and returned: one subtract of a
+        segment's mean curve per segment that the rows meet."""
+        values = self.series.values
+        out = np.empty((b - a, values.shape[1])) if out is None else out[: b - a]
+        segments = self.fit.segments
+        i = bisect.bisect_right(segments, a, key=lambda seg: seg.start) - 1
+        lo = a
+        while lo < b:
+            hi = min(segments[i].end, b)
+            np.subtract(values[lo:hi], self.fit.means[i], out=out[lo - a : hi - a])
+            lo, i = hi, i + 1
+        return out
 
 
 @dataclass(frozen=True, eq=False)
 class SegmentFit:
     """Mean curves of a series over a partition of [0, n).
 
-    Only the k mean curves are stored.  The (n, T) residual matrix is built
-    on request, so a fit that is kept holds no (n, T) matrix.
+    Only the k mean curves are stored, and the residuals of the series are
+    the series and these means (`residuals`), so a fit that is kept holds no
+    (n, T) matrix.
     """
 
     segments: tuple  # partition of [0, n), in order
@@ -304,12 +336,9 @@ class SegmentFit:
     grid: Grid
 
     def residuals(self, x: FunctionalTimeSeries) -> ResidualSeries:
-        """`x`, the series the fit was built from, minus each row's segment mean."""
-        y = np.empty(x.values.shape)
-        for seg, mean in zip(self.segments, self.means):
-            np.subtract(x.values[seg.start : seg.end], mean, out=y[seg.start : seg.end])
-        y.setflags(write=False)
-        return ResidualSeries(y, x.grid)
+        """`x`, the series the fit was built from, minus each row's segment
+        mean; formed in O(k T), its rows where they are read."""
+        return ResidualSeries(x, self)
 
 
 def fit_segments(x: FunctionalTimeSeries, segments) -> SegmentFit:

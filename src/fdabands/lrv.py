@@ -10,10 +10,14 @@ of the left index j, so with the residual e = x - mu_hat of the segment fit,
 lag +a is sum_j e_j * e_{j+a} plus the boundary correction
 sum_j e_j * (mu_{j+a} - mu_j), and lag -a is the same main sum minus
 sum_j e_{j+a} * (mu_{j+a} - mu_j).  The corrections vanish unless j and j+a
-lie in different segments, which happens only on the a rows before each
-segment boundary, so `estimate_lrv` forms one main sum per |a| and corrects
-it on those rows only.  The definitional lag covariance that the tests
-compare against is `lag_covariance` in tests/oracles.py.
+lie in different segments, and mu_{j+a} - mu_j is the sum of the steps
+d_i = mu_i - mu_{i-1} of the boundaries that j and j+a straddle, so each
+correction is a sum over boundaries: d_i times the sum of e_j (or e_{j+a})
+over the at most a rows j just before boundary i.  `estimate_lrv` forms
+one main sum per |a|, over the residual rows a row block at a time, and
+reads the corrections off the rows within the bandwidth of each boundary;
+no (n, T) residual matrix is formed.  The definitional lag covariance that
+the tests compare against is `lag_covariance` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Curve, InvalidInputError, ResidualSeries, SegmentFit, check_integer
+from .core import Curve, InvalidInputError, ResidualSeries, SegmentFit, check_integer, row_blocks
 
 
 def _bartlett(x):
@@ -77,27 +81,16 @@ def auto_bandwidth(n: int) -> int:
     return max(1, int(np.floor(n**0.25 + 1e-9)))
 
 
-def _boundary_rows(changes: np.ndarray, a: int, n: int) -> np.ndarray:
-    """Rows j < n - a whose lag-a partner j + a lies past a segment boundary,
-    where a boundary follows each row in `changes`: each row once, ascending.
-
-    These are np.unique's rows, sorted and deduplicated here because numpy
-    >= 2 imports numpy.ma on a process's first np.unique call.
-    """
-    j = np.sort(changes[:, None] - np.arange(a), axis=None)
-    j = j[(j >= 0) & (j < n - a)]
-    return j[np.diff(j, prepend=-1) != 0]  # the -1 keeps the first row
-
-
 def estimate_lrv(y: ResidualSeries, fit: SegmentFit, cfg: LrvConfig | None = None) -> LrvEstimate:
     """Lag-window long-run variance estimate from `y`, the residuals of `fit`.
 
     Sums kernel-weighted lag covariances for l = -c..c, then floors the result
     at 1e-8 times its maximum so later divisions by sigma_hat are safe.  Lags
-    +a and -a share the main sum sum_j y_j * y_{j+a}; each adds its boundary
-    correction over the rows j just before a segment boundary of `fit` (see
-    the module docstring).  Equal to the kernel-weighted sum of definitional
-    lag covariances up to rounding; bit-reproducible for fixed inputs.
+    +a and -a share the main sum sum_j y_j * y_{j+a}, summed over the row
+    blocks of `core.row_blocks`; each adds its boundary correction, summed
+    boundary by boundary of `fit` (see the module docstring).  Equal to the
+    kernel-weighted sum of definitional lag covariances up to rounding;
+    bit-reproducible for fixed inputs.
     """
     cfg = cfg or LrvConfig()
     n = y.n
@@ -111,19 +104,43 @@ def estimate_lrv(y: ResidualSeries, fit: SegmentFit, cfg: LrvConfig | None = Non
             f"bandwidth c = {c} violates c^3/n < 1 (n = {n}); estimate may be unstable",
             stacklevel=2,
         )
-    e = y.values
-    # row j lies in segment k[j]; segment i + 1 starts after row changes[i]
-    k = np.repeat(np.arange(len(fit.segments)), [seg.length for seg in fit.segments])
-    changes = np.array([seg.start - 1 for seg in fit.segments[1:]], dtype=int)
+    width = len(y.grid)
+    # main[a] = sum_j y_j * y_{j+a}: a block of rows j reads rows j + a of
+    # the c rows past its end too
+    main = np.zeros((c + 1, width))
+    blocks = row_blocks(n, width)
+    rows = np.empty((blocks[0][1] + c, width))
+    for lo, hi in blocks:
+        e = y.rows(lo, min(hi + c, n), out=rows)
+        for a in range(c + 1):
+            m = min(hi, n - a) - lo  # rows j in [lo, hi) with j + a < n
+            if m > 0:
+                main[a] += np.einsum("ij,ij->j", e[:m], e[a : a + m])
+    # the rows j that straddle the boundary at s by lag a are
+    # [max(s - a, 0), min(s, n - a)); from the prefix sums of the rows within
+    # c of s, sums[a - 1] is their sum of y_j and shifted[a - 1] their sum
+    # of y_{j+a}
+    lags = np.arange(1, c + 1)
+    plus, minus = np.zeros((c, width)), np.zeros((c, width))
+    prefix = np.empty((2 * c + 1, width))
+    for seg, step in zip(fit.segments[1:], np.diff(fit.means, axis=0)):
+        s = seg.start
+        lo, hi = max(s - c, 0), min(s + c, n)
+        p = prefix[: hi - lo + 1]  # p[i]: the sum of rows [lo, lo + i)
+        p[0] = 0.0
+        np.cumsum(y.rows(lo, hi, out=p[1:]), axis=0, out=p[1:])
+        first, last = np.maximum(s - lags, 0) - lo, np.minimum(s, n - lags) - lo
+        sums = p[last] - p[first]
+        shifted = p[last + lags] - p[first + lags]
+        plus += sums * step
+        minus += shifted * step
     kernel = KERNELS[cfg.kernel]
-    total = float(kernel(0.0)) * np.einsum("ij,ij->j", e, e)
+    total = float(kernel(0.0)) * main[0]
     for a in range(1, c + 1):
-        main = np.einsum("ij,ij->j", e[: n - a], e[a:])
-        j = _boundary_rows(changes, a, n)
-        step = fit.means[k[j + a]] - fit.means[k[j]]
-        plus = main + np.einsum("ij,ij->j", e[j], step)
-        minus = main - np.einsum("ij,ij->j", e[j + a], step)
-        total += float(kernel(a / c)) * plus + float(kernel(-a / c)) * minus
+        total += (
+            float(kernel(a / c)) * (main[a] + plus[a - 1])
+            + float(kernel(-a / c)) * (main[a] - minus[a - 1])
+        )
     total /= n
     floor = 1e-8 * max(float(total.max()), 0.0)
     if floor <= 0.0:

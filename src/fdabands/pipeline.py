@@ -3,8 +3,11 @@ long-run variance, bootstrap the quantile, and build the bands.
 
 The auto threshold's pilot segmentation reaches `analyze` through one
 channel: the `pilot_out` list of `detect_change_points`, which holds the
-pilot's fit, residuals and default-config LRV when the final changes are the
-pilot's and is empty otherwise."""
+pilot's fit and default-config LRV when the final changes are the pilot's
+and is empty otherwise.  The residuals are the series and the fit's segment
+means; the relevant filter's margin, the LRV and the bootstrap each form the
+residual rows they read, a block at a time, so no (n, T) residual matrix is
+formed."""
 
 from __future__ import annotations
 
@@ -55,23 +58,22 @@ class AnalysisResult:
 def analyze(x: FunctionalTimeSeries, cfg: PipelineConfig | None = None) -> AnalysisResult:
     """Bands for the relevant segments of `x`.
 
-    One fit over the detected changes and its residuals feed the relevant
-    filter, the LRV and the bootstrap.  When the auto threshold's pilot found
-    the same changes, `detect_change_points` hands over the pilot's fit, its
-    residuals and its default-config LRV through `pilot_out`; the LRV is
-    estimated again only when there is no pilot or the analysis asks for
-    another LrvConfig.
+    One fit over the detected changes feeds the relevant filter, the LRV
+    and the bootstrap.  When the auto threshold's pilot found the same
+    changes, `detect_change_points` hands over the pilot's fit and its
+    default-config LRV through `pilot_out`; the LRV is estimated again only
+    when there is no pilot or the analysis asks for another LrvConfig.
     """
     cfg = cfg or PipelineConfig()
 
     pilot = []
     cps = detect_change_points(x, cfg.segmentation, pilot_out=pilot)
     if pilot:
-        fit, y, lrv_est = pilot
+        fit, lrv_est = pilot
     else:
         fit = fit_segments(x, cps.segments)
-        y = fit.residuals(x)
-    rel = relevant_set(x, cps, cfg.relevant, fit=fit, residuals=y)
+    rel = relevant_set(x, cps, cfg.relevant, fit=fit)
+    y = fit.residuals(x)
     if not pilot or cfg.lrv != LrvConfig():
         lrv_est = estimate_lrv(y, fit, cfg.lrv)
 

@@ -15,13 +15,14 @@ maximum: max is exact, so the blocks do not change the bits.  P lives only
 while intervals are scanned, so one (n, T) array at a time is alive beside
 the series: the pilot's first-difference proxy, one pass over the whole
 series, runs first; P is formed on the first scan and dropped when the
-pilot's segmentation ends, before the pilot's residuals are formed.  The
-final threshold forms P again, beside those residuals, only for an interval
-that the pilot never scanned, which needs its xi below the pilot's.  When
-the final threshold keeps the pilot's changes, the pilot's fit, residuals and
-default-config LRV are handed to a caller that asks for them through one
-list, `pilot_out`, so `analyze` neither forms the residuals nor estimates
-the LRV again.  A series whose sums of squares could overflow is refused
+pilot's segmentation ends, before the pilot's LRV is estimated.  The
+pilot's residuals are the series and its segment means, and the LRV forms
+their rows a block at a time, so no (n, T) residual matrix exists.  The
+final threshold forms P again only for an interval that the pilot never
+scanned, which needs its xi below the pilot's.  When the final threshold
+keeps the pilot's changes, the pilot's fit and its default-config LRV are
+handed to a caller that asks for them through one list, `pilot_out`, so
+`analyze` neither fits the segments nor estimates the LRV again.  A series whose sums of squares could overflow is refused
 where it is built (`FunctionalTimeSeries`).  The detector sits behind
 this module's function interface so an alternative detector can be
 substituted.
@@ -43,7 +44,6 @@ from .bootstrap import bootstrap_margin
 from .core import (
     FunctionalTimeSeries,
     InvalidInputError,
-    ResidualSeries,
     SegmentFit,
     check_float,
     check_integer,
@@ -219,11 +219,11 @@ def _auto_threshold(x: FunctionalTimeSeries, scan, drop_prefix, max_changes: int
     robust to mean shifts.  The pilot segments with the caller's memoized
     `scan`, which the final threshold then reuses.  The proxy's differences
     are dropped before the pilot's scans form the prefix sums, and the prefix
-    sums (`drop_prefix`) before the pilot's residuals are formed, so no two
-    of these (n, T) arrays are alive at once.  The pilot LRV always uses
+    sums (`drop_prefix`) before the pilot's LRV is estimated, so no two of
+    these (n, T) arrays are alive at once.  The pilot LRV always uses
     the default LrvConfig, whatever kernel and bandwidth the analysis asks for.
     The thresholds' floor scales with max |x|, `x.peak`.  Returns xi_n, the
-    pilot's change indices, and the pilot's (fit, residuals, LRV).
+    pilot's change indices, and the pilot's (fit, LRV).
     """
     n = x.n
     scale = np.sqrt(2.0 * np.log(n))
@@ -238,10 +238,9 @@ def _auto_threshold(x: FunctionalTimeSeries, scan, drop_prefix, max_changes: int
     drop_prefix()
 
     fit = fit_segments(x, segments_from_indices(n, pilot))
-    residuals = fit.residuals(x)
-    lrv = estimate_lrv(residuals, fit)
+    lrv = estimate_lrv(fit.residuals(x), fit)
     sigma_bar = median(np.sqrt(lrv.sigma2.values))
-    return max(XI_SCALE * sigma_bar * scale, floor), pilot, (fit, residuals, lrv)
+    return max(XI_SCALE * sigma_bar * scale, floor), pilot, (fit, lrv)
 
 
 def detect_change_points(
@@ -253,10 +252,8 @@ def detect_change_points(
     threshold, the final threshold forms them again only for an interval
     the pilot never scanned, which needs a final xi below the pilot's.
     When the final indices equal the pilot's and the caller passes a list
-    as `pilot_out`, the pilot's `SegmentFit`, its residuals and its
-    default-config `LrvEstimate` are appended to it; otherwise the list is
-    left empty.  They go to the caller, not onto the result, so a kept
-    result holds no (n, T) matrix.
+    as `pilot_out`, the pilot's `SegmentFit` and its default-config
+    `LrvEstimate` are appended to it; otherwise the list is left empty.
     """
     cfg = cfg or SegmentationConfig()
     msl = cfg.min_segment_length or _default_msl(x.n)
@@ -292,14 +289,13 @@ def relevant_set(
     cfg: RelevantChangeConfig | None = None,
     *,
     fit: SegmentFit | None = None,
-    residuals: ResidualSeries | None = None,
 ) -> RelevantSet:
     """Filter detected changes down to those with jump sup-norm > Delta.
 
     Index 0 is always included.  In the default plug-in mode the comparison
     margin is 0; method='bootstrap' adds a beta-calibrated margin.  A caller
-    that has formed the fit of `x` over cps.segments, or that fit's
-    residuals, passes them in so they are not formed twice.
+    that has formed the fit of `x` over cps.segments passes it in so it is
+    not formed twice.
     """
     cfg = cfg or RelevantChangeConfig()
     if cps.n != x.n:
@@ -314,7 +310,7 @@ def relevant_set(
 
     margins = [0.0] * len(jumps)
     if cfg.method == "bootstrap":
-        resid = (residuals or fit.residuals(x)).values
+        resid = fit.residuals(x)
         margins = [
             bootstrap_margin(
                 resid,

@@ -11,7 +11,8 @@ synthetic series from a separate innovation array, the AR(1) state
 recursion and a matrix of segment means, where `simulate.generate` builds it
 in place in one array; `coverage_study_by_replication` generates and
 analyzes one replication at a time, where `simulate.run_coverage_study`
-generates its series in batches.
+generates its series in batches.  `residual_series` gives the residual
+series whose rows are a given matrix, for tests that start from residuals.
 """
 
 import csv
@@ -27,6 +28,7 @@ from fdabands import (
     PipelineConfig,
     ResidualSeries,
     Segment,
+    SegmentFit,
     analyze,
     check_containment,
     curve_values,
@@ -68,6 +70,15 @@ def block_averages_by_index(y_values, L):
     return sums / np.sqrt(lengths)[:, None]
 
 
+def residual_series(values) -> ResidualSeries:
+    """The residual series whose rows are the (n, T) matrix `values`: the
+    series `values` under a one-segment fit of mean zero, and x - 0.0 is x
+    bit for bit."""
+    x = FunctionalTimeSeries(values, Grid.uniform(np.shape(values)[1]))
+    fit = SegmentFit((Segment(0, x.n),), np.zeros((1, len(x.grid))), x.grid)
+    return fit.residuals(x)
+
+
 def bootstrap_segment_mean(
     y: ResidualSeries, seg: Segment, L: int, multipliers
 ) -> Curve:
@@ -87,7 +98,7 @@ def bootstrap_segment_mean(
         raise InvalidInputError(
             f"need {seg.length} multipliers, got shape {nu.shape}"
         )
-    B = block_averages_by_index(y.values, L)[seg.start : seg.end]
+    B = block_averages_by_index(y.rows(0, y.n), L)[seg.start : seg.end]
     return Curve(nu @ B / seg.length, y.grid)
 
 

@@ -17,7 +17,6 @@ from fdabands import (
     LrvConfig,
     PipelineConfig,
     RelevantChangeConfig,
-    ResidualSeries,
     ScenarioSpec,
     Segment,
     SegmentFit,
@@ -33,7 +32,7 @@ from fdabands import (
     run_coverage_study,
     segments_from_locations,
 )
-from oracles import bootstrap_segment_mean
+from oracles import bootstrap_segment_mean, residual_series
 
 # Standard normal quantiles: P(|Z| <= 1.6449) = 0.9 and, for the max of two
 # independent half-normals, (2 * Phi(1.9545) - 1)^2 = 0.9.
@@ -216,9 +215,9 @@ def test_criterion_7_determinism_and_equivariance():
     )
 
     grid = Grid.uniform(3)
-    y = ResidualSeries(np.random.default_rng(8).normal(size=(30, 3)), grid)
+    y = residual_series(np.random.default_rng(8).normal(size=(30, 3)))
     annihilated = bootstrap_segment_mean(y, Segment(0, 30), L=3, multipliers=np.zeros(30))
-    zero_y = ResidualSeries(np.zeros((30, 3)), grid)
+    zero_y = residual_series(np.zeros((30, 3)))
     degenerate = run_bootstrap(
         zero_y,
         [Segment(0, 30)],

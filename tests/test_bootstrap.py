@@ -18,7 +18,6 @@ from fdabands import (
     LrvConfig,
     PipelineConfig,
     RelevantChangeConfig,
-    ResidualSeries,
     ScenarioSpec,
     Segment,
     analyze,
@@ -33,7 +32,7 @@ import fdabands.bootstrap as bootstrap
 import fdabands.core as core
 import fdabands.pipeline as pipeline
 from fdabands.bootstrap import _block_averages, _draw_sups, _segment_grams, _sqrt_factor, bootstrap_margin
-from oracles import block_averages_by_index, bootstrap_segment_mean
+from oracles import block_averages_by_index, bootstrap_segment_mean, residual_series
 
 
 def make_series(values):
@@ -53,7 +52,7 @@ def unit_sigma2(grid):
 class TestBootstrapSegmentMean:
     def test_zero_multipliers(self):
         rng = np.random.default_rng(2)
-        y = ResidualSeries(rng.normal(size=(12, 3)), Grid.uniform(3))
+        y = residual_series(rng.normal(size=(12, 3)))
         out = bootstrap_segment_mean(y, Segment(0, 12), L=3, multipliers=np.zeros(12))
         assert np.array_equal(out.values, np.zeros(3))
 
@@ -61,7 +60,7 @@ class TestBootstrapSegmentMean:
         rng = np.random.default_rng(3)
         yv = rng.normal(size=(9, 4))
         nu = rng.normal(size=9)
-        y = ResidualSeries(yv, Grid.uniform(4))
+        y = residual_series(yv)
         out = bootstrap_segment_mean(y, Segment(0, 9), L=1, multipliers=nu)
         expected = np.zeros(4)
         for j in range(9):
@@ -70,7 +69,7 @@ class TestBootstrapSegmentMean:
         assert np.allclose(out.values, expected, atol=1e-14)
 
     def test_zero_residuals(self):
-        y = ResidualSeries(np.zeros((10, 2)), Grid.uniform(2))
+        y = residual_series(np.zeros((10, 2)))
         nu = np.random.default_rng(4).normal(size=10)
         out = bootstrap_segment_mean(y, Segment(0, 10), L=2, multipliers=nu)
         assert np.array_equal(out.values, np.zeros(2))
@@ -79,22 +78,24 @@ class TestBootstrapSegmentMean:
         # the last block has only one available index; its sum is rescaled by
         # sqrt(1) instead of sqrt(L)
         yv = np.arange(8.0).reshape(4, 2)
-        y = ResidualSeries(yv, Grid.uniform(2))
+        y = residual_series(yv)
         nu = np.array([0.0, 0.0, 0.0, 1.0])
         out = bootstrap_segment_mean(y, Segment(0, 4), L=2, multipliers=nu)
         assert np.allclose(out.values, yv[3] / 4.0)
 
     def test_block_longer_than_segment(self):
-        y = ResidualSeries(np.zeros((6, 2)), Grid.uniform(2))
+        y = residual_series(np.zeros((6, 2)))
         with pytest.raises(InvalidInputError):
             bootstrap_segment_mean(y, Segment(0, 3), L=4, multipliers=np.zeros(3))
 
 
 def joined_block_averages(y_values, L, stop=None):
-    """The row blocks that `_block_averages` yields, joined into one array,
-    after checking that they follow one another from row 0."""
+    """The row blocks that `_block_averages` yields for the residual rows
+    `y_values`, joined into one array, after checking that they follow one
+    another from row 0."""
+    n = len(y_values)
     parts, start = [], 0
-    for a, block in _block_averages(y_values, L, stop):
+    for a, block in _block_averages(residual_series(y_values), L, Segment(0, n), n if stop is None else stop):
         assert a == start
         parts.append(block.copy())  # the next block overwrites this one
         start += len(block)
@@ -130,7 +131,7 @@ class TestBlockAverages:
         # block averages before `stop` read Y up to row stop + L - 2 only
         yv = np.random.default_rng(12).normal(size=(3000, 50))
         cut = yv.copy()
-        cut[1000 + 6 :] = np.nan
+        cut[1000 + 6 :] = np.random.default_rng(13).normal(size=(3000 - 1006, 50))
         assert joined_block_averages(cut, 7, 1000).tobytes() == joined_block_averages(yv, 7, 1000).tobytes()
 
 
@@ -156,7 +157,7 @@ class TestSegmentGrams:
                 [Segment(5, 10), Segment(23, 34)],  # stop = 34 < n, rows 0-4 unused
                 [Segment(23, 34), Segment(3, 23)],  # any order
             ):
-                grams = _segment_grams(yv, L, segs)
+                grams = _segment_grams(residual_series(yv), L, Segment(0, 41), segs)
                 assert grams.shape == (len(segs), 5, 5)
                 for gram, seg in zip(grams, segs):
                     rows = expected[seg.start : seg.end]
@@ -168,7 +169,7 @@ class TestSegmentGrams:
         yv = np.random.default_rng(38).normal(size=(3000, 50))
         segs = [Segment(0, 1000), Segment(1000, 2700), Segment(2700, 2990)]
         expected = block_averages_by_index(yv, 7)
-        for gram, seg in zip(_segment_grams(yv, 7, segs), segs):
+        for gram, seg in zip(_segment_grams(residual_series(yv), 7, Segment(0, 3000), segs), segs):
             rows = expected[seg.start : seg.end]
             assert_close_gram(gram, rows.T @ rows)
 
@@ -189,7 +190,7 @@ class TestSegmentGrams:
             return factor(gram, scale)
 
         monkeypatch.setattr(bootstrap, "_sqrt_factor", recording)
-        bootstrap_margin(resid, left, right, 0.1, 50, 0, 1)
+        bootstrap_margin(residual_series(resid), left, right, 0.1, 50, 0, 1)
         B = block_averages_by_index(resid[left.start : right.end], auto_block_length(min(left.length, right.length)))
         diff = np.vstack([-B[: left.length] / left.length, B[left.length :] / right.length])
         (gram,) = seen
@@ -220,7 +221,7 @@ def residuals_fixture(n=80, grid_size=6, seed=5, changes=(0.5,)):
 
 class TestRunBootstrap:
     def test_degenerate_residuals(self):
-        y = ResidualSeries(np.zeros((40, 3)), Grid.uniform(3))
+        y = residual_series(np.zeros((40, 3)))
         segs = segments_from_locations(40, [])
         res = run_bootstrap(y, segs, unit_sigma2(y.grid), BootstrapConfig(replications=200))
         assert np.array_equal(res.statistics, np.zeros(200))
@@ -264,8 +265,8 @@ class TestRunBootstrap:
         cfg = BootstrapConfig(replications=500, rng_seed=7)
         q = run_bootstrap(y, segs, sigma2, cfg).quantile
         for seed in range(3):
-            noise = 1.0 + 1e-14 * np.random.default_rng(seed).standard_normal(y.values.shape)
-            y_noisy = ResidualSeries(y.values * noise, y.grid)
+            noise = 1.0 + 1e-14 * np.random.default_rng(seed).standard_normal((y.n, len(y.grid)))
+            y_noisy = residual_series(y.rows(0, y.n) * noise)
             assert abs(run_bootstrap(y_noisy, segs, sigma2, cfg).quantile - q) / q < 1e-6
 
     def test_quantile_monotone_in_alpha(self):
@@ -300,7 +301,7 @@ class TestRunBootstrap:
         shifted_vals[segs[1].start : segs[1].end] += 42.0
         x2 = make_series(shifted_vals)
         y2 = fit_segments(x2, segs).residuals(x2)
-        assert np.allclose(y2.values, y.values, atol=1e-12)
+        assert np.allclose(y2.rows(0, y2.n), y.rows(0, y.n), atol=1e-12)
         again = run_bootstrap(y2, segs, sigma2, cfg)
         assert np.allclose(again.statistics, base.statistics, rtol=1e-12)
 
@@ -322,6 +323,19 @@ class TestRunBootstrap:
         with pytest.raises(InvalidInputError):
             run_bootstrap(y, [], sigma2, BootstrapConfig(replications=100))
 
+    def test_segment_past_the_series_end_rejected(self):
+        # segment [20, 60) of a 40-row series once warned from a sqrt and
+        # then failed to broadcast
+        y = residual_series(np.random.default_rng(46).normal(size=(40, 3)))
+        with pytest.raises(InvalidInputError, match=r"segment \[20, 60\)"):
+            run_bootstrap(y, [Segment(0, 20), Segment(20, 60)], unit_sigma2(y.grid), BootstrapConfig(replications=200))
+
+    def test_margin_segment_past_the_series_end_rejected(self):
+        # the margin once scaled the 20 rows of [20, 40) as if [20, 60) held 40
+        y = residual_series(np.random.default_rng(46).normal(size=(40, 3)))
+        with pytest.raises(InvalidInputError, match=r"segment \[20, 60\)"):
+            bootstrap_margin(y, Segment(0, 20), Segment(20, 60), 0.1, 200, 0, 1)
+
     def test_diagnostics_present(self):
         _, segs, y, sigma2 = residuals_fixture()
         res = run_bootstrap(y, segs, sigma2, BootstrapConfig(replications=200))
@@ -342,7 +356,7 @@ def basis_rows(y, seg, L, scale=1.0):
 def margin_rows(resid, left, right):
     """Definitional stacked matrix of the margin's bootstrap jump difference
     mu_right* - mu_left*, over the residuals of the two segments only."""
-    y = ResidualSeries(resid[left.start : right.end], Grid.uniform(resid.shape[1]))
+    y = residual_series(resid[left.start : right.end])
     L = auto_block_length(min(left.length, right.length))
     lo, mid, hi = 0, left.length, left.length + right.length
     return np.vstack([-basis_rows(y, Segment(lo, mid), L), basis_rows(y, Segment(mid, hi), L)])
@@ -372,10 +386,10 @@ class TestGaussianDraws:
     def test_factor_matches_segment_mean_oracle(self, n, grid_size, seg, L, zero):
         rng = np.random.default_rng(31)
         values = np.zeros((n, grid_size)) if zero else rng.normal(size=(n, grid_size))
-        y = ResidualSeries(values, Grid.uniform(grid_size))
+        y = residual_series(values)
         sigma = np.sqrt(rng.uniform(0.5, 2.0, size=grid_size))
         # the Gram matrix and column scale run_bootstrap draws this segment from
-        (gram,) = _segment_grams(y.values, L, [seg])
+        (gram,) = _segment_grams(y, L, Segment(0, n), [seg])
         r = _sqrt_factor(gram, np.sqrt(seg.length) * sigma)
         assert r.shape == (grid_size, grid_size)
         assert_same_covariance(r, basis_rows(y, seg, L, np.sqrt(seg.length) / sigma))
@@ -385,7 +399,7 @@ class TestGaussianDraws:
         # segment's end; each factor's Gram matrix still sums all of its
         # segment's rows
         n, grid_size, L = 120, 4, 5
-        y = ResidualSeries(np.random.default_rng(33).normal(size=(n, grid_size)), Grid.uniform(grid_size))
+        y = residual_series(np.random.default_rng(33).normal(size=(n, grid_size)))
         segs = [Segment(0, 40), Segment(40, 90)]
         seen = []
         factor = bootstrap._sqrt_factor
@@ -396,7 +410,7 @@ class TestGaussianDraws:
 
         monkeypatch.setattr(bootstrap, "_sqrt_factor", recording)
         run_bootstrap(y, segs, unit_sigma2(y.grid), BootstrapConfig(block_length=L, replications=100))
-        full = block_averages_by_index(y.values, L)
+        full = block_averages_by_index(y.rows(0, n), L)
         expected = [full[seg.start : seg.end].T @ full[seg.start : seg.end] for seg in segs]
         # the caller and a pool worker may factorize in either order
         assert len(seen) == len(expected)
@@ -417,7 +431,7 @@ class TestGaussianDraws:
             return _draw_sups(factors, replications, seed, keys, pool)
 
         monkeypatch.setattr(bootstrap, "_draw_sups", record)
-        bootstrap_margin(resid, left, right, 0.1, 50, 0, 1)
+        bootstrap_margin(residual_series(resid), left, right, 0.1, 50, 0, 1)
         (r,) = seen
         assert_same_covariance(r, margin_rows(resid, left, right))
 
@@ -506,7 +520,7 @@ class TestDrawBlocks:
                 with monkeypatch.context() as m:
                     m.setattr(bootstrap, "_sqrt_factor", record_factor)
                     res = run_bootstrap(y, segs, sigma2, cfg)
-                margin = bootstrap_margin(y.values, segs[0], segs[1], 0.1, 301, 4, 1)
+                margin = bootstrap_margin(y, segs[0], segs[1], 0.1, 301, 4, 1)
             finally:
                 if pool is not None:
                     pool.shutdown()
@@ -642,7 +656,7 @@ class TestDrawBuffers:
 
     def test_worker_share_allocates_less_than_a_block(self, monkeypatch):
         n = 300
-        y = ResidualSeries(np.random.default_rng(36).normal(size=(n, self.T)), Grid.uniform(self.T))
+        y = residual_series(np.random.default_rng(36).normal(size=(n, self.T)))
         segs = segments_from_locations(n, [1 / 3, 2 / 3])
         cfg = BootstrapConfig(replications=self.R, rng_seed=4)
         expected = run_bootstrap(y, segs, unit_sigma2(y.grid), cfg).statistics.tobytes()
@@ -763,9 +777,9 @@ class TestDistributionalAgreement:
     def test_bootstrap_margin_quantile(self):
         segs, y = ar1_fixture()
         left, right = segs
-        margin = bootstrap_margin(y.values, left, right, 0.1, self.R, 5, 1)
+        margin = bootstrap_margin(y, left, right, 0.1, self.R, 5, 1)
         nu = np.random.default_rng(7).standard_normal((self.R, y.n))
-        q_def = np.quantile(np.abs(nu @ margin_rows(y.values, left, right)).max(axis=1), 0.9)
+        q_def = np.quantile(np.abs(nu @ margin_rows(y.rows(0, y.n), left, right)).max(axis=1), 0.9)
         assert margin == pytest.approx(q_def, rel=self.TOL)
 
 
@@ -776,7 +790,7 @@ def test_run_bootstrap_memory_is_independent_of_R_times_n():
     # averages' prefix window and one block of them, then the draws' (z, w)
     # chunk pairs, two of 0.16 MB each per share
     n, grid_size, R = 10000, 20, 2000
-    y = ResidualSeries(np.random.default_rng(8).normal(size=(n, grid_size)), Grid.uniform(grid_size))
+    y = residual_series(np.random.default_rng(8).normal(size=(n, grid_size)))
     segs = segments_from_locations(n, [0.3, 0.7])
     sigma2 = unit_sigma2(y.grid)
     tracemalloc.start()

@@ -442,8 +442,9 @@ def analyze_args(data, out, *extra):
 def test_run_pipeline_holds_two_series_sized_arrays(tmp_path):
     # a 10 000 x 101 matrix file at T = 100 and R = 2000: ingest holds the
     # parsed matrix and the resampled series, detection the series and one
-    # (n, T) array at a time, the bootstrap the series and its residuals;
-    # the rest are row blocks and draw chunks of core._BLOCK_ENTRIES entries.
+    # (n, T) array at a time; the LRV and the bootstrap form the residual
+    # rows they read, and the rest are row blocks and draw chunks of
+    # core._BLOCK_ENTRIES entries.
     # At a smaller n those fixed-size chunks would weigh more against the
     # series, so the bound holds at this size.
     n, samples, grid_size = 10_000, 101, 100

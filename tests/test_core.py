@@ -189,8 +189,39 @@ class TestSegmentMean:
         fit = fit_segments(x, [Segment(0, 1), Segment(1, 18), Segment(18, 49), Segment(49, 50)])
         y = fit.residuals(x)
         expected = vals - np.repeat(fit.means, [1, 17, 31, 1], axis=0)
-        assert y.values.tobytes() == expected.tobytes()
-        assert y.values.flags["C_CONTIGUOUS"] and not y.values.flags["WRITEABLE"]
+        rows = y.rows(0, 50)
+        assert rows.tobytes() == expected.tobytes()
+        assert rows.flags["C_CONTIGUOUS"]
+        # the residuals hold the series and the means, both read-only
+        assert y.series is x and y.fit is fit
+        assert not x.values.flags["WRITEABLE"] and not fit.means.flags["WRITEABLE"]
+
+    def test_every_row_range_is_its_rows_minus_their_segment_means(self):
+        # ranges that start, end or lie inside a 1-row segment, and ranges
+        # that straddle any number of segment edges, formed into a new array
+        # and into the leading rows of a buffer
+        vals = np.random.default_rng(44).normal(scale=3.0, size=(12, 5))
+        x = series_from(vals)
+        segs = [Segment(0, 1), Segment(1, 5), Segment(5, 6), Segment(6, 11), Segment(11, 12)]
+        fit = fit_segments(x, segs)
+        y = fit.residuals(x)
+        owner = np.repeat(np.arange(len(segs)), [seg.length for seg in segs])
+        buffer = np.full((13, 5), np.nan)
+        for a in range(12):
+            for b in range(a + 1, 13):
+                expected = np.stack([x.values[j] - fit.means[owner[j]] for j in range(a, b)])
+                assert y.rows(a, b).tobytes() == expected.tobytes(), (a, b)
+                out = y.rows(a, b, out=buffer)
+                assert np.shares_memory(out, buffer) and out.tobytes() == expected.tobytes(), (a, b)
+
+    def test_residuals_need_the_fit_of_their_series(self):
+        x = series_from(np.random.default_rng(45).normal(size=(10, 3)))
+        fit = fit_segments(x, [Segment(0, 4), Segment(4, 10)])
+        shorter = series_from(x.values[:8])
+        other_grid = FunctionalTimeSeries(x.values, Grid(np.linspace(0.0, 0.5, 3)))
+        for other in (shorter, other_grid):
+            with pytest.raises(InvalidInputError, match="segment fit does not match"):
+                fit.residuals(other)
 
 
 class TestFitResiduals:
@@ -198,14 +229,14 @@ class TestFitResiduals:
         vals = np.vstack([np.zeros((5, 3)), np.full((5, 3), 4.0)])
         x = series_from(vals)
         y = fit_segments(x, segments_from_locations(10, [0.5])).residuals(x)
-        assert np.array_equal(y.values, np.zeros((10, 3)))
+        assert np.array_equal(y.rows(0, 10), np.zeros((10, 3)))
 
     def test_single_segment_mean_subtraction(self):
         rng = np.random.default_rng(0)
         noise = rng.normal(size=(8, 4))
         x = series_from(2.5 + noise)
         y = fit_segments(x, segments_from_locations(8, [])).residuals(x)
-        assert np.allclose(y.values, noise - noise.mean(axis=0), atol=1e-13)
+        assert np.allclose(y.rows(0, 8), noise - noise.mean(axis=0), atol=1e-13)
 
     def test_per_segment_means_vanish(self):
         rng = np.random.default_rng(1)
@@ -214,7 +245,7 @@ class TestFitResiduals:
         y = fit_segments(x, segs).residuals(x)
         for seg in segs:
             # independently recomputed per-segment residual means
-            assert np.max(np.abs(y.values[seg.start : seg.end].mean(axis=0))) < 1e-10
+            assert np.max(np.abs(y.rows(seg.start, seg.end).mean(axis=0))) < 1e-10
 
     def test_uncovered_index_is_internal_error(self):
         x = series_from(np.zeros((10, 2)))

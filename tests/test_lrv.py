@@ -15,7 +15,7 @@ from fdabands import (
     segments_from_indices,
     segments_from_locations,
 )
-from fdabands.lrv import _boundary_rows
+import fdabands.core as core
 from oracles import lag_covariance
 
 
@@ -121,13 +121,13 @@ class TestAutoBandwidth:
             auto_bandwidth(3)
 
 
-def unique_boundary_rows(changes, a, n):
-    """The corrected rows as np.unique found them: every row within a - 1
-    before a boundary row, once each and ascending, cut to [0, n - a)."""
-    j = np.unique(changes[:, None] - np.arange(a))
-    return j[(j >= 0) & (j < n - a)]
+def kernel_sum(x, fit, c, name="bartlett"):
+    """The lag-window sum of definitional lag covariances, l = -c..c."""
+    mu, kernel = mean_matrix(fit), KERNELS[name]
+    return sum(float(kernel(l / c)) * lag_covariance(x, mu, l).values for l in range(-c, c + 1))
 
 
+@pytest.mark.filterwarnings("ignore:bandwidth c = .* violates")
 @pytest.mark.parametrize(
     "changes",
     [
@@ -138,14 +138,31 @@ def unique_boundary_rows(changes, a, n):
     ],
     ids=["no_boundary", "reaches_row_0", "reaches_row_n_minus_1_minus_a", "overlapping"],
 )
-def test_boundary_rows_equal_np_unique(changes):
-    n = 50
-    changes = np.array(changes, dtype=int)
-    for a in range(1, 9):
-        rows = _boundary_rows(changes, a, n)
-        expected = unique_boundary_rows(changes, a, n)
-        assert rows.dtype == expected.dtype
-        assert rows.tolist() == expected.tolist()
+def test_boundary_corrections_match_lag_covariance(changes):
+    # a boundary follows each row in `changes`; each boundary's correction
+    # reads the rows within c of it, and lags that cross several
+    # boundaries add up each one's step
+    x, _ = error_series(50, 3, "ar1", 0.5, seed=11)
+    fit = fit_segments(x, segments_from_indices(x.n, [j + 1 for j in changes]))
+    for c in range(1, 9):
+        expected = kernel_sum(x, fit, c)
+        assert expected.min() > 0.0
+        est = estimate_lrv(fit.residuals(x), fit, LrvConfig(bandwidth=c))
+        assert np.allclose(est.sigma2.values, expected, rtol=1e-12, atol=0.0), c
+
+
+def test_blocked_lag_sums_match_lag_covariance(monkeypatch):
+    # 12 // 7 = 1 row per block: every lag product pairs rows of a block
+    # with the c rows past its end, and every boundary reads rows of
+    # several blocks
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", 12)
+    x, _ = error_series(300, 7, "ar1", 0.5, seed=10)
+    fit = fit_segments(x, segments_from_indices(x.n, [100, 101, 103, 200, 299]))
+    for name in KERNELS:
+        expected = kernel_sum(x, fit, 5, name)
+        assert expected.min() > 0.0
+        est = estimate_lrv(fit.residuals(x), fit, LrvConfig(bandwidth=5, kernel=name))
+        assert np.allclose(est.sigma2.values, expected, rtol=1e-12, atol=0.0), name
 
 
 class TestEstimateLrv:

@@ -16,6 +16,7 @@ from fdabands import (
     LrvConfig,
     PipelineConfig,
     RelevantChangeConfig,
+    ScenarioSpec,
     SegmentationConfig,
     SegmentFit,
     analyze,
@@ -23,6 +24,7 @@ from fdabands import (
     detect_change_points,
     estimate_lrv,
     fit_segments,
+    generate,
     relevant_set,
 )
 import fdabands.core as core
@@ -528,10 +530,9 @@ class TestBlockedScan:
 
     def test_detection_holds_one_series_sized_array_beside_the_series(self):
         # one (n, T) array at a time beside the series: the pilot's first
-        # differences, then the prefix sums while the pilot scans, then the
-        # pilot's residuals (the final threshold here scans no interval the
-        # pilot did not); the rest are block-sized temporaries and the LRV's
-        # (T,) rows
+        # differences, then the prefix sums while the pilot scans (the final
+        # threshold here scans no interval the pilot did not); the rest are
+        # block-sized temporaries, among them the pilot LRV's residual rows
         grid_size = 100
         x = jump_series(
             10_000,
@@ -667,10 +668,10 @@ def test_final_threshold_below_the_pilots_forms_the_prefix_again(monkeypatch):
     ]
 
 
-def test_analyze_forms_each_fits_residuals_once(monkeypatch):
-    # the final changes here are the pilot's: the pilot's residuals, formed
-    # for its LRV, are handed to analyze, and the bootstrap margin, the LRV
-    # and the bootstrap all read them
+def test_analyze_reads_the_residuals_of_the_pilots_fit_alone(monkeypatch):
+    # the final changes here are the pilot's: the pilot's fit, formed for
+    # its LRV, is handed to analyze, and the bootstrap margin, the LRV and
+    # the bootstrap all read its residuals
     grid_size = 8
     x = jump_series(400, grid_size, [(0.5, np.full(grid_size, 3.0))], noise_sd=1.0, seed=4)
     cfg = PipelineConfig(
@@ -686,14 +687,14 @@ def test_analyze_forms_each_fits_residuals_once(monkeypatch):
 
     monkeypatch.setattr(SegmentFit, "residuals", counting)
     res = analyze(x, cfg)
-    assert sum(formed.values()) == 1
+    assert len(formed) == 1
     alone = relevant_set(x, res.change_points, cfg.relevant)
     assert (alone.indices, alone.all_jumps) == (res.relevant.indices, res.relevant.all_jumps)
 
 
 def test_analyze_forms_the_final_fits_residuals_when_the_pilot_differs(monkeypatch):
-    # the pilot's residuals go to analyze only when the final changes are
-    # the pilot's; here the final threshold drops one (see ar_jump_series)
+    # the pilot's fit goes to analyze only when the final changes are the
+    # pilot's; here the final threshold drops one (see ar_jump_series)
     x = ar_jump_series(3)
     formed = []
     residuals = SegmentFit.residuals
@@ -741,19 +742,20 @@ def test_pilot_out_stays_empty_without_the_pilots_changes(seed, cfg):
 
 
 def test_pilot_out_holds_the_pilots_fit_residuals_and_lrv():
-    # the final changes here are the pilot's; what the list holds must be
-    # what analyze would otherwise form itself, bit for bit
+    # the final changes here are the pilot's; what the list holds, and the
+    # residuals of its fit, must be what analyze would otherwise form
+    # itself, bit for bit
     x = ar_jump_series(0)
     pilot = []
     cps = detect_change_points(x, pilot_out=pilot)
     assert pilot_indices(x) == cps.indices
-    fit, residuals, lrv = pilot
+    fit, lrv = pilot
     fresh = fit_segments(x, cps.segments)
     fresh_residuals = fresh.residuals(x)
     fresh_lrv = estimate_lrv(fresh_residuals, fresh)
     assert fit.segments == fresh.segments
     assert fit.means.tobytes() == fresh.means.tobytes()
-    assert residuals.values.tobytes() == fresh_residuals.values.tobytes()
+    assert fit.residuals(x).rows(0, x.n).tobytes() == fresh_residuals.rows(0, x.n).tobytes()
     assert lrv.sigma2.values.tobytes() == fresh_lrv.sigma2.values.tobytes()
     assert lrv.bandwidth == fresh_lrv.bandwidth
 
@@ -818,6 +820,34 @@ def test_analysis_result_holds_no_series_sized_array():
     walk(res)
     assert any(a is res.lrv.sigma2.values for a in arrays)
     assert arrays and all(a.ndim == 0 or a.shape[0] != x.n for a in arrays)
+
+
+@pytest.mark.parametrize("method", ["plugin", "bootstrap"])
+def test_analyze_holds_one_series_sized_array_beside_the_series(method):
+    # detection holds one (n, T) array at a time beside the series (see
+    # test_detection_holds_one_series_sized_array_beside_the_series); the
+    # relevant filter's margin, the LRV and the bootstrap form the residual
+    # rows they read a block at a time, so no (n, T) residual matrix joins
+    # it.  The series exists before tracing starts.
+    spec = ScenarioSpec(
+        n=10_000,
+        grid_size=100,
+        means=[0.0, {"kind": "constant", "value": 3.0}, {"kind": "constant", "value": 0.5}],
+        change_locations=[0.3, 0.7],
+        error_process="ar1",
+        error_param=0.4,
+        rng_seed=6,
+    )
+    x, _ = generate(spec)
+    cfg = PipelineConfig(relevant=RelevantChangeConfig(delta=2.0, method=method))
+    tracemalloc.start()
+    try:
+        res = analyze(x, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.change_points.m == 2
+    assert peak <= 1.15 * x.values.nbytes
 
 
 def test_results_do_not_depend_on_the_input_layout():
