@@ -9,9 +9,12 @@ square root of B_i^T B_i with its columns divided by sqrt(n_i) * sigma_hat:
 no (R, n) multiplier matrix.  Nor is B an (n, T) matrix: `_block_averages`
 forms it a row block at a time, and each segment's Gram matrix B_i^T B_i is
 summed over those blocks.  Nor are the residuals: a `ResidualSeries` is the
-series and its segment means, and `_block_averages` forms the residual rows
-that one block reads into its prefix-sum window.  The empirical
-(1 - alpha)-quantile of the replicates of
+series and its segment fit, and `_block_averages` forms the residual rows
+that one block reads into its prefix-sum window.  The segments are read off
+that fit, `y.fit`, by index, so the rows and the segments cannot come from
+two fits: `run_bootstrap` takes the indices of the relevant segments, as
+`build_bands` does, and `bootstrap_margin` the index of a change.  The
+empirical (1 - alpha)-quantile of the replicates of
 T* = max_i sqrt(n_i) * sup_t |mu_i*(t) / sigma_hat(t)| calibrates the bands.
 `bootstrap_margin` draws the relevant filter's jump-estimate fluctuation
 between two adjacent segments the same way.  The definitional bootstrap
@@ -39,6 +42,7 @@ block.
 
 from __future__ import annotations
 
+import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -153,15 +157,6 @@ def _segment_grams(y: ResidualSeries, L: int, span: Segment, segments) -> np.nda
             if len(part):
                 gram += part.T @ part
     return grams
-
-
-def _check_within(y: ResidualSeries, segments) -> None:
-    """Every segment lies in [0, n) of the residual series `y`."""
-    for seg in segments:
-        if seg.end > y.n:
-            raise InvalidInputError(
-                f"segment [{seg.start}, {seg.end}) runs past the end of the series (n = {y.n})"
-            )
 
 
 def _sqrt_factor(gram: np.ndarray, scale=1.0) -> np.ndarray:
@@ -286,52 +281,47 @@ def _empirical_quantile(values: np.ndarray, level: float) -> float:
     return float(np.sort(values)[rank - 1])
 
 
-def bootstrap_margin(
-    residuals: ResidualSeries,
-    left: Segment,
-    right: Segment,
-    beta: float,
-    replications: int,
-    seed: int,
-    pair: int,
-) -> float:
+def bootstrap_margin(y: ResidualSeries, pair: int, beta: float, replications: int, seed: int) -> float:
     """(1 - beta)-quantile of the bootstrapped jump-estimate fluctuation.
 
-    Reuses the multiplier block bootstrap on the residuals of the two segments
-    adjacent to a change to calibrate how far a jump estimate can stray from
-    its target under the null; the jump difference nu @ [-B_left / n_left;
-    B_right / n_right] is Gaussian given the data and is drawn exactly, from
-    the substreams of change `pair`.  The block averages are those of the
-    rows [left.start, right.end) alone, cut off at right.end.
+    Reuses the multiplier block bootstrap on the residuals of the two
+    segments adjacent to change `pair`, left = y.fit.segments[pair - 1] and
+    right = y.fit.segments[pair] for 1 <= pair < len(y.fit.segments), to
+    calibrate how far a jump estimate can stray from its target under the
+    null; the jump difference nu @ [-B_left / n_left; B_right / n_right] is
+    Gaussian given the data and is drawn exactly, from the substreams of
+    change `pair`.  The block averages are those of the rows
+    [left.start, right.end) alone, cut off at right.end.
     """
-    _check_within(residuals, (left, right))
+    segments = y.fit.segments
+    if not 1 <= pair < len(segments):
+        raise InvalidInputError(f"change {pair} is not one of the fit's changes 1..{len(segments) - 1}")
+    left, right = segments[pair - 1], segments[pair]
     L = auto_block_length(min(left.length, right.length))
     span = Segment(left.start, right.end)
     halves = [Segment(0, left.length), Segment(left.length, span.length)]
-    g_left, g_right = _segment_grams(residuals, L, span, halves)
+    g_left, g_right = _segment_grams(y, L, span, halves)
     # the Gram matrix of [-B_left / n_left; B_right / n_right]
     gram = g_left / left.length**2 + g_right / right.length**2
     (draws,) = _draw_sups([_sqrt_factor(gram)], replications, seed, [(_MARGIN, pair)], _executor())
     return _empirical_quantile(draws, 1.0 - beta)
 
 
-def run_bootstrap(
-    y: ResidualSeries,
-    segments,
-    sigma2: Curve,
-    cfg: BootstrapConfig,
-) -> BootstrapResult:
-    """R replicate statistics T* and their empirical (1 - alpha)-quantile.
+def run_bootstrap(y: ResidualSeries, indices, sigma2: Curve, cfg: BootstrapConfig) -> BootstrapResult:
+    """R replicate statistics T* and their empirical (1 - alpha)-quantile
+    over the segments y.fit.segments[i], i in `indices`.
 
-    Segment k's replicates come from the DRAW_BLOCKS SFC64 substreams of
-    cfg.rng_seed keyed by k.  The calling thread and the module's draw pool
-    share the segments' square-root factors and the draws, so results are
-    bit-identical for a fixed seed whatever the number of workers.
+    The k-th of those segments takes its replicates from the DRAW_BLOCKS
+    SFC64 substreams of cfg.rng_seed keyed by k, its position in `indices`,
+    not its index into the fit.  The calling thread and the
+    module's draw pool share the segments' square-root factors and the
+    draws, so results are bit-identical for a fixed seed whatever the number
+    of workers.
     """
-    segments = list(segments)
-    if not segments:
-        raise InvalidInputError("need at least one segment (index 0 is always relevant)")
-    _check_within(y, segments)
+    last = len(y.fit.segments) - 1
+    if not indices or not all(isinstance(i, numbers.Integral) and 0 <= i <= last for i in indices):
+        raise InvalidInputError(f"segment indices {list(indices)} must be one or more integers in 0..{last}")
+    segments = [y.fit.segments[i] for i in indices]
     R = cfg.replications
     if R < 100:
         warnings.warn("fewer than 100 bootstrap replications: quantile unstable", stacklevel=2)
@@ -343,6 +333,8 @@ def run_bootstrap(
         )
     if np.any(sigma2.values <= 0.0):
         raise InvalidInputError("sigma^2 must be floored strictly positive")
+    if sigma2.grid != y.grid:
+        raise InvalidInputError("segment means and sigma^2 are on different grids")
     sigma = np.sqrt(sigma2.values)
 
     grams = _segment_grams(y, L, Segment(0, y.n), segments)

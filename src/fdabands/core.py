@@ -328,12 +328,23 @@ class SegmentFit:
 
     Only the k mean curves are stored, and the residuals of the series are
     the series and these means (`residuals`), so a fit that is kept holds no
-    (n, T) matrix.
+    (n, T) matrix.  Segments that are no such partition (n is the last
+    segment's end) and means of another shape are refused.
     """
 
     segments: tuple  # partition of [0, n), in order
     means: np.ndarray  # (k, T): row i is the mean curve of segments[i]
     grid: Grid
+
+    def __post_init__(self):
+        segments = tuple(self.segments)
+        if not segments or [seg.start for seg in segments] != [0, *(seg.end for seg in segments[:-1])]:
+            raise InvalidInputError("segments do not partition [0, n) in order")
+        means = _frozen_array(self.means)
+        if means.shape != (len(segments), len(self.grid)):
+            raise InvalidInputError(f"means of shape {means.shape}, not ({len(segments)}, {len(self.grid)})")
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "means", means)
 
     def residuals(self, x: FunctionalTimeSeries) -> ResidualSeries:
         """`x`, the series the fit was built from, minus each row's segment
@@ -345,13 +356,7 @@ def fit_segments(x: FunctionalTimeSeries, segments) -> SegmentFit:
     """Segment mean curves of `x` over `segments`, which must partition
     [0, n) in order."""
     segments = tuple(segments)
-    if (
-        not segments
-        or segments[0].start != 0
-        or segments[-1].end != x.n
-        or any(a.end != b.start for a, b in zip(segments, segments[1:]))
-    ):
-        raise InternalInvariantError("segments do not partition the series in order")
+    if not segments or segments[-1].end != x.n:
+        raise InvalidInputError(f"segments do not end at the series' end n = {x.n}")
     means = np.stack([x.values[seg.start : seg.end].mean(axis=0) for seg in segments])
-    means.setflags(write=False)
     return SegmentFit(segments, means, x.grid)

@@ -15,9 +15,11 @@ d_i = mu_i - mu_{i-1} of the boundaries that j and j+a straddle, so each
 correction is a sum over boundaries: d_i times the sum of e_j (or e_{j+a})
 over the at most a rows j just before boundary i.  `estimate_lrv` forms
 one main sum per |a|, over the residual rows a row block at a time, and
-reads the corrections off the rows within the bandwidth of each boundary;
-no (n, T) residual matrix is formed.  The definitional lag covariance that
-the tests compare against is `lag_covariance` in tests/oracles.py.
+reads the corrections off the rows within the bandwidth of each boundary
+of `y.fit`, the fit the rows are formed from, so the two cannot come from
+two fits; no (n, T) residual matrix is formed.  The definitional lag
+covariance that the tests compare against is `lag_covariance` in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Curve, InvalidInputError, ResidualSeries, SegmentFit, check_integer, row_blocks
+from .core import Curve, InvalidInputError, ResidualSeries, check_integer, row_blocks
 
 
 def _bartlett(x):
@@ -81,21 +83,21 @@ def auto_bandwidth(n: int) -> int:
     return max(1, int(np.floor(n**0.25 + 1e-9)))
 
 
-def estimate_lrv(y: ResidualSeries, fit: SegmentFit, cfg: LrvConfig | None = None) -> LrvEstimate:
-    """Lag-window long-run variance estimate from `y`, the residuals of `fit`.
+def estimate_lrv(y: ResidualSeries, cfg: LrvConfig | None = None) -> LrvEstimate:
+    """Lag-window long-run variance estimate from `y`, the residuals of `y.fit`.
 
     Sums kernel-weighted lag covariances for l = -c..c, then floors the result
     at 1e-8 times its maximum so later divisions by sigma_hat are safe.  Lags
     +a and -a share the main sum sum_j y_j * y_{j+a}, summed over the row
     blocks of `core.row_blocks`; each adds its boundary correction, summed
-    boundary by boundary of `fit` (see the module docstring).  Equal to the
+    boundary by boundary of `y.fit` (see the module docstring).  Equal to the
     kernel-weighted sum of definitional lag covariances up to rounding;
     bit-reproducible for fixed inputs.
     """
     cfg = cfg or LrvConfig()
+    if not isinstance(cfg, LrvConfig):  # such as a second copy of the fit
+        raise InvalidInputError(f"cfg must be an LrvConfig, got {type(cfg).__name__}")
     n = y.n
-    if fit.segments[-1].end != n or fit.grid != y.grid:
-        raise InvalidInputError("segment fit does not match the residual series")
     c = auto_bandwidth(n) if cfg.bandwidth == "auto" else cfg.bandwidth
     if c >= n:
         raise InvalidInputError(f"bandwidth c = {c} must be < n = {n}")
@@ -123,7 +125,7 @@ def estimate_lrv(y: ResidualSeries, fit: SegmentFit, cfg: LrvConfig | None = Non
     lags = np.arange(1, c + 1)
     plus, minus = np.zeros((c, width)), np.zeros((c, width))
     prefix = np.empty((2 * c + 1, width))
-    for seg, step in zip(fit.segments[1:], np.diff(fit.means, axis=0)):
+    for seg, step in zip(y.fit.segments[1:], np.diff(y.fit.means, axis=0)):
         s = seg.start
         lo, hi = max(s - c, 0), min(s + c, n)
         p = prefix[: hi - lo + 1]  # p[i]: the sum of rows [lo, lo + i)

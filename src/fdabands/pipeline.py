@@ -4,10 +4,10 @@ long-run variance, bootstrap the quantile, and build the bands.
 The auto threshold's pilot segmentation reaches `analyze` through one
 channel: the `pilot_out` list of `detect_change_points`, which holds the
 pilot's fit and default-config LRV when the final changes are the pilot's
-and is empty otherwise.  The residuals are the series and the fit's segment
-means; the relevant filter's margin, the LRV and the bootstrap each form the
-residual rows they read, a block at a time, so no (n, T) residual matrix is
-formed."""
+and is empty otherwise.  The residuals are the series and its fit; the
+relevant filter's margin, the LRV and the bootstrap read their segments off
+that fit, so no stage gets a second copy of it, and each forms the residual
+rows it reads, a block at a time, so no (n, T) residual matrix is formed."""
 
 from __future__ import annotations
 
@@ -58,8 +58,8 @@ class AnalysisResult:
 def analyze(x: FunctionalTimeSeries, cfg: PipelineConfig | None = None) -> AnalysisResult:
     """Bands for the relevant segments of `x`.
 
-    One fit over the detected changes feeds the relevant filter, the LRV
-    and the bootstrap.  When the auto threshold's pilot found the same
+    One fit over the detected changes feeds the relevant filter, the LRV,
+    the bootstrap and the bands.  When the auto threshold's pilot found the same
     changes, `detect_change_points` hands over the pilot's fit and its
     default-config LRV through `pilot_out`; the LRV is estimated again only
     when there is no pilot or the analysis asks for another LrvConfig.
@@ -75,14 +75,14 @@ def analyze(x: FunctionalTimeSeries, cfg: PipelineConfig | None = None) -> Analy
     rel = relevant_set(x, cps, cfg.relevant, fit=fit)
     y = fit.residuals(x)
     if not pilot or cfg.lrv != LrvConfig():
-        lrv_est = estimate_lrv(y, fit, cfg.lrv)
+        lrv_est = estimate_lrv(y, cfg.lrv)
 
     # The bands use the (1 - alpha/2)-quantile of T*, not the (1 - alpha)-
     # quantile: at moderate n the block bootstrap scale is biased low for
     # short blocks, and the (1 - alpha)-quantile undercovers.
     boot = run_bootstrap(
         y,
-        [fit.segments[i] for i in rel.indices],
+        rel.indices,
         lrv_est.sigma2,
         BootstrapConfig(
             block_length=cfg.block_length,

@@ -238,7 +238,7 @@ def _auto_threshold(x: FunctionalTimeSeries, scan, drop_prefix, max_changes: int
     drop_prefix()
 
     fit = fit_segments(x, segments_from_indices(n, pilot))
-    lrv = estimate_lrv(fit.residuals(x), fit)
+    lrv = estimate_lrv(fit.residuals(x))
     sigma_bar = median(np.sqrt(lrv.sigma2.values))
     return max(XI_SCALE * sigma_bar * scale, floor), pilot, (fit, lrv)
 
@@ -295,7 +295,8 @@ def relevant_set(
     Index 0 is always included.  In the default plug-in mode the comparison
     margin is 0; method='bootstrap' adds a beta-calibrated margin.  A caller
     that has formed the fit of `x` over cps.segments passes it in so it is
-    not formed twice.
+    not formed twice; a fit over other segments or on another grid is
+    refused.
     """
     cfg = cfg or RelevantChangeConfig()
     if cps.n != x.n:
@@ -305,22 +306,17 @@ def relevant_set(
         raise InvalidInputError(
             "auto delta is zero (identical end windows); supply an explicit delta"
         )
-    fit = fit or fit_segments(x, cps.segments)
+    if fit is None:
+        fit = fit_segments(x, cps.segments)
+    elif fit.segments != tuple(cps.segments) or fit.grid != x.grid:
+        raise InvalidInputError("segment fit is not over the change point set's segments on the series' grid")
     jumps = [sup_norm(fit.means[i] - fit.means[i - 1]) for i in range(1, len(fit.means))]
 
     margins = [0.0] * len(jumps)
     if cfg.method == "bootstrap":
-        resid = fit.residuals(x)
+        y = fit.residuals(x)
         margins = [
-            bootstrap_margin(
-                resid,
-                fit.segments[i - 1],
-                fit.segments[i],
-                cfg.beta,
-                cfg.calibration_replications,
-                cfg.rng_seed,
-                i,
-            )
+            bootstrap_margin(y, i, cfg.beta, cfg.calibration_replications, cfg.rng_seed)
             for i in range(1, len(fit.segments))
         ]
 

@@ -12,7 +12,8 @@ recursion and a matrix of segment means, where `simulate.generate` builds it
 in place in one array; `coverage_study_by_replication` generates and
 analyzes one replication at a time, where `simulate.run_coverage_study`
 generates its series in batches.  `residual_series` gives the residual
-series whose rows are a given matrix, for tests that start from residuals.
+series whose rows are a given matrix, under a zero-mean fit over given
+segments, for tests that start from residuals.
 """
 
 import csv
@@ -70,12 +71,13 @@ def block_averages_by_index(y_values, L):
     return sums / np.sqrt(lengths)[:, None]
 
 
-def residual_series(values) -> ResidualSeries:
+def residual_series(values, segments=None) -> ResidualSeries:
     """The residual series whose rows are the (n, T) matrix `values`: the
-    series `values` under a one-segment fit of mean zero, and x - 0.0 is x
-    bit for bit."""
+    series `values` under a fit of mean zero over `segments` (one segment
+    when None), and x - 0.0 is x bit for bit."""
     x = FunctionalTimeSeries(values, Grid.uniform(np.shape(values)[1]))
-    fit = SegmentFit((Segment(0, x.n),), np.zeros((1, len(x.grid))), x.grid)
+    segments = tuple(segments or [Segment(0, x.n)])
+    fit = SegmentFit(segments, np.zeros((len(segments), len(x.grid))), x.grid)
     return fit.residuals(x)
 
 

@@ -86,7 +86,7 @@ def test_criterion_2_lrv_consistency():
         )
         x, _ = generate(spec)
         fit = fit_segments(x, segments_from_locations(x.n, []))
-        est = estimate_lrv(fit.residuals(x), fit, LrvConfig(kernel="flat_top"))
+        est = estimate_lrv(fit.residuals(x), LrvConfig(kernel="flat_top"))
         errors.append(float(np.max(np.abs(est.sigma2.values - true)) / true))
     share = float(np.mean([e <= 0.15 for e in errors]))
     ok = share >= 0.90
@@ -112,7 +112,7 @@ def test_criterion_3_bootstrap_quantiles():
     segs = segments_from_locations(5000, [])
     y = fit_segments(x, segs).residuals(x)
     res = run_bootstrap(
-        y, segs, unit, BootstrapConfig(block_length=1, replications=20000, alpha=0.1, rng_seed=0)
+        y, [0], unit, BootstrapConfig(block_length=1, replications=20000, alpha=0.1, rng_seed=0)
     )
     err_one = abs(res.quantile - HALF_NORMAL_Q90)
 
@@ -120,7 +120,7 @@ def test_criterion_3_bootstrap_quantiles():
     segs2 = segments_from_locations(10000, [0.5])
     y2 = fit_segments(x2, segs2).residuals(x2)
     res2 = run_bootstrap(
-        y2, segs2, unit, BootstrapConfig(block_length=1, replications=20000, alpha=0.1, rng_seed=1)
+        y2, [0, 1], unit, BootstrapConfig(block_length=1, replications=20000, alpha=0.1, rng_seed=1)
     )
     err_two = abs(res2.quantile - MAX_OF_TWO_Q90)
 
@@ -220,7 +220,7 @@ def test_criterion_7_determinism_and_equivariance():
     zero_y = residual_series(np.zeros((30, 3)))
     degenerate = run_bootstrap(
         zero_y,
-        [Segment(0, 30)],
+        [0],
         Curve(np.ones(3), grid),
         BootstrapConfig(replications=200),
     )

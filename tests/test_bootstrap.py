@@ -89,6 +89,15 @@ class TestBootstrapSegmentMean:
             bootstrap_segment_mean(y, Segment(0, 3), L=4, multipliers=np.zeros(3))
 
 
+def margin_series(resid, left, right):
+    """`resid` as a residual series whose fit has the adjacent segments
+    `left` and `right`, padded by a segment on either side where they leave
+    rows, and the index of the change between them."""
+    bounds = sorted({0, left.start, right.start, right.end, len(resid)})
+    segments = [Segment(a, b) for a, b in zip(bounds, bounds[1:])]
+    return residual_series(resid, segments), segments.index(right)
+
+
 def joined_block_averages(y_values, L, stop=None):
     """The row blocks that `_block_averages` yields for the residual rows
     `y_values`, joined into one array, after checking that they follow one
@@ -190,7 +199,7 @@ class TestSegmentGrams:
             return factor(gram, scale)
 
         monkeypatch.setattr(bootstrap, "_sqrt_factor", recording)
-        bootstrap_margin(residual_series(resid), left, right, 0.1, 50, 0, 1)
+        bootstrap_margin(*margin_series(resid, left, right), 0.1, 50, 0)
         B = block_averages_by_index(resid[left.start : right.end], auto_block_length(min(left.length, right.length)))
         diff = np.vstack([-B[: left.length] / left.length, B[left.length :] / right.length])
         (gram,) = seen
@@ -215,7 +224,7 @@ def residuals_fixture(n=80, grid_size=6, seed=5, changes=(0.5,)):
     segs = segments_from_locations(n, list(changes))
     fit = fit_segments(x, segs)
     y = fit.residuals(x)
-    sigma2 = estimate_lrv(y, fit, LrvConfig(bandwidth=2)).sigma2
+    sigma2 = estimate_lrv(y, LrvConfig(bandwidth=2)).sigma2
     return x, segs, y, sigma2
 
 
@@ -223,15 +232,15 @@ class TestRunBootstrap:
     def test_degenerate_residuals(self):
         y = residual_series(np.zeros((40, 3)))
         segs = segments_from_locations(40, [])
-        res = run_bootstrap(y, segs, unit_sigma2(y.grid), BootstrapConfig(replications=200))
+        res = run_bootstrap(y, range(len(segs)), unit_sigma2(y.grid), BootstrapConfig(replications=200))
         assert np.array_equal(res.statistics, np.zeros(200))
         assert res.quantile == 0.0
 
     def test_determinism(self):
         _, segs, y, sigma2 = residuals_fixture()
         cfg = BootstrapConfig(replications=300, rng_seed=17)
-        a = run_bootstrap(y, segs, sigma2, cfg)
-        b = run_bootstrap(y, segs, sigma2, cfg)
+        a = run_bootstrap(y, range(len(segs)), sigma2, cfg)
+        b = run_bootstrap(y, range(len(segs)), sigma2, cfg)
         assert np.array_equal(a.statistics, b.statistics)
         assert a.quantile == b.quantile
 
@@ -245,11 +254,11 @@ class TestRunBootstrap:
         segs = segments_from_locations(x.n, [])
         fit = fit_segments(x, segs)
         y = fit.residuals(x)
-        sigma2 = estimate_lrv(y, fit).sigma2
+        sigma2 = estimate_lrv(y).sigma2
         wiggle = 1.0 + 1e-15 * np.random.default_rng(6).choice([-1.0, 1.0], size=len(sigma2.grid))
         cfg = BootstrapConfig(replications=500, rng_seed=7)
-        q = run_bootstrap(y, segs, sigma2, cfg).quantile
-        q_wiggled = run_bootstrap(y, segs, Curve(sigma2.values * wiggle, sigma2.grid), cfg).quantile
+        q = run_bootstrap(y, range(len(segs)), sigma2, cfg).quantile
+        q_wiggled = run_bootstrap(y, range(len(segs)), Curve(sigma2.values * wiggle, sigma2.grid), cfg).quantile
         assert abs(q_wiggled - q) / q < 1e-12
 
     def test_quantile_continuous_in_residuals(self):
@@ -261,19 +270,19 @@ class TestRunBootstrap:
         segs = segments_from_locations(x.n, [0.5])
         fit = fit_segments(x, segs)
         y = fit.residuals(x)
-        sigma2 = estimate_lrv(y, fit).sigma2
+        sigma2 = estimate_lrv(y).sigma2
         cfg = BootstrapConfig(replications=500, rng_seed=7)
-        q = run_bootstrap(y, segs, sigma2, cfg).quantile
+        q = run_bootstrap(y, range(len(segs)), sigma2, cfg).quantile
         for seed in range(3):
             noise = 1.0 + 1e-14 * np.random.default_rng(seed).standard_normal((y.n, len(y.grid)))
-            y_noisy = residual_series(y.rows(0, y.n) * noise)
-            assert abs(run_bootstrap(y_noisy, segs, sigma2, cfg).quantile - q) / q < 1e-6
+            y_noisy = residual_series(y.rows(0, y.n) * noise, segs)
+            assert abs(run_bootstrap(y_noisy, range(len(segs)), sigma2, cfg).quantile - q) / q < 1e-6
 
     def test_quantile_monotone_in_alpha(self):
         _, segs, y, sigma2 = residuals_fixture()
         base = BootstrapConfig(replications=500, rng_seed=3)
         qs = [
-            run_bootstrap(y, segs, sigma2, dataclasses.replace(base, alpha=a)).quantile
+            run_bootstrap(y, range(len(segs)), sigma2, dataclasses.replace(base, alpha=a)).quantile
             for a in (0.2, 0.1, 0.05)
         ]
         assert qs[0] <= qs[1] <= qs[2]
@@ -282,13 +291,13 @@ class TestRunBootstrap:
         # scaling the data by lambda cancels in mu*/sigma, replicate by replicate
         x, segs, y, sigma2 = residuals_fixture()
         cfg = BootstrapConfig(replications=250, rng_seed=9)
-        base = run_bootstrap(y, segs, sigma2, cfg)
+        base = run_bootstrap(y, range(len(segs)), sigma2, cfg)
         lam = 3.7
         x2 = make_series(lam * np.array(x.values))
         fit2 = fit_segments(x2, segs)
         y2 = fit2.residuals(x2)
-        sigma2_scaled = estimate_lrv(y2, fit2, LrvConfig(bandwidth=2)).sigma2
-        scaled = run_bootstrap(y2, segs, sigma2_scaled, cfg)
+        sigma2_scaled = estimate_lrv(y2, LrvConfig(bandwidth=2)).sigma2
+        scaled = run_bootstrap(y2, range(len(segs)), sigma2_scaled, cfg)
         assert np.allclose(scaled.statistics, base.statistics, rtol=1e-10)
 
     def test_constant_shift_invariance(self):
@@ -296,27 +305,27 @@ class TestRunBootstrap:
         # the residuals, hence the replicates, unchanged
         x, segs, y, sigma2 = residuals_fixture()
         cfg = BootstrapConfig(replications=250, rng_seed=11)
-        base = run_bootstrap(y, segs, sigma2, cfg)
+        base = run_bootstrap(y, range(len(segs)), sigma2, cfg)
         shifted_vals = np.array(x.values)
         shifted_vals[segs[1].start : segs[1].end] += 42.0
         x2 = make_series(shifted_vals)
         y2 = fit_segments(x2, segs).residuals(x2)
         assert np.allclose(y2.rows(0, y2.n), y.rows(0, y.n), atol=1e-12)
-        again = run_bootstrap(y2, segs, sigma2, cfg)
+        again = run_bootstrap(y2, range(len(segs)), sigma2, cfg)
         assert np.allclose(again.statistics, base.statistics, rtol=1e-12)
 
     def test_replication_validation(self):
         _, segs, y, sigma2 = residuals_fixture()
         with pytest.raises(InvalidInputError):
-            run_bootstrap(y, segs, sigma2, BootstrapConfig(replications=0))
+            run_bootstrap(y, range(len(segs)), sigma2, BootstrapConfig(replications=0))
         with pytest.warns(UserWarning, match="quantile unstable"):
-            run_bootstrap(y, segs, sigma2, BootstrapConfig(replications=50))
+            run_bootstrap(y, range(len(segs)), sigma2, BootstrapConfig(replications=50))
 
     def test_block_length_bounds(self):
         _, segs, y, sigma2 = residuals_fixture()
         n_min = min(s.length for s in segs)
         with pytest.raises(InvalidInputError):
-            run_bootstrap(y, segs, sigma2, BootstrapConfig(block_length=n_min + 1, replications=100))
+            run_bootstrap(y, range(len(segs)), sigma2, BootstrapConfig(block_length=n_min + 1, replications=100))
 
     def test_empty_segments_rejected(self):
         _, _, y, sigma2 = residuals_fixture()
@@ -325,20 +334,41 @@ class TestRunBootstrap:
 
     def test_segment_past_the_series_end_rejected(self):
         # segment [20, 60) of a 40-row series once warned from a sqrt and
-        # then failed to broadcast
-        y = residual_series(np.random.default_rng(46).normal(size=(40, 3)))
-        with pytest.raises(InvalidInputError, match=r"segment \[20, 60\)"):
-            run_bootstrap(y, [Segment(0, 20), Segment(20, 60)], unit_sigma2(y.grid), BootstrapConfig(replications=200))
+        # then failed to broadcast; the bootstrap reads its segments off the
+        # fit of its residuals, and a fit past the series' end forms none
+        values = np.random.default_rng(46).normal(size=(40, 3))
+        with pytest.raises(InvalidInputError, match="segment fit does not match"):
+            residual_series(values, [Segment(0, 20), Segment(20, 60)])
+        y = residual_series(values, [Segment(0, 20), Segment(20, 40)])
+        for indices in ([0, 2], [-1], [Segment(0, 20), Segment(20, 60)]):
+            with pytest.raises(InvalidInputError, match=r"must be one or more integers in 0\.\.1"):
+                run_bootstrap(y, indices, unit_sigma2(y.grid), BootstrapConfig(replications=200))
 
     def test_margin_segment_past_the_series_end_rejected(self):
-        # the margin once scaled the 20 rows of [20, 40) as if [20, 60) held 40
-        y = residual_series(np.random.default_rng(46).normal(size=(40, 3)))
-        with pytest.raises(InvalidInputError, match=r"segment \[20, 60\)"):
-            bootstrap_margin(y, Segment(0, 20), Segment(20, 60), 0.1, 200, 0, 1)
+        # the margin once scaled the 20 rows of [20, 40) as if [20, 60) held
+        # 40; it reads its two segments off the fit, and takes only a change
+        # of it
+        values = np.random.default_rng(46).normal(size=(40, 3))
+        with pytest.raises(InvalidInputError, match="segment fit does not match"):
+            residual_series(values, [Segment(0, 20), Segment(20, 60)])
+        y = residual_series(values, [Segment(0, 20), Segment(20, 40)])
+        for pair in (0, 2):
+            with pytest.raises(InvalidInputError, match=r"not one of the fit's changes 1\.\.1"):
+                bootstrap_margin(y, pair, 0.1, 200, 0)
+
+    @pytest.mark.parametrize(
+        "grid", [Grid(np.linspace(0.0, 0.5, 6)), Grid.uniform(7)], ids=["same_size", "other_size"]
+    )
+    def test_sigma2_on_another_grid_rejected(self, grid):
+        # one of the same size was once taken; one of another size failed to
+        # broadcast
+        _, segs, y, _ = residuals_fixture()
+        with pytest.raises(InvalidInputError, match="segment means and sigma\\^2 are on different grids"):
+            run_bootstrap(y, range(len(segs)), unit_sigma2(grid), BootstrapConfig(replications=200))
 
     def test_diagnostics_present(self):
         _, segs, y, sigma2 = residuals_fixture()
-        res = run_bootstrap(y, segs, sigma2, BootstrapConfig(replications=200))
+        res = run_bootstrap(y, range(len(segs)), sigma2, BootstrapConfig(replications=200))
         assert set(res.segment_diagnostics) == {0, 1}
         shares = [d["max_share"] for d in res.segment_diagnostics.values()]
         assert sum(shares) == pytest.approx(1.0)
@@ -399,8 +429,8 @@ class TestGaussianDraws:
         # segment's end; each factor's Gram matrix still sums all of its
         # segment's rows
         n, grid_size, L = 120, 4, 5
-        y = residual_series(np.random.default_rng(33).normal(size=(n, grid_size)))
         segs = [Segment(0, 40), Segment(40, 90)]
+        y = residual_series(np.random.default_rng(33).normal(size=(n, grid_size)), [*segs, Segment(90, n)])
         seen = []
         factor = bootstrap._sqrt_factor
 
@@ -409,7 +439,7 @@ class TestGaussianDraws:
             return factor(gram, scale)
 
         monkeypatch.setattr(bootstrap, "_sqrt_factor", recording)
-        run_bootstrap(y, segs, unit_sigma2(y.grid), BootstrapConfig(block_length=L, replications=100))
+        run_bootstrap(y, [0, 1], unit_sigma2(y.grid), BootstrapConfig(block_length=L, replications=100))
         full = block_averages_by_index(y.rows(0, n), L)
         expected = [full[seg.start : seg.end].T @ full[seg.start : seg.end] for seg in segs]
         # the caller and a pool worker may factorize in either order
@@ -431,7 +461,7 @@ class TestGaussianDraws:
             return _draw_sups(factors, replications, seed, keys, pool)
 
         monkeypatch.setattr(bootstrap, "_draw_sups", record)
-        bootstrap_margin(residual_series(resid), left, right, 0.1, 50, 0, 1)
+        bootstrap_margin(*margin_series(resid, left, right), 0.1, 50, 0)
         (r,) = seen
         assert_same_covariance(r, margin_rows(resid, left, right))
 
@@ -519,8 +549,8 @@ class TestDrawBlocks:
             try:
                 with monkeypatch.context() as m:
                     m.setattr(bootstrap, "_sqrt_factor", record_factor)
-                    res = run_bootstrap(y, segs, sigma2, cfg)
-                margin = bootstrap_margin(y, segs[0], segs[1], 0.1, 301, 4, 1)
+                    res = run_bootstrap(y, range(len(segs)), sigma2, cfg)
+                margin = bootstrap_margin(y, 1, 0.1, 301, 4)
             finally:
                 if pool is not None:
                     pool.shutdown()
@@ -537,7 +567,7 @@ class TestDrawBlocks:
         # share and every segment's block 0 the worker's
         _, segs, y, sigma2 = residuals_fixture()
         cfg = BootstrapConfig(replications=301, rng_seed=4)
-        expected = run_bootstrap(y, segs, sigma2, cfg).statistics.tobytes()
+        expected = run_bootstrap(y, range(len(segs)), sigma2, cfg).statistics.tobytes()
         fill = bootstrap._fill_block
         running, failed_on_main = [], []
         other_share_started = threading.Event()
@@ -560,10 +590,10 @@ class TestDrawBlocks:
             with monkeypatch.context() as m:
                 m.setattr(bootstrap, "_fill_block", failing)
                 with pytest.raises(RuntimeError, match="block failed"):
-                    run_bootstrap(y, segs, sigma2, cfg)
+                    run_bootstrap(y, range(len(segs)), sigma2, cfg)
             assert failed_on_main == [key[2] == 1]
             assert not running  # no block still writes into the discarded array
-            assert run_bootstrap(y, segs, sigma2, cfg).statistics.tobytes() == expected
+            assert run_bootstrap(y, range(len(segs)), sigma2, cfg).statistics.tobytes() == expected
         finally:
             pool.shutdown()
 
@@ -656,10 +686,10 @@ class TestDrawBuffers:
 
     def test_worker_share_allocates_less_than_a_block(self, monkeypatch):
         n = 300
-        y = residual_series(np.random.default_rng(36).normal(size=(n, self.T)))
         segs = segments_from_locations(n, [1 / 3, 2 / 3])
+        y = residual_series(np.random.default_rng(36).normal(size=(n, self.T)), segs)
         cfg = BootstrapConfig(replications=self.R, rng_seed=4)
-        expected = run_bootstrap(y, segs, unit_sigma2(y.grid), cfg).statistics.tobytes()
+        expected = run_bootstrap(y, range(len(segs)), unit_sigma2(y.grid), cfg).statistics.tobytes()
         pool = ThreadPoolExecutor(1)
         monkeypatch.setattr(bootstrap, "_executor", lambda: pool)
         run_share, fill = bootstrap._run_share, bootstrap._fill_block
@@ -688,7 +718,7 @@ class TestDrawBuffers:
         monkeypatch.setattr(bootstrap, "_run_share", held_share)
         tracemalloc.start()
         try:
-            stats = run_bootstrap(y, segs, unit_sigma2(y.grid), cfg).statistics.tobytes()
+            stats = run_bootstrap(y, range(len(segs)), unit_sigma2(y.grid), cfg).statistics.tobytes()
         finally:
             tracemalloc.stop()
             pool.shutdown()
@@ -706,7 +736,7 @@ class TestDrawBuffers:
 
 def _draw_statistics():
     _, segs, y, sigma2 = residuals_fixture()
-    res = run_bootstrap(y, segs, sigma2, BootstrapConfig(replications=300, rng_seed=2))
+    res = run_bootstrap(y, range(len(segs)), sigma2, BootstrapConfig(replications=300, rng_seed=2))
     return res.statistics.tobytes(), bootstrap._executor() is None
 
 
@@ -764,7 +794,7 @@ class TestDistributionalAgreement:
     def test_run_bootstrap_quantile(self):
         segs, y = ar1_fixture()
         sigma2 = Curve(np.linspace(0.8, 1.6, 6), y.grid)
-        res = run_bootstrap(y, segs, sigma2, BootstrapConfig(replications=self.R, alpha=0.1, rng_seed=5))
+        res = run_bootstrap(y, range(len(segs)), sigma2, BootstrapConfig(replications=self.R, alpha=0.1, rng_seed=5))
         nu = np.random.default_rng(6).standard_normal((self.R, y.n))
         sigma = np.sqrt(sigma2.values)
         per_segment = []
@@ -777,7 +807,7 @@ class TestDistributionalAgreement:
     def test_bootstrap_margin_quantile(self):
         segs, y = ar1_fixture()
         left, right = segs
-        margin = bootstrap_margin(y, left, right, 0.1, self.R, 5, 1)
+        margin = bootstrap_margin(y, 1, 0.1, self.R, 5)
         nu = np.random.default_rng(7).standard_normal((self.R, y.n))
         q_def = np.quantile(np.abs(nu @ margin_rows(y.rows(0, y.n), left, right)).max(axis=1), 0.9)
         assert margin == pytest.approx(q_def, rel=self.TOL)
@@ -790,12 +820,12 @@ def test_run_bootstrap_memory_is_independent_of_R_times_n():
     # averages' prefix window and one block of them, then the draws' (z, w)
     # chunk pairs, two of 0.16 MB each per share
     n, grid_size, R = 10000, 20, 2000
-    y = residual_series(np.random.default_rng(8).normal(size=(n, grid_size)))
     segs = segments_from_locations(n, [0.3, 0.7])
+    y = residual_series(np.random.default_rng(8).normal(size=(n, grid_size)), segs)
     sigma2 = unit_sigma2(y.grid)
     tracemalloc.start()
     try:
-        run_bootstrap(y, segs, sigma2, BootstrapConfig(replications=R))
+        run_bootstrap(y, range(len(segs)), sigma2, BootstrapConfig(replications=R))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

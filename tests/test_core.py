@@ -11,13 +11,13 @@ from fdabands import (
     Curve,
     FunctionalTimeSeries,
     Grid,
-    InternalInvariantError,
     InvalidInputError,
     LrvConfig,
     PipelineConfig,
     RelevantChangeConfig,
     ScenarioSpec,
     Segment,
+    SegmentFit,
     SegmentationConfig,
     fit_segments,
     segments_from_locations,
@@ -174,9 +174,9 @@ class TestSegmentMean:
     def test_out_of_range(self):
         # segments running past the series, or leaving a gap, are no partition
         x = series_from(np.zeros((4, 3)))
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(InvalidInputError, match="do not end at the series' end n = 4"):
             fit_segments(x, [Segment(0, 2), Segment(2, 5)])
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(InvalidInputError, match=r"do not partition \[0, n\) in order"):
             fit_segments(x, [Segment(0, 1), Segment(2, 4)])
 
     def test_empty_segment_rejected(self):
@@ -247,10 +247,45 @@ class TestFitResiduals:
             # independently recomputed per-segment residual means
             assert np.max(np.abs(y.rows(seg.start, seg.end).mean(axis=0))) < 1e-10
 
-    def test_uncovered_index_is_internal_error(self):
+    def test_uncovered_index_rejected(self):
         x = series_from(np.zeros((10, 2)))
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(InvalidInputError, match="do not end at the series' end n = 10"):
             fit_segments(x, [Segment(0, 5)])
+        with pytest.raises(InvalidInputError, match="do not end at the series' end n = 10"):
+            fit_segments(x, [])
+
+
+class TestSegmentFit:
+    """A fit is built over a partition of [0, n) or not at all, so no
+    residual rows are formed from overlapping, gapped or shifted segments."""
+
+    grid = Grid.uniform(3)
+
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            [Segment(0, 300), Segment(100, 400)],
+            [Segment(0, 100), Segment(150, 400)],
+            [Segment(50, 100), Segment(100, 400)],
+            [],
+        ],
+        ids=["overlap", "gap", "not_from_0", "empty"],
+    )
+    def test_segments_that_do_not_partition_are_refused(self, segments):
+        with pytest.raises(InvalidInputError, match=r"do not partition \[0, n\) in order"):
+            SegmentFit(tuple(segments), np.zeros((len(segments), 3)), self.grid)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 3), (2, 4), (6,)])
+    def test_means_of_another_shape_are_refused(self, shape):
+        with pytest.raises(InvalidInputError, match=r"means of shape \(.*\), not \(2, 3\)"):
+            SegmentFit((Segment(0, 5), Segment(5, 9)), np.zeros(shape), self.grid)
+
+    def test_fields_are_a_tuple_and_read_only_means(self):
+        means = np.zeros((2, 3))
+        fit = SegmentFit([Segment(0, 5), Segment(5, 9)], means, self.grid)
+        assert fit.segments == (Segment(0, 5), Segment(5, 9))
+        assert not fit.means.flags["WRITEABLE"] and means.flags["WRITEABLE"]
+        assert fit.residuals(series_from(np.ones((9, 3)))).rows(0, 9).tobytes() == np.ones((9, 3)).tobytes()
 
 
 finite_curves = st.integers(0, 2**32 - 1).map(

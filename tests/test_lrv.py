@@ -147,7 +147,7 @@ def test_boundary_corrections_match_lag_covariance(changes):
     for c in range(1, 9):
         expected = kernel_sum(x, fit, c)
         assert expected.min() > 0.0
-        est = estimate_lrv(fit.residuals(x), fit, LrvConfig(bandwidth=c))
+        est = estimate_lrv(fit.residuals(x), LrvConfig(bandwidth=c))
         assert np.allclose(est.sigma2.values, expected, rtol=1e-12, atol=0.0), c
 
 
@@ -161,7 +161,7 @@ def test_blocked_lag_sums_match_lag_covariance(monkeypatch):
     for name in KERNELS:
         expected = kernel_sum(x, fit, 5, name)
         assert expected.min() > 0.0
-        est = estimate_lrv(fit.residuals(x), fit, LrvConfig(bandwidth=5, kernel=name))
+        est = estimate_lrv(fit.residuals(x), LrvConfig(bandwidth=5, kernel=name))
         assert np.allclose(est.sigma2.values, expected, rtol=1e-12, atol=0.0), name
 
 
@@ -170,7 +170,7 @@ class TestEstimateLrv:
         tau2_spec = {"kind": "linear", "intercept": 0.5, "slope": 1.0}  # 0.5 + t
         x, truth = error_series(5000, 20, "iid", 0.0, seed=13, tau2=tau2_spec)
         fit = single_segment_fit(x)
-        est = estimate_lrv(fit.residuals(x), fit, LrvConfig(bandwidth=10))
+        est = estimate_lrv(fit.residuals(x), LrvConfig(bandwidth=10))
         rel = np.abs(est.sigma2.values - truth.lrv.values) / truth.lrv.values
         assert rel.max() < 0.10
 
@@ -178,7 +178,7 @@ class TestEstimateLrv:
         # AR(1): long-run variance tau^2 / (1 - rho)^2
         x, truth = error_series(10000, 20, "ar1", 0.4, seed=5)
         fit = single_segment_fit(x)
-        est = estimate_lrv(fit.residuals(x), fit, LrvConfig(bandwidth="auto", kernel="flat_top"))
+        est = estimate_lrv(fit.residuals(x), LrvConfig(bandwidth="auto", kernel="flat_top"))
         assert est.bandwidth == 10
         rel = np.abs(est.sigma2.values - truth.lrv.values) / truth.lrv.values
         assert rel.max() < 0.15
@@ -187,31 +187,36 @@ class TestEstimateLrv:
         x, _ = error_series(60, 5, "iid", 0.0, seed=6)
         fit = single_segment_fit(x)
         with pytest.warns(UserWarning, match="c\\^3/n"):
-            est = estimate_lrv(fit.residuals(x), fit, LrvConfig(bandwidth=5))
+            est = estimate_lrv(fit.residuals(x), LrvConfig(bandwidth=5))
         assert est.sigma2.values.shape == (5,)
 
     def test_bandwidth_too_large(self):
         x, _ = error_series(20, 5, "iid", 0.0, seed=7)
         fit = single_segment_fit(x)
         with pytest.raises(InvalidInputError):
-            estimate_lrv(fit.residuals(x), fit, LrvConfig(bandwidth=20))
+            estimate_lrv(fit.residuals(x), LrvConfig(bandwidth=20))
 
     def test_mismatched_fit(self):
+        # the estimate reads the fit off its residuals, which refuse a fit
+        # of another series, and takes no second fit
         x, _ = error_series(40, 5, "iid", 0.0, seed=7)
         fit = single_segment_fit(x)
         shorter = FunctionalTimeSeries(x.values[:30], x.grid)
         other_grid = FunctionalTimeSeries(x.values, Grid(np.linspace(0.0, 0.5, 5)))
         for other in (shorter, other_grid):
             with pytest.raises(InvalidInputError, match="segment fit does not match"):
-                estimate_lrv(single_segment_fit(other).residuals(other), fit)
+                fit.residuals(other)
+        two = fit_segments(x, segments_from_indices(x.n, [20]))
+        with pytest.raises(InvalidInputError, match="cfg must be an LrvConfig, got SegmentFit"):
+            estimate_lrv(two.residuals(x), fit)
 
     def test_scaling_by_lambda_squared(self):
         x, _ = error_series(400, 8, "ma1", 0.3, seed=8)
         fit = single_segment_fit(x)
-        est = estimate_lrv(fit.residuals(x), fit, LrvConfig(bandwidth=4))
+        est = estimate_lrv(fit.residuals(x), LrvConfig(bandwidth=4))
         scaled = FunctionalTimeSeries(3.0 * np.array(x.values), x.grid)
         fit_scaled = single_segment_fit(scaled)
-        est_scaled = estimate_lrv(fit_scaled.residuals(scaled), fit_scaled, LrvConfig(bandwidth=4))
+        est_scaled = estimate_lrv(fit_scaled.residuals(scaled), LrvConfig(bandwidth=4))
         assert np.allclose(est_scaled.sigma2.values, 9.0 * est.sigma2.values, rtol=1e-12)
 
     def test_indicator_kernel_recovers_lag0(self, monkeypatch):
@@ -222,7 +227,7 @@ class TestEstimateLrv:
             return np.where(np.asarray(v) == 0.0, 1.0, 0.0)
 
         monkeypatch.setitem(KERNELS, "indicator", indicator)
-        est = estimate_lrv(fit.residuals(x), fit, LrvConfig(bandwidth=3, kernel="indicator"))
+        est = estimate_lrv(fit.residuals(x), LrvConfig(bandwidth=3, kernel="indicator"))
         assert np.allclose(est.sigma2.values, lag_covariance(x, mean_matrix(fit), 0).values)
 
     @pytest.mark.parametrize("name", ["bartlett", "parzen", "flat_top"])
@@ -241,13 +246,13 @@ class TestEstimateLrv:
             float(kernel(l / c)) * lag_covariance(x, mu, l).values for l in range(-c, c + 1)
         )
         assert expected.min() > 0.0
-        est = estimate_lrv(fit.residuals(x), fit, LrvConfig(bandwidth=c, kernel=name))
+        est = estimate_lrv(fit.residuals(x), LrvConfig(bandwidth=c, kernel=name))
         assert np.allclose(est.sigma2.values, expected, rtol=1e-12, atol=0.0)
 
     def test_floor_on_degenerate_data(self):
         x = FunctionalTimeSeries(np.ones((50, 4)), Grid.uniform(4))
         fit = single_segment_fit(x)
-        est = estimate_lrv(fit.residuals(x), fit, LrvConfig(bandwidth=2))
+        est = estimate_lrv(fit.residuals(x), LrvConfig(bandwidth=2))
         assert np.all(est.sigma2.values > 0.0)
 
     def test_consistency_trend(self):
@@ -259,7 +264,7 @@ class TestEstimateLrv:
             for seed in range(5):
                 x, _ = error_series(n, 10, "ar1", 0.4, seed=100 + seed)
                 fit = single_segment_fit(x)
-                est = estimate_lrv(fit.residuals(x), fit, LrvConfig(kernel="flat_top"))
+                est = estimate_lrv(fit.residuals(x), LrvConfig(kernel="flat_top"))
                 errs.append(np.max(np.abs(est.sigma2.values - true)))
             mean_errs.append(np.mean(errs))
         assert mean_errs[0] > mean_errs[1] > mean_errs[2]

@@ -26,6 +26,7 @@ from fdabands import (
     fit_segments,
     generate,
     relevant_set,
+    segments_from_indices,
 )
 import fdabands.core as core
 import fdabands.pipeline as pipeline
@@ -259,6 +260,21 @@ class TestRelevantSet:
         cps = ChangePointSet(indices=(40, 80), n=x.n + 1, threshold=1.0)
         with pytest.raises(InvalidInputError, match="change point set was computed for a different series"):
             relevant_set(x, cps, RelevantChangeConfig(delta=3.0))
+
+    @pytest.mark.parametrize("method", ["plugin", "bootstrap"])
+    def test_fit_over_other_segments_rejected(self, method):
+        # a 4-segment fit with a 1-change set once gave relevant indices
+        # (0, 2) and three jumps for m = 1
+        x = two_jump_series((8.1, 2.0), noise_sd=0.2)
+        cps = ChangePointSet(indices=(40,), n=120, threshold=1.0)
+        own = fit_segments(x, cps.segments)
+        other_grid = FunctionalTimeSeries(x.values, Grid(np.linspace(0.0, 0.5, len(x.grid))))
+        for fit in (fit_segments(x, segments_from_indices(x.n, [30, 40, 80])), fit_segments(other_grid, cps.segments)):
+            with pytest.raises(InvalidInputError, match="segment fit is not over the change point set's segments"):
+                relevant_set(x, cps, RelevantChangeConfig(delta=3.0, method=method), fit=fit)
+        assert relevant_set(x, cps, RelevantChangeConfig(delta=3.0), fit=own) == relevant_set(
+            x, cps, RelevantChangeConfig(delta=3.0)
+        )
 
     def test_auto_delta_zero_rejected(self):
         x = make_series(np.ones((60, 3)))
@@ -578,8 +594,7 @@ class TestScale:
                 if entry == "relevant_set":
                     relevant_set(x, cps, RelevantChangeConfig(method="bootstrap"))
                 else:
-                    fit = fit_segments(x, cps.segments)
-                    estimate_lrv(fit.residuals(x), fit)
+                    estimate_lrv(fit_segments(x, cps.segments).residuals(x))
 
     def test_large_series_finds_the_unscaled_changes(self):
         base = analyze(self.series(1.0), PipelineConfig(replications=200))
@@ -752,7 +767,7 @@ def test_pilot_out_holds_the_pilots_fit_residuals_and_lrv():
     fit, lrv = pilot
     fresh = fit_segments(x, cps.segments)
     fresh_residuals = fresh.residuals(x)
-    fresh_lrv = estimate_lrv(fresh_residuals, fresh)
+    fresh_lrv = estimate_lrv(fresh_residuals)
     assert fit.segments == fresh.segments
     assert fit.means.tobytes() == fresh.means.tobytes()
     assert fit.residuals(x).rows(0, x.n).tobytes() == fresh_residuals.rows(0, x.n).tobytes()
@@ -779,16 +794,16 @@ def test_analyze_estimates_the_lrv_once_when_the_pilot_fit_is_final(monkeypatch,
     assert (pilot_indices(x) != detect_change_points(x).indices) == differs
     counted = []
 
-    def counting(y, fit, cfg=None):
+    def counting(y, cfg=None):
         counted.append(cfg)
-        return estimate_lrv(y, fit, cfg)
+        return estimate_lrv(y, cfg)
 
     monkeypatch.setattr(pipeline, "estimate_lrv", counting)
     monkeypatch.setattr(segmentation, "estimate_lrv", counting)
     res = analyze(x, cfg)
     assert len(counted) == calls
     fit = fit_segments(x, res.change_points.segments)
-    fresh = estimate_lrv(fit.residuals(x), fit, cfg.lrv)
+    fresh = estimate_lrv(fit.residuals(x), cfg.lrv)
     assert res.lrv.sigma2.values.tobytes() == fresh.sigma2.values.tobytes()
     assert res.lrv.bandwidth == fresh.bandwidth
 

@@ -340,9 +340,9 @@ class TestRunCoverageStudy:
         seeds = []
         real_margin = segmentation.bootstrap_margin
 
-        def spy(resid, left, right, beta, replications, seed, pair):
+        def spy(y, pair, beta, replications, seed):
             seeds.append(seed)
-            return real_margin(resid, left, right, beta, replications, seed, pair)
+            return real_margin(y, pair, beta, replications, seed)
 
         monkeypatch.setattr(segmentation, "bootstrap_margin", spy)
         relevant = RelevantChangeConfig(delta=2.0, method="bootstrap", calibration_replications=50)
