@@ -23,7 +23,6 @@ from .core import (
     Grid,
     InternalInvariantError,
     InvalidInputError,
-    ResidualSeries,
     Segment,
     SegmentFit,
     fit_segments,

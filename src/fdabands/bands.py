@@ -2,10 +2,10 @@
 
 `build_bands` reads the segment means mu_hat_i and lengths n_hat_i from the
 SegmentFit that `analyze` forms once over all detected segments and shares
-with the relevant filter and the LRV, so no second copy of the means is
-made on the way to the bands.  The quantile q and sigma_hat come from
-`run_bootstrap` and `estimate_lrv`; the definitional bootstrap segment mean
-and lag covariance that the tests check them against are in
+with the relevant filter, the LRV and the bootstrap, so no second copy of
+the means is made on the way to the bands.  The quantile q and sigma_hat
+come from `run_bootstrap` and `estimate_lrv`; the definitional bootstrap
+segment mean and lag covariance that the tests check them against are in
 tests/oracles.py.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Curve, InvalidInputError, Segment, SegmentFit
+from .core import Curve, InvalidInputError, Segment, SegmentFit, check_selection
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,11 @@ class ContainmentResult:
 def build_bands(fit: SegmentFit, indices, sigma2: Curve, q: float) -> ConfidenceBandSet:
     """Band i is mu_hat_i(t) +/- sigma_hat(t) * q / sqrt(n_hat_i) for each i in
     `indices`, with mu_hat_i = fit.means[i] and n_hat_i the length of
-    fit.segments[i]; the band is labelled i."""
+    fit.segments[i]; the band is labelled i.  `indices` and `sigma2` pass
+    `core.check_selection`, the check that `run_bootstrap` makes too."""
     if q < 0.0:
         raise InvalidInputError("quantile must be nonnegative")
-    if np.any(sigma2.values <= 0.0):
-        raise InvalidInputError("sigma^2 must be floored strictly positive")
-    if fit.grid != sigma2.grid:
-        raise InvalidInputError("segment means and sigma^2 are on different grids")
+    indices = check_selection(fit, indices, sigma2)
     sigma = np.sqrt(sigma2.values)
     bands = []
     for i in indices:

@@ -8,13 +8,13 @@ across segments, and is drawn as z @ r with z ~ N(0, I) and r the symmetric
 square root of B_i^T B_i with its columns divided by sqrt(n_i) * sigma_hat:
 no (R, n) multiplier matrix.  Nor is B an (n, T) matrix: `_block_averages`
 forms it a row block at a time, and each segment's Gram matrix B_i^T B_i is
-summed over those blocks.  Nor are the residuals: a `ResidualSeries` is the
-series and its segment fit, and `_block_averages` forms the residual rows
+summed over those blocks.  Nor are the residuals: a `SegmentFit` holds its
+series and its segment means, and `_block_averages` forms the residual rows
 that one block reads into its prefix-sum window.  The segments are read off
-that fit, `y.fit`, by index, so the rows and the segments cannot come from
-two fits: `run_bootstrap` takes the indices of the relevant segments, as
-`build_bands` does, and `bootstrap_margin` the index of a change.  The
-empirical (1 - alpha)-quantile of the replicates of
+that fit by index, so the rows and the segments cannot come from two fits
+or two series: `run_bootstrap` takes the indices of the relevant segments,
+checked as `build_bands` checks them, and `bootstrap_margin` the index of a
+change.  The empirical (1 - alpha)-quantile of the replicates of
 T* = max_i sqrt(n_i) * sup_t |mu_i*(t) / sigma_hat(t)| calibrates the bands.
 `bootstrap_margin` draws the relevant filter's jump-estimate fluctuation
 between two adjacent segments the same way.  The definitional bootstrap
@@ -42,7 +42,6 @@ block.
 
 from __future__ import annotations
 
-import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -53,10 +52,11 @@ import numpy as np
 from .core import (
     Curve,
     InvalidInputError,
-    ResidualSeries,
     Segment,
+    SegmentFit,
     check_float,
     check_integer,
+    check_selection,
     row_blocks,
 )
 
@@ -100,7 +100,7 @@ def auto_block_length(n_min: int) -> int:
     return min(n_min, max(1, int(np.floor(np.cbrt(n_min) + 1e-9))))
 
 
-def _block_averages(y: ResidualSeries, L: int, span: Segment, stop: int):
+def _block_averages(fit: SegmentFit, L: int, span: Segment, stop: int):
     """Yield (a, B[a:b]) over consecutive row blocks of the block averages
     B_j = len_j^(-1/2) * sum_{l<L} Y_{s+j+l}, j < stop, of the residual rows
     in `span` = [s, s + m), truncated at the span's end; each block is
@@ -117,20 +117,20 @@ def _block_averages(y: ResidualSeries, L: int, span: Segment, stop: int):
     window itself, and only rows before s + stop + L - 1.  Needs
     1 <= L <= m and 1 <= stop <= m.
     """
-    n, width = span.length, len(y.grid)
+    n, width = span.length, len(fit.grid)
     full = n + 1 - L  # blocks j < full hold L rows, block j >= full holds n - j
     blocks = row_blocks(min(stop, full), width)
     out = np.empty((blocks[0][1], width))
     window = np.empty((blocks[0][1] + L, width))  # P_{a + i} in row i for block [a, b)
     window[0] = 0.0
     first = window[1 : blocks[0][1] + L]
-    np.cumsum(y.rows(span.start, span.start + blocks[0][1] + L - 1, out=first), axis=0, out=first)
+    np.cumsum(fit.rows(span.start, span.start + blocks[0][1] + L - 1, out=first), axis=0, out=first)
     last = 0  # the first row of the previous block
     for a, b in blocks:
         if a:
             # keep P_a .. P_{a+L-1}, then continue the sums from P_{a+L-1}
             window[:L] = window[a - last : a - last + L]
-            y.rows(span.start + a + L - 1, span.start + b + L - 1, out=window[L : b - a + L])
+            fit.rows(span.start + a + L - 1, span.start + b + L - 1, out=window[L : b - a + L])
             np.cumsum(window[L - 1 : b - a + L], axis=0, out=window[L - 1 : b - a + L])
         block = np.subtract(window[L : b - a + L], window[: b - a], out=out[: b - a])
         block /= np.sqrt(L)
@@ -142,16 +142,16 @@ def _block_averages(y: ResidualSeries, L: int, span: Segment, stop: int):
         yield full, tail
 
 
-def _segment_grams(y: ResidualSeries, L: int, span: Segment, segments) -> np.ndarray:
+def _segment_grams(fit: SegmentFit, L: int, span: Segment, segments) -> np.ndarray:
     """(k, T, T) array whose entry i is B_i^T B_i for the block averages
     B_i = B[seg.start : seg.end] of segments[i], with B those of the
     residual rows in `span` and the segments' rows counted from its start.
     Summed over the row blocks of `_block_averages`, split at the segments'
     edges, so no (n, T) block matrix is formed; B is formed up to the last
     segment's end only."""
-    width = len(y.grid)
+    width = len(fit.grid)
     grams = np.zeros((len(segments), width, width))
-    for a, block in _block_averages(y, L, span, max(seg.end for seg in segments)):
+    for a, block in _block_averages(fit, L, span, max(seg.end for seg in segments)):
         for gram, seg in zip(grams, segments):
             part = block[max(seg.start - a, 0) : max(seg.end - a, 0)]
             if len(part):
@@ -281,35 +281,37 @@ def _empirical_quantile(values: np.ndarray, level: float) -> float:
     return float(np.sort(values)[rank - 1])
 
 
-def bootstrap_margin(y: ResidualSeries, pair: int, beta: float, replications: int, seed: int) -> float:
+def bootstrap_margin(fit: SegmentFit, pair: int, beta: float, replications: int, seed: int) -> float:
     """(1 - beta)-quantile of the bootstrapped jump-estimate fluctuation.
 
     Reuses the multiplier block bootstrap on the residuals of the two
-    segments adjacent to change `pair`, left = y.fit.segments[pair - 1] and
-    right = y.fit.segments[pair] for 1 <= pair < len(y.fit.segments), to
+    segments adjacent to change `pair`, left = fit.segments[pair - 1] and
+    right = fit.segments[pair] for 1 <= pair < len(fit.segments), to
     calibrate how far a jump estimate can stray from its target under the
     null; the jump difference nu @ [-B_left / n_left; B_right / n_right] is
     Gaussian given the data and is drawn exactly, from the substreams of
     change `pair`.  The block averages are those of the rows
     [left.start, right.end) alone, cut off at right.end.
     """
-    segments = y.fit.segments
+    segments = fit.segments
     if not 1 <= pair < len(segments):
         raise InvalidInputError(f"change {pair} is not one of the fit's changes 1..{len(segments) - 1}")
     left, right = segments[pair - 1], segments[pair]
     L = auto_block_length(min(left.length, right.length))
     span = Segment(left.start, right.end)
     halves = [Segment(0, left.length), Segment(left.length, span.length)]
-    g_left, g_right = _segment_grams(y, L, span, halves)
+    g_left, g_right = _segment_grams(fit, L, span, halves)
     # the Gram matrix of [-B_left / n_left; B_right / n_right]
     gram = g_left / left.length**2 + g_right / right.length**2
     (draws,) = _draw_sups([_sqrt_factor(gram)], replications, seed, [(_MARGIN, pair)], _executor())
     return _empirical_quantile(draws, 1.0 - beta)
 
 
-def run_bootstrap(y: ResidualSeries, indices, sigma2: Curve, cfg: BootstrapConfig) -> BootstrapResult:
+def run_bootstrap(fit: SegmentFit, indices, sigma2: Curve, cfg: BootstrapConfig) -> BootstrapResult:
     """R replicate statistics T* and their empirical (1 - alpha)-quantile
-    over the segments y.fit.segments[i], i in `indices`.
+    over the segments fit.segments[i], i in `indices`, from the residuals
+    of `fit`.  `indices` and `sigma2` pass `core.check_selection`, the
+    check that `build_bands` makes too.
 
     The k-th of those segments takes its replicates from the DRAW_BLOCKS
     SFC64 substreams of cfg.rng_seed keyed by k, its position in `indices`,
@@ -318,10 +320,7 @@ def run_bootstrap(y: ResidualSeries, indices, sigma2: Curve, cfg: BootstrapConfi
     draws, so results are bit-identical for a fixed seed whatever the number
     of workers.
     """
-    last = len(y.fit.segments) - 1
-    if not indices or not all(isinstance(i, numbers.Integral) and 0 <= i <= last for i in indices):
-        raise InvalidInputError(f"segment indices {list(indices)} must be one or more integers in 0..{last}")
-    segments = [y.fit.segments[i] for i in indices]
+    segments = [fit.segments[i] for i in check_selection(fit, indices, sigma2)]
     R = cfg.replications
     if R < 100:
         warnings.warn("fewer than 100 bootstrap replications: quantile unstable", stacklevel=2)
@@ -331,13 +330,9 @@ def run_bootstrap(y: ResidualSeries, indices, sigma2: Curve, cfg: BootstrapConfi
         raise InvalidInputError(
             f"block length {L} must lie in [1, {n_min}] (shortest segment)"
         )
-    if np.any(sigma2.values <= 0.0):
-        raise InvalidInputError("sigma^2 must be floored strictly positive")
-    if sigma2.grid != y.grid:
-        raise InvalidInputError("segment means and sigma^2 are on different grids")
     sigma = np.sqrt(sigma2.values)
 
-    grams = _segment_grams(y, L, Segment(0, y.n), segments)
+    grams = _segment_grams(fit, L, Segment(0, fit.n), segments)
     # nu @ B_i / (sqrt(n_i) * sigma) is sqrt(n_i) * mu_i* / sigma
     pool = _executor()
     factors = _run_split(

@@ -281,22 +281,37 @@ def segments_from_locations(n: int, locations) -> list:
     return segments_from_indices(n, [int(np.floor(n * s + 1e-9)) for s in locations])
 
 
-@dataclass(frozen=True, eq=False)
-class ResidualSeries:
-    """Y_j = X_j - mu_hat^(j): the rows of `series` minus their segment mean
-    under `fit`, the fit of that series.
+def _check_partition(segments: tuple, n: int) -> None:
+    """`segments` partition [0, n) in order."""
+    bounds = [0, *(seg.end for seg in segments)]
+    if len(bounds) < 2 or [seg.start for seg in segments] != bounds[:-1] or bounds[-1] != n:
+        raise InvalidInputError(f"segments do not partition [0, n) in order, n = {n}")
 
-    Holds the series and the k mean curves, not an (n, T) matrix: `rows`
-    forms a range of residual rows where it is read, so a pass over the
-    residuals needs one block-sized buffer.
+
+@dataclass(frozen=True, eq=False)
+class SegmentFit:
+    """Mean curves of `series` over a partition of [0, n).
+
+    The fit holds the series it was fit to, so the stages after detection
+    read the residuals, segments and means off one object and cannot pair a
+    fit with another series.  Only the k mean curves are stored beside the
+    series: `rows` forms residual rows Y_j = X_j - mu_hat^(j) where they are
+    read, so a kept fit holds no (n, T) matrix.  Segments that are no
+    partition and means of another shape than (k, T) are refused.
     """
 
     series: FunctionalTimeSeries
-    fit: SegmentFit
+    segments: tuple  # partition of [0, n), in order
+    means: np.ndarray  # (k, T): row i is the mean curve of segments[i]
 
     def __post_init__(self):
-        if self.fit.segments[-1].end != self.series.n or self.fit.grid != self.series.grid:
-            raise InvalidInputError("segment fit does not match the series")
+        segments = tuple(self.segments)
+        _check_partition(segments, self.series.n)
+        means = _frozen_array(self.means)
+        if means.shape != (len(segments), len(self.grid)):
+            raise InvalidInputError(f"means of shape {means.shape}, not ({len(segments)}, {len(self.grid)})")
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "means", means)
 
     @property
     def n(self) -> int:
@@ -312,51 +327,39 @@ class ResidualSeries:
         segment's mean curve per segment that the rows meet."""
         values = self.series.values
         out = np.empty((b - a, values.shape[1])) if out is None else out[: b - a]
-        segments = self.fit.segments
-        i = bisect.bisect_right(segments, a, key=lambda seg: seg.start) - 1
+        i = bisect.bisect_right(self.segments, a, key=lambda seg: seg.start) - 1
         lo = a
         while lo < b:
-            hi = min(segments[i].end, b)
-            np.subtract(values[lo:hi], self.fit.means[i], out=out[lo - a : hi - a])
+            hi = min(self.segments[i].end, b)
+            np.subtract(values[lo:hi], self.means[i], out=out[lo - a : hi - a])
             lo, i = hi, i + 1
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class SegmentFit:
-    """Mean curves of a series over a partition of [0, n).
-
-    Only the k mean curves are stored, and the residuals of the series are
-    the series and these means (`residuals`), so a fit that is kept holds no
-    (n, T) matrix.  Segments that are no such partition (n is the last
-    segment's end) and means of another shape are refused.
-    """
-
-    segments: tuple  # partition of [0, n), in order
-    means: np.ndarray  # (k, T): row i is the mean curve of segments[i]
-    grid: Grid
-
-    def __post_init__(self):
-        segments = tuple(self.segments)
-        if not segments or [seg.start for seg in segments] != [0, *(seg.end for seg in segments[:-1])]:
-            raise InvalidInputError("segments do not partition [0, n) in order")
-        means = _frozen_array(self.means)
-        if means.shape != (len(segments), len(self.grid)):
-            raise InvalidInputError(f"means of shape {means.shape}, not ({len(segments)}, {len(self.grid)})")
-        object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "means", means)
-
-    def residuals(self, x: FunctionalTimeSeries) -> ResidualSeries:
-        """`x`, the series the fit was built from, minus each row's segment
-        mean; formed in O(k T), its rows where they are read."""
-        return ResidualSeries(x, self)
+def check_selection(fit: SegmentFit, indices, sigma2: Curve) -> list:
+    """`indices` as a list, after the one check of what the bootstrap and
+    the bands read: one or more strictly increasing integers (not bools)
+    into fit.segments, and a sigma^2 floored strictly positive on the fit's
+    grid."""
+    indices, last = list(indices), len(fit.segments) - 1
+    integers = all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in indices)
+    if not (integers and indices and 0 <= indices[0] and indices[-1] <= last) or any(
+        a >= b for a, b in zip(indices, indices[1:])
+    ):
+        raise InvalidInputError(
+            f"segment indices {indices} must be one or more integers in 0..{last}, strictly increasing"
+        )
+    if np.any(sigma2.values <= 0.0):
+        raise InvalidInputError("sigma^2 must be floored strictly positive")
+    if sigma2.grid != fit.grid:
+        raise InvalidInputError("segment means and sigma^2 are on different grids")
+    return indices
 
 
 def fit_segments(x: FunctionalTimeSeries, segments) -> SegmentFit:
-    """Segment mean curves of `x` over `segments`, which must partition
-    [0, n) in order."""
+    """The fit of `x` over `segments`, which must partition [0, n) in order:
+    each segment's mean curve."""
     segments = tuple(segments)
-    if not segments or segments[-1].end != x.n:
-        raise InvalidInputError(f"segments do not end at the series' end n = {x.n}")
+    _check_partition(segments, x.n)  # before a mean of rows past the end
     means = np.stack([x.values[seg.start : seg.end].mean(axis=0) for seg in segments])
-    return SegmentFit(segments, means, x.grid)
+    return SegmentFit(x, segments, means)

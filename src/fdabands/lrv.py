@@ -16,10 +16,10 @@ correction is a sum over boundaries: d_i times the sum of e_j (or e_{j+a})
 over the at most a rows j just before boundary i.  `estimate_lrv` forms
 one main sum per |a|, over the residual rows a row block at a time, and
 reads the corrections off the rows within the bandwidth of each boundary
-of `y.fit`, the fit the rows are formed from, so the two cannot come from
-two fits; no (n, T) residual matrix is formed.  The definitional lag
-covariance that the tests compare against is `lag_covariance` in
-tests/oracles.py.
+of the same `SegmentFit`, which holds its series and forms the rows, so
+the rows and the boundaries cannot come from two fits or two series; no
+(n, T) residual matrix is formed.  The definitional lag covariance that the
+tests compare against is `lag_covariance` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Curve, InvalidInputError, ResidualSeries, check_integer, row_blocks
+from .core import Curve, InvalidInputError, SegmentFit, check_integer, row_blocks
 
 
 def _bartlett(x):
@@ -83,21 +83,21 @@ def auto_bandwidth(n: int) -> int:
     return max(1, int(np.floor(n**0.25 + 1e-9)))
 
 
-def estimate_lrv(y: ResidualSeries, cfg: LrvConfig | None = None) -> LrvEstimate:
-    """Lag-window long-run variance estimate from `y`, the residuals of `y.fit`.
+def estimate_lrv(fit: SegmentFit, cfg: LrvConfig | None = None) -> LrvEstimate:
+    """Lag-window long-run variance estimate from the residuals of `fit`.
 
     Sums kernel-weighted lag covariances for l = -c..c, then floors the result
     at 1e-8 times its maximum so later divisions by sigma_hat are safe.  Lags
     +a and -a share the main sum sum_j y_j * y_{j+a}, summed over the row
     blocks of `core.row_blocks`; each adds its boundary correction, summed
-    boundary by boundary of `y.fit` (see the module docstring).  Equal to the
+    boundary by boundary of `fit` (see the module docstring).  Equal to the
     kernel-weighted sum of definitional lag covariances up to rounding;
     bit-reproducible for fixed inputs.
     """
     cfg = cfg or LrvConfig()
     if not isinstance(cfg, LrvConfig):  # such as a second copy of the fit
         raise InvalidInputError(f"cfg must be an LrvConfig, got {type(cfg).__name__}")
-    n = y.n
+    n = fit.n
     c = auto_bandwidth(n) if cfg.bandwidth == "auto" else cfg.bandwidth
     if c >= n:
         raise InvalidInputError(f"bandwidth c = {c} must be < n = {n}")
@@ -106,14 +106,14 @@ def estimate_lrv(y: ResidualSeries, cfg: LrvConfig | None = None) -> LrvEstimate
             f"bandwidth c = {c} violates c^3/n < 1 (n = {n}); estimate may be unstable",
             stacklevel=2,
         )
-    width = len(y.grid)
+    width = len(fit.grid)
     # main[a] = sum_j y_j * y_{j+a}: a block of rows j reads rows j + a of
     # the c rows past its end too
     main = np.zeros((c + 1, width))
     blocks = row_blocks(n, width)
     rows = np.empty((blocks[0][1] + c, width))
     for lo, hi in blocks:
-        e = y.rows(lo, min(hi + c, n), out=rows)
+        e = fit.rows(lo, min(hi + c, n), out=rows)
         for a in range(c + 1):
             m = min(hi, n - a) - lo  # rows j in [lo, hi) with j + a < n
             if m > 0:
@@ -125,12 +125,12 @@ def estimate_lrv(y: ResidualSeries, cfg: LrvConfig | None = None) -> LrvEstimate
     lags = np.arange(1, c + 1)
     plus, minus = np.zeros((c, width)), np.zeros((c, width))
     prefix = np.empty((2 * c + 1, width))
-    for seg, step in zip(y.fit.segments[1:], np.diff(y.fit.means, axis=0)):
+    for seg, step in zip(fit.segments[1:], np.diff(fit.means, axis=0)):
         s = seg.start
         lo, hi = max(s - c, 0), min(s + c, n)
         p = prefix[: hi - lo + 1]  # p[i]: the sum of rows [lo, lo + i)
         p[0] = 0.0
-        np.cumsum(y.rows(lo, hi, out=p[1:]), axis=0, out=p[1:])
+        np.cumsum(fit.rows(lo, hi, out=p[1:]), axis=0, out=p[1:])
         first, last = np.maximum(s - lags, 0) - lo, np.minimum(s, n - lags) - lo
         sums = p[last] - p[first]
         shifted = p[last + lags] - p[first + lags]
@@ -147,4 +147,4 @@ def estimate_lrv(y: ResidualSeries, cfg: LrvConfig | None = None) -> LrvEstimate
     floor = 1e-8 * max(float(total.max()), 0.0)
     if floor <= 0.0:
         floor = float(np.finfo(float).tiny)
-    return LrvEstimate(sigma2=Curve(np.maximum(total, floor), y.grid), bandwidth=c)
+    return LrvEstimate(sigma2=Curve(np.maximum(total, floor), fit.grid), bandwidth=c)

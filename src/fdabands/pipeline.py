@@ -4,10 +4,11 @@ long-run variance, bootstrap the quantile, and build the bands.
 The auto threshold's pilot segmentation reaches `analyze` through one
 channel: the `pilot_out` list of `detect_change_points`, which holds the
 pilot's fit and default-config LRV when the final changes are the pilot's
-and is empty otherwise.  The residuals are the series and its fit; the
-relevant filter's margin, the LRV and the bootstrap read their segments off
-that fit, so no stage gets a second copy of it, and each forms the residual
-rows it reads, a block at a time, so no (n, T) residual matrix is formed."""
+and is empty otherwise.  The fit holds the series it was fit to; the
+relevant filter's margin, the LRV, the bootstrap and the bands all take
+that one fit, so no stage pairs it with another series or another copy of
+its segments, and each forms the residual rows it reads, a block at a
+time, so no (n, T) residual matrix is formed."""
 
 from __future__ import annotations
 
@@ -73,15 +74,14 @@ def analyze(x: FunctionalTimeSeries, cfg: PipelineConfig | None = None) -> Analy
     else:
         fit = fit_segments(x, cps.segments)
     rel = relevant_set(x, cps, cfg.relevant, fit=fit)
-    y = fit.residuals(x)
     if not pilot or cfg.lrv != LrvConfig():
-        lrv_est = estimate_lrv(y, cfg.lrv)
+        lrv_est = estimate_lrv(fit, cfg.lrv)
 
     # The bands use the (1 - alpha/2)-quantile of T*, not the (1 - alpha)-
     # quantile: at moderate n the block bootstrap scale is biased low for
     # short blocks, and the (1 - alpha)-quantile undercovers.
     boot = run_bootstrap(
-        y,
+        fit,
         rel.indices,
         lrv_est.sigma2,
         BootstrapConfig(

@@ -16,8 +16,8 @@ while intervals are scanned, so one (n, T) array at a time is alive beside
 the series: the pilot's first-difference proxy, one pass over the whole
 series, runs first; P is formed on the first scan and dropped when the
 pilot's segmentation ends, before the pilot's LRV is estimated.  The
-pilot's residuals are the series and its segment means, and the LRV forms
-their rows a block at a time, so no (n, T) residual matrix exists.  The
+pilot's fit holds the series and its segment means, and the LRV forms
+the residual rows a block at a time, so no (n, T) residual matrix exists.  The
 final threshold forms P again only for an interval that the pilot never
 scanned, which needs its xi below the pilot's.  When the final threshold
 keeps the pilot's changes, the pilot's fit and its default-config LRV are
@@ -238,7 +238,7 @@ def _auto_threshold(x: FunctionalTimeSeries, scan, drop_prefix, max_changes: int
     drop_prefix()
 
     fit = fit_segments(x, segments_from_indices(n, pilot))
-    lrv = estimate_lrv(fit.residuals(x))
+    lrv = estimate_lrv(fit)
     sigma_bar = median(np.sqrt(lrv.sigma2.values))
     return max(XI_SCALE * sigma_bar * scale, floor), pilot, (fit, lrv)
 
@@ -295,7 +295,7 @@ def relevant_set(
     Index 0 is always included.  In the default plug-in mode the comparison
     margin is 0; method='bootstrap' adds a beta-calibrated margin.  A caller
     that has formed the fit of `x` over cps.segments passes it in so it is
-    not formed twice; a fit over other segments or on another grid is
+    not formed twice; a fit of another series, or over other segments, is
     refused.
     """
     cfg = cfg or RelevantChangeConfig()
@@ -308,15 +308,14 @@ def relevant_set(
         )
     if fit is None:
         fit = fit_segments(x, cps.segments)
-    elif fit.segments != tuple(cps.segments) or fit.grid != x.grid:
-        raise InvalidInputError("segment fit is not over the change point set's segments on the series' grid")
+    elif fit.series is not x or fit.segments != tuple(cps.segments):
+        raise InvalidInputError("segment fit is not over the change point set's segments of this series")
     jumps = [sup_norm(fit.means[i] - fit.means[i - 1]) for i in range(1, len(fit.means))]
 
     margins = [0.0] * len(jumps)
     if cfg.method == "bootstrap":
-        y = fit.residuals(x)
         margins = [
-            bootstrap_margin(y, i, cfg.beta, cfg.calibration_replications, cfg.rng_seed)
+            bootstrap_margin(fit, i, cfg.beta, cfg.calibration_replications, cfg.rng_seed)
             for i in range(1, len(fit.segments))
         ]
 

@@ -11,8 +11,8 @@ synthetic series from a separate innovation array, the AR(1) state
 recursion and a matrix of segment means, where `simulate.generate` builds it
 in place in one array; `coverage_study_by_replication` generates and
 analyzes one replication at a time, where `simulate.run_coverage_study`
-generates its series in batches.  `residual_series` gives the residual
-series whose rows are a given matrix, under a zero-mean fit over given
+generates its series in batches.  `zero_mean_fit` gives the fit whose
+residual rows are a given matrix, a zero-mean fit of that matrix over given
 segments, for tests that start from residuals.
 """
 
@@ -27,7 +27,6 @@ from fdabands import (
     Grid,
     InvalidInputError,
     PipelineConfig,
-    ResidualSeries,
     Segment,
     SegmentFit,
     analyze,
@@ -71,18 +70,17 @@ def block_averages_by_index(y_values, L):
     return sums / np.sqrt(lengths)[:, None]
 
 
-def residual_series(values, segments=None) -> ResidualSeries:
-    """The residual series whose rows are the (n, T) matrix `values`: the
+def zero_mean_fit(values, segments=None) -> SegmentFit:
+    """The fit whose residual rows are the (n, T) matrix `values`: the
     series `values` under a fit of mean zero over `segments` (one segment
     when None), and x - 0.0 is x bit for bit."""
     x = FunctionalTimeSeries(values, Grid.uniform(np.shape(values)[1]))
     segments = tuple(segments or [Segment(0, x.n)])
-    fit = SegmentFit(segments, np.zeros((len(segments), len(x.grid))), x.grid)
-    return fit.residuals(x)
+    return SegmentFit(x, segments, np.zeros((len(segments), len(x.grid))))
 
 
 def bootstrap_segment_mean(
-    y: ResidualSeries, seg: Segment, L: int, multipliers
+    fit: SegmentFit, seg: Segment, L: int, multipliers
 ) -> Curve:
     """One bootstrap segment mean: n_i^(-1) * sum_j nu_j * (block average at j).
 
@@ -100,8 +98,8 @@ def bootstrap_segment_mean(
         raise InvalidInputError(
             f"need {seg.length} multipliers, got shape {nu.shape}"
         )
-    B = block_averages_by_index(y.rows(0, y.n), L)[seg.start : seg.end]
-    return Curve(nu @ B / seg.length, y.grid)
+    B = block_averages_by_index(fit.rows(0, fit.n), L)[seg.start : seg.end]
+    return Curve(nu @ B / seg.length, fit.grid)
 
 
 def matrix_by_lines(text: str, grid_size: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from fdabands import (
     run_coverage_study,
     segments_from_locations,
 )
-from oracles import bootstrap_segment_mean, residual_series
+from oracles import bootstrap_segment_mean, zero_mean_fit
 
 # Standard normal quantiles: P(|Z| <= 1.6449) = 0.9 and, for the max of two
 # independent half-normals, (2 * Phi(1.9545) - 1)^2 = 0.9.
@@ -86,7 +86,7 @@ def test_criterion_2_lrv_consistency():
         )
         x, _ = generate(spec)
         fit = fit_segments(x, segments_from_locations(x.n, []))
-        est = estimate_lrv(fit.residuals(x), LrvConfig(kernel="flat_top"))
+        est = estimate_lrv(fit, LrvConfig(kernel="flat_top"))
         errors.append(float(np.max(np.abs(est.sigma2.values - true)) / true))
     share = float(np.mean([e <= 0.15 for e in errors]))
     ok = share >= 0.90
@@ -110,7 +110,7 @@ def test_criterion_3_bootstrap_quantiles():
 
     x = iid_residuals(5000, grid, seed=0)
     segs = segments_from_locations(5000, [])
-    y = fit_segments(x, segs).residuals(x)
+    y = fit_segments(x, segs)
     res = run_bootstrap(
         y, [0], unit, BootstrapConfig(block_length=1, replications=20000, alpha=0.1, rng_seed=0)
     )
@@ -118,7 +118,7 @@ def test_criterion_3_bootstrap_quantiles():
 
     x2 = iid_residuals(10000, grid, seed=1)
     segs2 = segments_from_locations(10000, [0.5])
-    y2 = fit_segments(x2, segs2).residuals(x2)
+    y2 = fit_segments(x2, segs2)
     res2 = run_bootstrap(
         y2, [0, 1], unit, BootstrapConfig(block_length=1, replications=20000, alpha=0.1, rng_seed=1)
     )
@@ -137,7 +137,8 @@ def test_criterion_4_band_formula_exactness():
     for q, n_hat in ((0.0, 5), (1.7, 64), (123.456, 997)):
         mean = rng.normal(scale=50.0, size=33)
         sigma2 = Curve(rng.uniform(1e-6, 40.0, size=33), grid)
-        fit = SegmentFit((Segment(0, n_hat),), mean[None, :], grid)
+        x = FunctionalTimeSeries(np.zeros((n_hat, 33)), grid)
+        fit = SegmentFit(x, (Segment(0, n_hat),), mean[None, :])
         band = build_bands(fit, [0], sigma2, q=q).bands[0]
         half = np.sqrt(sigma2.values) * q / np.sqrt(n_hat)
         worst = max(
@@ -215,9 +216,9 @@ def test_criterion_7_determinism_and_equivariance():
     )
 
     grid = Grid.uniform(3)
-    y = residual_series(np.random.default_rng(8).normal(size=(30, 3)))
+    y = zero_mean_fit(np.random.default_rng(8).normal(size=(30, 3)))
     annihilated = bootstrap_segment_mean(y, Segment(0, 30), L=3, multipliers=np.zeros(30))
-    zero_y = residual_series(np.zeros((30, 3)))
+    zero_y = zero_mean_fit(np.zeros((30, 3)))
     degenerate = run_bootstrap(
         zero_y,
         [0],

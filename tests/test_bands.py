@@ -16,11 +16,13 @@ from fdabands import (
 
 
 def make_fit(mean_rows, lengths):
-    """A fit whose segment i has length lengths[i] and mean curve mean_rows[i]."""
+    """A fit of a zero series whose segment i has length lengths[i] and mean
+    curve mean_rows[i]."""
     means = np.asarray(mean_rows, float)
     grid = Grid.uniform(means.shape[1])
-    segments = segments_from_indices(sum(lengths), np.cumsum(lengths)[:-1])
-    return SegmentFit(tuple(segments), means, grid), grid
+    x = FunctionalTimeSeries(np.zeros((sum(lengths), len(grid))), grid)
+    segments = segments_from_indices(x.n, np.cumsum(lengths)[:-1])
+    return SegmentFit(x, segments, means), grid
 
 
 class TestBuildBands:
@@ -90,6 +92,19 @@ class TestBuildBands:
         sigma2 = Curve(np.ones(2), Grid.uniform(2))
         with pytest.raises(InvalidInputError):
             build_bands(fit, [0], sigma2, q=1.0)
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[-1], [], [5], [0.0], [True], [1, 1], [1, 0]],
+        ids=["negative", "empty", "past_k", "float", "bool", "repeated", "decreasing"],
+    )
+    def test_indices_that_are_no_relevant_set_rejected(self, indices):
+        # [-1] once gave a band labelled -1 over the last segment, [] an
+        # empty band set, and [5], [0.0] and [True] an IndexError, a
+        # TypeError and Curve's error
+        fit, grid = make_fit(np.zeros((2, 3)), [200, 200])
+        with pytest.raises(InvalidInputError, match=r"must be one or more integers in 0\.\.1, strictly increasing"):
+            build_bands(fit, indices, Curve(np.ones(3), grid), q=3.0)
 
     def test_index_labels(self):
         # band i is built around segment i of the fit and labelled i

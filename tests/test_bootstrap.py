@@ -32,7 +32,7 @@ import fdabands.bootstrap as bootstrap
 import fdabands.core as core
 import fdabands.pipeline as pipeline
 from fdabands.bootstrap import _block_averages, _draw_sups, _segment_grams, _sqrt_factor, bootstrap_margin
-from oracles import block_averages_by_index, bootstrap_segment_mean, residual_series
+from oracles import block_averages_by_index, bootstrap_segment_mean, zero_mean_fit
 
 
 def make_series(values):
@@ -52,7 +52,7 @@ def unit_sigma2(grid):
 class TestBootstrapSegmentMean:
     def test_zero_multipliers(self):
         rng = np.random.default_rng(2)
-        y = residual_series(rng.normal(size=(12, 3)))
+        y = zero_mean_fit(rng.normal(size=(12, 3)))
         out = bootstrap_segment_mean(y, Segment(0, 12), L=3, multipliers=np.zeros(12))
         assert np.array_equal(out.values, np.zeros(3))
 
@@ -60,7 +60,7 @@ class TestBootstrapSegmentMean:
         rng = np.random.default_rng(3)
         yv = rng.normal(size=(9, 4))
         nu = rng.normal(size=9)
-        y = residual_series(yv)
+        y = zero_mean_fit(yv)
         out = bootstrap_segment_mean(y, Segment(0, 9), L=1, multipliers=nu)
         expected = np.zeros(4)
         for j in range(9):
@@ -69,7 +69,7 @@ class TestBootstrapSegmentMean:
         assert np.allclose(out.values, expected, atol=1e-14)
 
     def test_zero_residuals(self):
-        y = residual_series(np.zeros((10, 2)))
+        y = zero_mean_fit(np.zeros((10, 2)))
         nu = np.random.default_rng(4).normal(size=10)
         out = bootstrap_segment_mean(y, Segment(0, 10), L=2, multipliers=nu)
         assert np.array_equal(out.values, np.zeros(2))
@@ -78,24 +78,24 @@ class TestBootstrapSegmentMean:
         # the last block has only one available index; its sum is rescaled by
         # sqrt(1) instead of sqrt(L)
         yv = np.arange(8.0).reshape(4, 2)
-        y = residual_series(yv)
+        y = zero_mean_fit(yv)
         nu = np.array([0.0, 0.0, 0.0, 1.0])
         out = bootstrap_segment_mean(y, Segment(0, 4), L=2, multipliers=nu)
         assert np.allclose(out.values, yv[3] / 4.0)
 
     def test_block_longer_than_segment(self):
-        y = residual_series(np.zeros((6, 2)))
+        y = zero_mean_fit(np.zeros((6, 2)))
         with pytest.raises(InvalidInputError):
             bootstrap_segment_mean(y, Segment(0, 3), L=4, multipliers=np.zeros(3))
 
 
 def margin_series(resid, left, right):
-    """`resid` as a residual series whose fit has the adjacent segments
-    `left` and `right`, padded by a segment on either side where they leave
+    """A zero-mean fit whose residual rows are `resid`, with the adjacent
+    segments `left` and `right`, padded by a segment on either side where they leave
     rows, and the index of the change between them."""
     bounds = sorted({0, left.start, right.start, right.end, len(resid)})
     segments = [Segment(a, b) for a, b in zip(bounds, bounds[1:])]
-    return residual_series(resid, segments), segments.index(right)
+    return zero_mean_fit(resid, segments), segments.index(right)
 
 
 def joined_block_averages(y_values, L, stop=None):
@@ -104,7 +104,7 @@ def joined_block_averages(y_values, L, stop=None):
     another from row 0."""
     n = len(y_values)
     parts, start = [], 0
-    for a, block in _block_averages(residual_series(y_values), L, Segment(0, n), n if stop is None else stop):
+    for a, block in _block_averages(zero_mean_fit(y_values), L, Segment(0, n), n if stop is None else stop):
         assert a == start
         parts.append(block.copy())  # the next block overwrites this one
         start += len(block)
@@ -166,7 +166,7 @@ class TestSegmentGrams:
                 [Segment(5, 10), Segment(23, 34)],  # stop = 34 < n, rows 0-4 unused
                 [Segment(23, 34), Segment(3, 23)],  # any order
             ):
-                grams = _segment_grams(residual_series(yv), L, Segment(0, 41), segs)
+                grams = _segment_grams(zero_mean_fit(yv), L, Segment(0, 41), segs)
                 assert grams.shape == (len(segs), 5, 5)
                 for gram, seg in zip(grams, segs):
                     rows = expected[seg.start : seg.end]
@@ -178,7 +178,7 @@ class TestSegmentGrams:
         yv = np.random.default_rng(38).normal(size=(3000, 50))
         segs = [Segment(0, 1000), Segment(1000, 2700), Segment(2700, 2990)]
         expected = block_averages_by_index(yv, 7)
-        for gram, seg in zip(_segment_grams(residual_series(yv), 7, Segment(0, 3000), segs), segs):
+        for gram, seg in zip(_segment_grams(zero_mean_fit(yv), 7, Segment(0, 3000), segs), segs):
             rows = expected[seg.start : seg.end]
             assert_close_gram(gram, rows.T @ rows)
 
@@ -222,15 +222,14 @@ def residuals_fixture(n=80, grid_size=6, seed=5, changes=(0.5,)):
     rng = np.random.default_rng(seed)
     x = make_series(rng.normal(size=(n, grid_size)))
     segs = segments_from_locations(n, list(changes))
-    fit = fit_segments(x, segs)
-    y = fit.residuals(x)
+    y = fit_segments(x, segs)
     sigma2 = estimate_lrv(y, LrvConfig(bandwidth=2)).sigma2
     return x, segs, y, sigma2
 
 
 class TestRunBootstrap:
     def test_degenerate_residuals(self):
-        y = residual_series(np.zeros((40, 3)))
+        y = zero_mean_fit(np.zeros((40, 3)))
         segs = segments_from_locations(40, [])
         res = run_bootstrap(y, range(len(segs)), unit_sigma2(y.grid), BootstrapConfig(replications=200))
         assert np.array_equal(res.statistics, np.zeros(200))
@@ -252,8 +251,7 @@ class TestRunBootstrap:
         spec = ScenarioSpec(n=400, grid_size=60, error_process="ar1", error_param=0.4, rng_seed=5)
         x, _ = generate(spec)
         segs = segments_from_locations(x.n, [])
-        fit = fit_segments(x, segs)
-        y = fit.residuals(x)
+        y = fit_segments(x, segs)
         sigma2 = estimate_lrv(y).sigma2
         wiggle = 1.0 + 1e-15 * np.random.default_rng(6).choice([-1.0, 1.0], size=len(sigma2.grid))
         cfg = BootstrapConfig(replications=500, rng_seed=7)
@@ -268,14 +266,13 @@ class TestRunBootstrap:
         spec = ScenarioSpec(n=200, grid_size=40, error_process="ar1", error_param=0.4, rng_seed=3)
         x, _ = generate(spec)
         segs = segments_from_locations(x.n, [0.5])
-        fit = fit_segments(x, segs)
-        y = fit.residuals(x)
+        y = fit_segments(x, segs)
         sigma2 = estimate_lrv(y).sigma2
         cfg = BootstrapConfig(replications=500, rng_seed=7)
         q = run_bootstrap(y, range(len(segs)), sigma2, cfg).quantile
         for seed in range(3):
             noise = 1.0 + 1e-14 * np.random.default_rng(seed).standard_normal((y.n, len(y.grid)))
-            y_noisy = residual_series(y.rows(0, y.n) * noise, segs)
+            y_noisy = zero_mean_fit(y.rows(0, y.n) * noise, segs)
             assert abs(run_bootstrap(y_noisy, range(len(segs)), sigma2, cfg).quantile - q) / q < 1e-6
 
     def test_quantile_monotone_in_alpha(self):
@@ -294,8 +291,7 @@ class TestRunBootstrap:
         base = run_bootstrap(y, range(len(segs)), sigma2, cfg)
         lam = 3.7
         x2 = make_series(lam * np.array(x.values))
-        fit2 = fit_segments(x2, segs)
-        y2 = fit2.residuals(x2)
+        y2 = fit_segments(x2, segs)
         sigma2_scaled = estimate_lrv(y2, LrvConfig(bandwidth=2)).sigma2
         scaled = run_bootstrap(y2, range(len(segs)), sigma2_scaled, cfg)
         assert np.allclose(scaled.statistics, base.statistics, rtol=1e-10)
@@ -309,7 +305,7 @@ class TestRunBootstrap:
         shifted_vals = np.array(x.values)
         shifted_vals[segs[1].start : segs[1].end] += 42.0
         x2 = make_series(shifted_vals)
-        y2 = fit_segments(x2, segs).residuals(x2)
+        y2 = fit_segments(x2, segs)
         assert np.allclose(y2.rows(0, y2.n), y.rows(0, y.n), atol=1e-12)
         again = run_bootstrap(y2, range(len(segs)), sigma2, cfg)
         assert np.allclose(again.statistics, base.statistics, rtol=1e-12)
@@ -334,24 +330,34 @@ class TestRunBootstrap:
 
     def test_segment_past_the_series_end_rejected(self):
         # segment [20, 60) of a 40-row series once warned from a sqrt and
-        # then failed to broadcast; the bootstrap reads its segments off the
-        # fit of its residuals, and a fit past the series' end forms none
+        # then failed to broadcast; the bootstrap reads its segments off its
+        # fit, and a fit past the series' end is refused where it is built
         values = np.random.default_rng(46).normal(size=(40, 3))
-        with pytest.raises(InvalidInputError, match="segment fit does not match"):
-            residual_series(values, [Segment(0, 20), Segment(20, 60)])
-        y = residual_series(values, [Segment(0, 20), Segment(20, 40)])
+        with pytest.raises(InvalidInputError, match=r"do not partition \[0, n\) in order, n = 40"):
+            zero_mean_fit(values, [Segment(0, 20), Segment(20, 60)])
+        y = zero_mean_fit(values, [Segment(0, 20), Segment(20, 40)])
         for indices in ([0, 2], [-1], [Segment(0, 20), Segment(20, 60)]):
             with pytest.raises(InvalidInputError, match=r"must be one or more integers in 0\.\.1"):
                 run_bootstrap(y, indices, unit_sigma2(y.grid), BootstrapConfig(replications=200))
+
+    @pytest.mark.parametrize(
+        "indices", [[1, 1], [1, 0], [True]], ids=["repeated", "decreasing", "bool"]
+    )
+    def test_indices_that_are_no_relevant_set_rejected(self, indices):
+        # [1, 1] once drew T* over two independent draws of one segment,
+        # [1, 0] gave another q than [0, 1], and [True] read segment 1
+        _, _, y, sigma2 = residuals_fixture()
+        with pytest.raises(InvalidInputError, match=r"must be one or more integers in 0\.\.1, strictly increasing"):
+            run_bootstrap(y, indices, sigma2, BootstrapConfig(replications=200))
 
     def test_margin_segment_past_the_series_end_rejected(self):
         # the margin once scaled the 20 rows of [20, 40) as if [20, 60) held
         # 40; it reads its two segments off the fit, and takes only a change
         # of it
         values = np.random.default_rng(46).normal(size=(40, 3))
-        with pytest.raises(InvalidInputError, match="segment fit does not match"):
-            residual_series(values, [Segment(0, 20), Segment(20, 60)])
-        y = residual_series(values, [Segment(0, 20), Segment(20, 40)])
+        with pytest.raises(InvalidInputError, match=r"do not partition \[0, n\) in order, n = 40"):
+            zero_mean_fit(values, [Segment(0, 20), Segment(20, 60)])
+        y = zero_mean_fit(values, [Segment(0, 20), Segment(20, 40)])
         for pair in (0, 2):
             with pytest.raises(InvalidInputError, match=r"not one of the fit's changes 1\.\.1"):
                 bootstrap_margin(y, pair, 0.1, 200, 0)
@@ -386,7 +392,7 @@ def basis_rows(y, seg, L, scale=1.0):
 def margin_rows(resid, left, right):
     """Definitional stacked matrix of the margin's bootstrap jump difference
     mu_right* - mu_left*, over the residuals of the two segments only."""
-    y = residual_series(resid[left.start : right.end])
+    y = zero_mean_fit(resid[left.start : right.end])
     L = auto_block_length(min(left.length, right.length))
     lo, mid, hi = 0, left.length, left.length + right.length
     return np.vstack([-basis_rows(y, Segment(lo, mid), L), basis_rows(y, Segment(mid, hi), L)])
@@ -416,7 +422,7 @@ class TestGaussianDraws:
     def test_factor_matches_segment_mean_oracle(self, n, grid_size, seg, L, zero):
         rng = np.random.default_rng(31)
         values = np.zeros((n, grid_size)) if zero else rng.normal(size=(n, grid_size))
-        y = residual_series(values)
+        y = zero_mean_fit(values)
         sigma = np.sqrt(rng.uniform(0.5, 2.0, size=grid_size))
         # the Gram matrix and column scale run_bootstrap draws this segment from
         (gram,) = _segment_grams(y, L, Segment(0, n), [seg])
@@ -430,7 +436,7 @@ class TestGaussianDraws:
         # segment's rows
         n, grid_size, L = 120, 4, 5
         segs = [Segment(0, 40), Segment(40, 90)]
-        y = residual_series(np.random.default_rng(33).normal(size=(n, grid_size)), [*segs, Segment(90, n)])
+        y = zero_mean_fit(np.random.default_rng(33).normal(size=(n, grid_size)), [*segs, Segment(90, n)])
         seen = []
         factor = bootstrap._sqrt_factor
 
@@ -687,7 +693,7 @@ class TestDrawBuffers:
     def test_worker_share_allocates_less_than_a_block(self, monkeypatch):
         n = 300
         segs = segments_from_locations(n, [1 / 3, 2 / 3])
-        y = residual_series(np.random.default_rng(36).normal(size=(n, self.T)), segs)
+        y = zero_mean_fit(np.random.default_rng(36).normal(size=(n, self.T)), segs)
         cfg = BootstrapConfig(replications=self.R, rng_seed=4)
         expected = run_bootstrap(y, range(len(segs)), unit_sigma2(y.grid), cfg).statistics.tobytes()
         pool = ThreadPoolExecutor(1)
@@ -777,7 +783,7 @@ def ar1_fixture(n=120, grid_size=6, rho=0.5, seed=41):
         e[j] += rho * e[j - 1]
     segs = segments_from_locations(n, [0.4])
     x = make_series(e)
-    y = fit_segments(x, segs).residuals(x)
+    y = fit_segments(x, segs)
     return segs, y
 
 
@@ -821,7 +827,7 @@ def test_run_bootstrap_memory_is_independent_of_R_times_n():
     # chunk pairs, two of 0.16 MB each per share
     n, grid_size, R = 10000, 20, 2000
     segs = segments_from_locations(n, [0.3, 0.7])
-    y = residual_series(np.random.default_rng(8).normal(size=(n, grid_size)), segs)
+    y = zero_mean_fit(np.random.default_rng(8).normal(size=(n, grid_size)), segs)
     sigma2 = unit_sigma2(y.grid)
     tracemalloc.start()
     try:

@@ -174,9 +174,9 @@ class TestSegmentMean:
     def test_out_of_range(self):
         # segments running past the series, or leaving a gap, are no partition
         x = series_from(np.zeros((4, 3)))
-        with pytest.raises(InvalidInputError, match="do not end at the series' end n = 4"):
+        with pytest.raises(InvalidInputError, match=r"do not partition \[0, n\) in order, n = 4"):
             fit_segments(x, [Segment(0, 2), Segment(2, 5)])
-        with pytest.raises(InvalidInputError, match=r"do not partition \[0, n\) in order"):
+        with pytest.raises(InvalidInputError, match=r"do not partition \[0, n\) in order, n = 4"):
             fit_segments(x, [Segment(0, 1), Segment(2, 4)])
 
     def test_empty_segment_rejected(self):
@@ -187,13 +187,12 @@ class TestSegmentMean:
         vals = np.random.default_rng(43).normal(scale=3.0, size=(50, 7))
         x = series_from(vals)
         fit = fit_segments(x, [Segment(0, 1), Segment(1, 18), Segment(18, 49), Segment(49, 50)])
-        y = fit.residuals(x)
         expected = vals - np.repeat(fit.means, [1, 17, 31, 1], axis=0)
-        rows = y.rows(0, 50)
+        rows = fit.rows(0, 50)
         assert rows.tobytes() == expected.tobytes()
         assert rows.flags["C_CONTIGUOUS"]
-        # the residuals hold the series and the means, both read-only
-        assert y.series is x and y.fit is fit
+        # the fit holds the series and the means, both read-only
+        assert fit.series is x and (fit.n, fit.grid) == (x.n, x.grid)
         assert not x.values.flags["WRITEABLE"] and not fit.means.flags["WRITEABLE"]
 
     def test_every_row_range_is_its_rows_minus_their_segment_means(self):
@@ -204,62 +203,64 @@ class TestSegmentMean:
         x = series_from(vals)
         segs = [Segment(0, 1), Segment(1, 5), Segment(5, 6), Segment(6, 11), Segment(11, 12)]
         fit = fit_segments(x, segs)
-        y = fit.residuals(x)
         owner = np.repeat(np.arange(len(segs)), [seg.length for seg in segs])
         buffer = np.full((13, 5), np.nan)
         for a in range(12):
             for b in range(a + 1, 13):
                 expected = np.stack([x.values[j] - fit.means[owner[j]] for j in range(a, b)])
-                assert y.rows(a, b).tobytes() == expected.tobytes(), (a, b)
-                out = y.rows(a, b, out=buffer)
+                assert fit.rows(a, b).tobytes() == expected.tobytes(), (a, b)
+                out = fit.rows(a, b, out=buffer)
                 assert np.shares_memory(out, buffer) and out.tobytes() == expected.tobytes(), (a, b)
 
     def test_residuals_need_the_fit_of_their_series(self):
+        # a fit holds its series: the segments and means of a 10-row fit make
+        # no fit of a shorter series or of a series on a grid of another
+        # size, and the grid of a fit is its series' grid
         x = series_from(np.random.default_rng(45).normal(size=(10, 3)))
         fit = fit_segments(x, [Segment(0, 4), Segment(4, 10)])
-        shorter = series_from(x.values[:8])
+        with pytest.raises(InvalidInputError, match=r"do not partition \[0, n\) in order, n = 8"):
+            SegmentFit(series_from(x.values[:8]), fit.segments, fit.means)
+        with pytest.raises(InvalidInputError, match=r"means of shape \(2, 3\), not \(2, 4\)"):
+            SegmentFit(series_from(np.zeros((10, 4))), fit.segments, fit.means)
         other_grid = FunctionalTimeSeries(x.values, Grid(np.linspace(0.0, 0.5, 3)))
-        for other in (shorter, other_grid):
-            with pytest.raises(InvalidInputError, match="segment fit does not match"):
-                fit.residuals(other)
+        assert SegmentFit(other_grid, fit.segments, fit.means).grid is other_grid.grid
 
 
 class TestFitResiduals:
     def test_noise_free_piecewise_constant(self):
         vals = np.vstack([np.zeros((5, 3)), np.full((5, 3), 4.0)])
-        x = series_from(vals)
-        y = fit_segments(x, segments_from_locations(10, [0.5])).residuals(x)
-        assert np.array_equal(y.rows(0, 10), np.zeros((10, 3)))
+        fit = fit_segments(series_from(vals), segments_from_locations(10, [0.5]))
+        assert np.array_equal(fit.rows(0, 10), np.zeros((10, 3)))
 
     def test_single_segment_mean_subtraction(self):
         rng = np.random.default_rng(0)
         noise = rng.normal(size=(8, 4))
-        x = series_from(2.5 + noise)
-        y = fit_segments(x, segments_from_locations(8, [])).residuals(x)
-        assert np.allclose(y.rows(0, 8), noise - noise.mean(axis=0), atol=1e-13)
+        fit = fit_segments(series_from(2.5 + noise), segments_from_locations(8, []))
+        assert np.allclose(fit.rows(0, 8), noise - noise.mean(axis=0), atol=1e-13)
 
     def test_per_segment_means_vanish(self):
         rng = np.random.default_rng(1)
         x = series_from(rng.normal(size=(60, 5)) + 3.0)
         segs = segments_from_locations(60, [0.4])
-        y = fit_segments(x, segs).residuals(x)
+        fit = fit_segments(x, segs)
         for seg in segs:
             # independently recomputed per-segment residual means
-            assert np.max(np.abs(y.rows(seg.start, seg.end).mean(axis=0))) < 1e-10
+            assert np.max(np.abs(fit.rows(seg.start, seg.end).mean(axis=0))) < 1e-10
 
     def test_uncovered_index_rejected(self):
         x = series_from(np.zeros((10, 2)))
-        with pytest.raises(InvalidInputError, match="do not end at the series' end n = 10"):
+        with pytest.raises(InvalidInputError, match=r"do not partition \[0, n\) in order, n = 10"):
             fit_segments(x, [Segment(0, 5)])
-        with pytest.raises(InvalidInputError, match="do not end at the series' end n = 10"):
+        with pytest.raises(InvalidInputError, match=r"do not partition \[0, n\) in order, n = 10"):
             fit_segments(x, [])
 
 
 class TestSegmentFit:
-    """A fit is built over a partition of [0, n) or not at all, so no
-    residual rows are formed from overlapping, gapped or shifted segments."""
+    """A fit is built over a partition of [0, n) of its series or not at
+    all, so no residual rows are formed from overlapping, gapped, shifted
+    or short segments."""
 
-    grid = Grid.uniform(3)
+    x = series_from(np.zeros((400, 3)))
 
     @pytest.mark.parametrize(
         "segments",
@@ -267,25 +268,28 @@ class TestSegmentFit:
             [Segment(0, 300), Segment(100, 400)],
             [Segment(0, 100), Segment(150, 400)],
             [Segment(50, 100), Segment(100, 400)],
+            [Segment(0, 100), Segment(100, 300)],
+            [Segment(0, 100), Segment(100, 500)],
             [],
         ],
-        ids=["overlap", "gap", "not_from_0", "empty"],
+        ids=["overlap", "gap", "not_from_0", "short_of_n", "past_n", "empty"],
     )
     def test_segments_that_do_not_partition_are_refused(self, segments):
-        with pytest.raises(InvalidInputError, match=r"do not partition \[0, n\) in order"):
-            SegmentFit(tuple(segments), np.zeros((len(segments), 3)), self.grid)
+        with pytest.raises(InvalidInputError, match=r"do not partition \[0, n\) in order, n = 400"):
+            SegmentFit(self.x, tuple(segments), np.zeros((len(segments), 3)))
 
     @pytest.mark.parametrize("shape", [(1, 3), (3, 3), (2, 4), (6,)])
     def test_means_of_another_shape_are_refused(self, shape):
         with pytest.raises(InvalidInputError, match=r"means of shape \(.*\), not \(2, 3\)"):
-            SegmentFit((Segment(0, 5), Segment(5, 9)), np.zeros(shape), self.grid)
+            SegmentFit(self.x, (Segment(0, 5), Segment(5, 400)), np.zeros(shape))
 
     def test_fields_are_a_tuple_and_read_only_means(self):
         means = np.zeros((2, 3))
-        fit = SegmentFit([Segment(0, 5), Segment(5, 9)], means, self.grid)
+        x = series_from(np.ones((9, 3)))
+        fit = SegmentFit(x, [Segment(0, 5), Segment(5, 9)], means)
         assert fit.segments == (Segment(0, 5), Segment(5, 9))
         assert not fit.means.flags["WRITEABLE"] and means.flags["WRITEABLE"]
-        assert fit.residuals(series_from(np.ones((9, 3)))).rows(0, 9).tobytes() == np.ones((9, 3)).tobytes()
+        assert fit.rows(0, 9).tobytes() == np.ones((9, 3)).tobytes()
 
 
 finite_curves = st.integers(0, 2**32 - 1).map(

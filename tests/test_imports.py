@@ -11,6 +11,9 @@ The tracer skips a target whose name is gone, so a renamed or moved call
 would make its per-layer metric read 0 without a failure; the last test
 keeps the set of missing targets from growing.
 
+The package's public names are pinned, so one is added or removed only on
+purpose.
+
 Importing the package starts no thread: the bootstrap's draw pool starts on
 the first draw.  And the analysis never imports numpy.ma, which numpy >= 2
 loads on the first np.median or np.unique call.
@@ -67,6 +70,28 @@ def test_trace_targets_exist(monkeypatch):
     import spans
 
     assert set(spans.Tracer().missing) <= STALE_TRACE_TARGETS
+
+
+# `__all__` is every name of the package that has no leading underscore,
+# its submodules included
+PUBLIC_NAMES = [
+    "AnalysisResult", "Band", "BootstrapConfig", "BootstrapResult", "ChangePointSet",
+    "ConfidenceBandSet", "ContainmentResult", "CoverageReport", "Curve", "FunctionalTimeSeries",
+    "Grid", "GroundTruth", "InternalInvariantError", "InvalidInputError", "KERNELS", "LrvConfig",
+    "LrvEstimate", "PipelineConfig", "RelevantChangeConfig", "RelevantSet", "ScenarioSpec",
+    "Segment", "SegmentFit", "SegmentationConfig", "analyze", "auto_bandwidth",
+    "auto_block_length", "auto_delta", "bands", "bootstrap", "build_bands", "check_containment",
+    "core", "curve_values", "detect_change_points", "estimate_lrv", "fit_segments", "generate",
+    "lrv", "pipeline", "relevant_set", "run_bootstrap", "run_coverage_study", "segmentation",
+    "segments_from_indices", "segments_from_locations", "simulate", "sup_norm",
+]
+
+
+def test_public_names_are_pinned():
+    import fdabands
+
+    assert len(PUBLIC_NAMES) == 48
+    assert sorted(fdabands.__all__) == PUBLIC_NAMES
 
 
 def test_import_starts_no_thread():

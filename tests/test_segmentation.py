@@ -18,7 +18,6 @@ from fdabands import (
     RelevantChangeConfig,
     ScenarioSpec,
     SegmentationConfig,
-    SegmentFit,
     analyze,
     auto_delta,
     detect_change_points,
@@ -275,6 +274,21 @@ class TestRelevantSet:
         assert relevant_set(x, cps, RelevantChangeConfig(delta=3.0), fit=own) == relevant_set(
             x, cps, RelevantChangeConfig(delta=3.0)
         )
+
+    @pytest.mark.parametrize("method", ["plugin", "bootstrap"])
+    def test_fit_of_another_series_rejected(self, method):
+        # the fit of another series of the same shape once gave a jump of
+        # 0.264 where the fit of x gives 3.204, and relevant indices (0,)
+        # for (0, 1), with no error
+        rng = np.random.default_rng(0)
+        x = make_series(rng.normal(size=(400, 20)) + np.repeat([0.0, 3.0], 200)[:, None])
+        x2 = make_series(rng.normal(size=(400, 20)))
+        cps = ChangePointSet(indices=(200,), n=400, threshold=1.0)
+        cfg = RelevantChangeConfig(delta=1.0, method=method, calibration_replications=200)
+        for fit in (fit_segments(x2, cps.segments), fit_segments(make_series(x.values), cps.segments)):
+            with pytest.raises(InvalidInputError, match="segment fit is not over the change point set's segments of this series"):
+                relevant_set(x, cps, cfg, fit=fit)
+        assert relevant_set(x, cps, cfg, fit=fit_segments(x, cps.segments)).indices == (0, 1)
 
     def test_auto_delta_zero_rejected(self):
         x = make_series(np.ones((60, 3)))
@@ -594,7 +608,7 @@ class TestScale:
                 if entry == "relevant_set":
                     relevant_set(x, cps, RelevantChangeConfig(method="bootstrap"))
                 else:
-                    estimate_lrv(fit_segments(x, cps.segments).residuals(x))
+                    estimate_lrv(fit_segments(x, cps.segments))
 
     def test_large_series_finds_the_unscaled_changes(self):
         base = analyze(self.series(1.0), PipelineConfig(replications=200))
@@ -685,43 +699,67 @@ def test_final_threshold_below_the_pilots_forms_the_prefix_again(monkeypatch):
 
 def test_analyze_reads_the_residuals_of_the_pilots_fit_alone(monkeypatch):
     # the final changes here are the pilot's: the pilot's fit, formed for
-    # its LRV, is handed to analyze, and the bootstrap margin, the LRV and
-    # the bootstrap all read its residuals
+    # its LRV, is handed to analyze, and the bootstrap margin, the LRV, the
+    # bootstrap and the bands all read that one fit
     grid_size = 8
     x = jump_series(400, grid_size, [(0.5, np.full(grid_size, 3.0))], noise_sd=1.0, seed=4)
     cfg = PipelineConfig(
         relevant=RelevantChangeConfig(delta=2.0, method="bootstrap", calibration_replications=200),
         replications=200,
     )
-    formed = Counter()
-    residuals = SegmentFit.residuals
+    formed, read = [], Counter()
 
-    def counting(fit, series):
-        formed[id(fit)] += 1
-        return residuals(fit, series)
+    def forming(x, segments):
+        formed.append(fit_segments(x, segments))
+        return formed[-1]
 
-    monkeypatch.setattr(SegmentFit, "residuals", counting)
+    def reading(stage):
+        def wrapper(fit, *args):
+            read[stage, id(fit)] += 1
+            return stage(fit, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(segmentation, "fit_segments", forming)
+    monkeypatch.setattr(pipeline, "fit_segments", forming)
+    for module, name in [
+        (segmentation, "estimate_lrv"),
+        (segmentation, "bootstrap_margin"),
+        (pipeline, "run_bootstrap"),
+        (pipeline, "build_bands"),
+    ]:
+        monkeypatch.setattr(module, name, reading(getattr(module, name)))
     res = analyze(x, cfg)
-    assert len(formed) == 1
+    assert len(formed) == 1 and formed[0].series is x
+    assert {fit for _, fit in read} == {id(formed[0])}
+    assert len(read) == 4  # the pilot's LRV, the margin, the bootstrap and the bands
     alone = relevant_set(x, res.change_points, cfg.relevant)
     assert (alone.indices, alone.all_jumps) == (res.relevant.indices, res.relevant.all_jumps)
 
 
 def test_analyze_forms_the_final_fits_residuals_when_the_pilot_differs(monkeypatch):
     # the pilot's fit goes to analyze only when the final changes are the
-    # pilot's; here the final threshold drops one (see ar_jump_series)
+    # pilot's; here the final threshold drops one (see ar_jump_series), so
+    # analyze forms a fit of its own and estimates the LRV of that fit
     x = ar_jump_series(3)
-    formed = []
-    residuals = SegmentFit.residuals
+    formed, estimated = [], []
 
-    def counting(fit, series):
-        formed.append(fit.segments)
-        return residuals(fit, series)
+    def forming(x, segments):
+        formed.append(fit_segments(x, segments))
+        return formed[-1]
 
-    monkeypatch.setattr(SegmentFit, "residuals", counting)
+    def counting(fit, cfg=None):
+        estimated.append(fit)
+        return estimate_lrv(fit, cfg)
+
+    monkeypatch.setattr(segmentation, "fit_segments", forming)
+    monkeypatch.setattr(pipeline, "fit_segments", forming)
+    monkeypatch.setattr(segmentation, "estimate_lrv", counting)
+    monkeypatch.setattr(pipeline, "estimate_lrv", counting)
     res = analyze(x, PipelineConfig(replications=200))
-    assert len(formed) == 2 and formed[0] != formed[1]
-    assert list(formed[1]) == res.change_points.segments
+    assert len(formed) == 2 and formed[0].segments != formed[1].segments
+    assert list(formed[1].segments) == res.change_points.segments
+    assert estimated == formed
 
 
 def ar_jump_series(seed, n=300, grid_size=6, rho=0.6, jump=3.0):
@@ -766,11 +804,10 @@ def test_pilot_out_holds_the_pilots_fit_residuals_and_lrv():
     assert pilot_indices(x) == cps.indices
     fit, lrv = pilot
     fresh = fit_segments(x, cps.segments)
-    fresh_residuals = fresh.residuals(x)
-    fresh_lrv = estimate_lrv(fresh_residuals)
-    assert fit.segments == fresh.segments
+    fresh_lrv = estimate_lrv(fresh)
+    assert fit.series is x and fit.segments == fresh.segments
     assert fit.means.tobytes() == fresh.means.tobytes()
-    assert fit.residuals(x).rows(0, x.n).tobytes() == fresh_residuals.rows(0, x.n).tobytes()
+    assert fit.rows(0, x.n).tobytes() == fresh.rows(0, x.n).tobytes()
     assert lrv.sigma2.values.tobytes() == fresh_lrv.sigma2.values.tobytes()
     assert lrv.bandwidth == fresh_lrv.bandwidth
 
@@ -803,7 +840,7 @@ def test_analyze_estimates_the_lrv_once_when_the_pilot_fit_is_final(monkeypatch,
     res = analyze(x, cfg)
     assert len(counted) == calls
     fit = fit_segments(x, res.change_points.segments)
-    fresh = estimate_lrv(fit.residuals(x), cfg.lrv)
+    fresh = estimate_lrv(fit, cfg.lrv)
     assert res.lrv.sigma2.values.tobytes() == fresh.sigma2.values.tobytes()
     assert res.lrv.bandwidth == fresh.bandwidth
 
