@@ -90,7 +90,6 @@ class BootstrapResult:
     quantile: float
     alpha: float
     block_length: int
-    segment_diagnostics: dict = field(default_factory=dict)
 
 
 def auto_block_length(n_min: int) -> int:
@@ -274,11 +273,12 @@ def _draw_sups(factors, replications: int, seed: int, keys, pool) -> np.ndarray:
 
 
 def _empirical_quantile(values: np.ndarray, level: float) -> float:
-    """Smallest value whose ascending rank is >= ceil(level * R)."""
+    """The k-th smallest value for the smallest rank k >= level * R.  The
+    product is rounded to 9 decimals first, so float noise in it (1 - 0.059
+    is 0.9410000000000001) cannot push k one rank up."""
     r = values.size
-    rank = int(np.ceil(level * r))
-    rank = min(max(rank, 1), r)
-    return float(np.sort(values)[rank - 1])
+    rank = min(max(int(np.ceil(round(level * r, 9))), 1), r)
+    return float(np.partition(values, rank - 1)[rank - 1])
 
 
 def bootstrap_margin(fit: SegmentFit, pair: int, beta: float, replications: int, seed: int) -> float:
@@ -339,23 +339,11 @@ def run_bootstrap(fit: SegmentFit, indices, sigma2: Curve, cfg: BootstrapConfig)
         pool, _sqrt_factor, [(gram, np.sqrt(seg.length) * sigma) for gram, seg in zip(grams, segments)]
     )
     keys = [(_QUANTILE, k) for k in range(len(segments))]
-    per_segment = _draw_sups(factors, R, cfg.rng_seed, keys, pool)
-    stats = per_segment.max(axis=0)
-    q = _empirical_quantile(stats, 1.0 - cfg.alpha)
-
-    argmax = per_segment.argmax(axis=0)
-    diagnostics = {
-        k: {
-            "quantile": _empirical_quantile(per_segment[k], 1.0 - cfg.alpha),
-            "max_share": float(np.mean(argmax == k)),
-        }
-        for k in range(len(segments))
-    }
+    stats = _draw_sups(factors, R, cfg.rng_seed, keys, pool).max(axis=0)
     stats.setflags(write=False)
     return BootstrapResult(
         statistics=stats,
-        quantile=q,
+        quantile=_empirical_quantile(stats, 1.0 - cfg.alpha),
         alpha=cfg.alpha,
         block_length=L,
-        segment_diagnostics=diagnostics,
     )

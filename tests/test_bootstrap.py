@@ -1,10 +1,12 @@
 import dataclasses
+import math
 import multiprocessing
 import os
 import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +33,14 @@ from fdabands import (
 import fdabands.bootstrap as bootstrap
 import fdabands.core as core
 import fdabands.pipeline as pipeline
-from fdabands.bootstrap import _block_averages, _draw_sups, _segment_grams, _sqrt_factor, bootstrap_margin
+from fdabands.bootstrap import (
+    _block_averages,
+    _draw_sups,
+    _empirical_quantile,
+    _segment_grams,
+    _sqrt_factor,
+    bootstrap_margin,
+)
 from oracles import block_averages_by_index, bootstrap_segment_mean, zero_mean_fit
 
 
@@ -372,13 +381,19 @@ class TestRunBootstrap:
         with pytest.raises(InvalidInputError, match="segment means and sigma\\^2 are on different grids"):
             run_bootstrap(y, range(len(segs)), unit_sigma2(grid), BootstrapConfig(replications=200))
 
-    def test_diagnostics_present(self):
-        _, segs, y, sigma2 = residuals_fixture()
-        res = run_bootstrap(y, range(len(segs)), sigma2, BootstrapConfig(replications=200))
-        assert set(res.segment_diagnostics) == {0, 1}
-        shares = [d["max_share"] for d in res.segment_diagnostics.values()]
-        assert sum(shares) == pytest.approx(1.0)
-        assert bootstrap.RNG_ALGORITHM == "sfc64"
+    @pytest.mark.parametrize("alpha, R", [(0.059, 2000), (0.059, 1000), (0.059, 4000), (0.1, 2000)])
+    def test_quantile_reads_the_smallest_rank_at_or_above_the_level(self, alpha, R):
+        # the rank is the smallest k >= (1 - alpha) * R in exact decimals; in
+        # floats (1 - 0.059) * 2000 is 1882.0000000000002, which a ceil reads
+        # as rank 1883, whose value has an empirical CDF above 0.941
+        values = np.random.default_rng(R).permutation(np.arange(float(R)))
+        rank = math.ceil((1 - Fraction(str(alpha))) * R)
+        assert _empirical_quantile(values, 1.0 - alpha) == rank - 1
+
+    def test_analyze_reads_the_rank_of_its_level(self):
+        # analyze reads T* at level 1 - alpha / 2 = 0.941: rank 1882 of 2000
+        res = analyze(two_segment_series(), PipelineConfig(alpha=0.118))
+        assert res.bootstrap.quantile == np.sort(res.bootstrap.statistics)[1881]
 
 
 def basis_rows(y, seg, L, scale=1.0):
@@ -523,6 +538,7 @@ class TestDrawBlocks:
         keys = [(0, 0), (1, 3)]
         out = _draw_sups(factors, 101, 9, keys, None)
         assert out.shape == (2, 101)
+        assert bootstrap.RNG_ALGORITHM == "sfc64"  # the generator substream_sups builds
         for r, key, row in zip(factors, keys, out):
             assert np.array_equal(row, substream_sups(r, 101, 9, key))
 
