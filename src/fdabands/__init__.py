@@ -21,7 +21,6 @@ from .core import (
     Curve,
     FunctionalTimeSeries,
     Grid,
-    InternalInvariantError,
     InvalidInputError,
     Segment,
     SegmentFit,

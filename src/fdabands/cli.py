@@ -4,7 +4,8 @@ emit plot-ready tables.
 Verbs: ``analyze`` (data -> change points, bands, diagnostics), ``simulate``
 (scenario -> dataset + truth), ``coverage`` (scenario -> Monte Carlo coverage
 report), ``version``.  Exit codes: 0 success, 2 invalid input or
-configuration, 3 internal invariant violation.
+configuration (argparse exits 2 on a bad command line as well); any other
+exception is a bug and ends with Python's traceback.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .bootstrap import RNG_ALGORITHM
 from .core import (
     FunctionalTimeSeries,
     Grid,
-    InternalInvariantError,
     InvalidInputError,
     check_field_value,
     check_integer,
@@ -595,16 +595,12 @@ def main(argv=None) -> int:
             return _cmd_simulate(args)
         if args.command == "coverage":
             return _cmd_coverage(args)
-        if args.command == "version":
-            print(__version__)
-            return 0
-        raise InternalInvariantError(f"unhandled command {args.command!r}")
+        # argparse's required subparser admits no other command
+        print(__version__)
+        return 0
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InternalInvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

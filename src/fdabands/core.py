@@ -19,10 +19,6 @@ class InvalidInputError(ValueError):
     """Raised when user-supplied data or configuration is unusable."""
 
 
-class InternalInvariantError(RuntimeError):
-    """Raised when an internal consistency check fails (a bug, not bad input)."""
-
-
 def check_field_value(cls, key: str, value, what: str) -> None:
     """A value read from JSON must fit the type of dataclass `cls`'s field
     `key`: an integer may stand for a float and a list for a tuple, a bool is

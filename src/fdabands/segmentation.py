@@ -293,10 +293,10 @@ def relevant_set(
     """Filter detected changes down to those with jump sup-norm > Delta.
 
     Index 0 is always included.  In the default plug-in mode the comparison
-    margin is 0; method='bootstrap' adds a beta-calibrated margin.  A caller
-    that has formed the fit of `x` over cps.segments passes it in so it is
-    not formed twice; a fit of another series, or over other segments, is
-    refused.
+    margin is 0; method='bootstrap' adds a beta-calibrated margin, drawn only
+    for a change whose jump exceeds Delta.  A caller that has formed the fit
+    of `x` over cps.segments passes it in so it is not formed twice; a fit of
+    another series, or over other segments, is refused.
     """
     cfg = cfg or RelevantChangeConfig()
     if cps.n != x.n:
@@ -311,15 +311,15 @@ def relevant_set(
     elif fit.series is not x or fit.segments != tuple(cps.segments):
         raise InvalidInputError("segment fit is not over the change point set's segments of this series")
     jumps = [sup_norm(fit.means[i] - fit.means[i - 1]) for i in range(1, len(fit.means))]
-
-    margins = [0.0] * len(jumps)
-    if cfg.method == "bootstrap":
-        margins = [
-            bootstrap_margin(fit, i, cfg.beta, cfg.calibration_replications, cfg.rng_seed)
-            for i in range(1, len(fit.segments))
-        ]
-
+    # a margin is never negative, so a change at or below delta draws none;
+    # each change's margin comes from its own substreams
     indices = (0,) + tuple(
-        i for i, (jump, margin) in enumerate(zip(jumps, margins), start=1) if jump > delta + margin
+        i
+        for i, jump in enumerate(jumps, start=1)
+        if jump > delta
+        and (
+            cfg.method == "plugin"
+            or jump > delta + bootstrap_margin(fit, i, cfg.beta, cfg.calibration_replications, cfg.rng_seed)
+        )
     )
     return RelevantSet(indices=indices, delta=delta, all_jumps=tuple(jumps))

@@ -909,3 +909,30 @@ class TestVersionCommand:
     def test_prints_version(self, capsys):
         assert main(["version"]) == 0
         assert capsys.readouterr().out.strip() == __version__
+
+
+class TestFailureContract:
+    def test_unknown_command_is_argparse_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["analyze", "simulate", "coverage"])
+    def test_other_exception_propagates_unchanged(self, tmp_path, monkeypatch, verb):
+        # only InvalidInputError becomes exit 2; anything else is a bug and
+        # leaves main as raised
+        bug = RuntimeError("bug")
+
+        def broken(args):
+            raise bug
+
+        monkeypatch.setattr(cli, f"_cmd_{verb}", broken)
+        args = {
+            "analyze": analyze_args(tmp_path / "data.csv", tmp_path / "out"),
+            "simulate": ["simulate", "--spec", "spec.json", "--output-dir", str(tmp_path / "out")],
+            "coverage": ["coverage", "--spec", "spec.json"],
+        }[verb]
+        with pytest.raises(RuntimeError) as exc:
+            main(args)
+        assert exc.value is bug

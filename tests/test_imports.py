@@ -77,7 +77,7 @@ def test_trace_targets_exist(monkeypatch):
 PUBLIC_NAMES = [
     "AnalysisResult", "Band", "BootstrapConfig", "BootstrapResult", "ChangePointSet",
     "ConfidenceBandSet", "ContainmentResult", "CoverageReport", "Curve", "FunctionalTimeSeries",
-    "Grid", "GroundTruth", "InternalInvariantError", "InvalidInputError", "KERNELS", "LrvConfig",
+    "Grid", "GroundTruth", "InvalidInputError", "KERNELS", "LrvConfig",
     "LrvEstimate", "PipelineConfig", "RelevantChangeConfig", "RelevantSet", "ScenarioSpec",
     "Segment", "SegmentFit", "SegmentationConfig", "analyze", "auto_bandwidth",
     "auto_block_length", "auto_delta", "bands", "bootstrap", "build_bands", "check_containment",
@@ -90,7 +90,7 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     import fdabands
 
-    assert len(PUBLIC_NAMES) == 48
+    assert len(PUBLIC_NAMES) == 47
     assert sorted(fdabands.__all__) == PUBLIC_NAMES
 
 

@@ -245,14 +245,23 @@ class TestRelevantSet:
         assert base.indices == scaled.indices
         assert scaled.all_jumps == pytest.approx([lam * jump for jump in base.all_jumps], rel=1e-12)
 
-    def test_bootstrap_calibrated_mode(self):
+    def test_bootstrap_calibrated_mode(self, monkeypatch):
+        pairs = []
+        real_margin = segmentation.bootstrap_margin
+
+        def counting(fit, pair, *args):
+            pairs.append(pair)
+            return real_margin(fit, pair, *args)
+
+        monkeypatch.setattr(segmentation, "bootstrap_margin", counting)
         x = two_jump_series((8.1, 2.0), noise_sd=0.5, n=180)
         cps = ChangePointSet(indices=(60, 120), n=180, threshold=1.0)
         cfg = RelevantChangeConfig(delta=6.0, beta=0.1, method="bootstrap")
         rel = relevant_set(x, cps, cfg)
         # the large jump clears delta plus the calibrated margin; the small
-        # one never does
+        # one, at or below delta, never does and draws no margin
         assert rel.indices == (0, 1)
+        assert pairs == [1]
 
     def test_change_points_of_another_series_rejected(self):
         x = two_jump_series((8.1, 2.0))
